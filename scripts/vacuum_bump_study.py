@@ -42,7 +42,7 @@ diag_alpha = 0.5
           f"{sup_theta_time_integral(traj, 2 * model.q + 2):.6e}")
     crit = alt_criteria(traj)
     print(f"alternative criteria: fan_jiang_ou = {crit.fan_jiang_ou:.4f}, "
-          f"wen_zhu = {crit.wen_zhu:.4f}, "
+          f"fang_zi_zhang = {crit.fang_zi_zhang:.4f}, "
           f"sun_wang_zhang = {crit.sun_wang_zhang}")
 
 

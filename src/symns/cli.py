@@ -174,7 +174,7 @@ def convergence_study(cfg: SimConfig, levels: int) -> ConvergenceResult:
     init = build_initial(fine, gf, model)
     s0 = State(grid=gf, t=0.0, rho=init.rho0, u=init.u0, v=init.v0,
                w=init.w0, theta=init.theta0)
-    dt_fixed = 0.5 * cfl_dt(s0, fine.controls.to_step_controls(), model)
+    dt_fixed = 0.5 * cfl_dt(s0, fine.controls, model)
 
     finals = []
     grids = []

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import copy
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field, fields, replace
 
 import numpy as np
 
@@ -24,8 +24,8 @@ from .initdata import (compatibility_residuals, load_initial_csv, preset,
 from .stepper import StepControls
 
 __all__ = [
-    "SimConfig", "GridConfig", "ModelConfig", "InitConfig", "ControlsConfig",
-    "OutputConfig", "parse_config", "parse_config_file", "build_grid",
+    "SimConfig", "GridConfig", "ModelConfig", "InitConfig", "OutputConfig",
+    "parse_config", "parse_config_file", "build_grid",
     "build_model", "build_initial", "override_config",
 ]
 
@@ -66,24 +66,6 @@ class InitConfig:
 
 
 @dataclass
-class ControlsConfig:
-    cfl: float = 0.4
-    t_end: float = 0.1
-    dt_max: float = math.inf
-    dt_min: float = 1e-12
-    picard_max: int = 10
-    picard_tol: float = 1e-10
-    rho_vac_tol: float = 1e-12
-    max_steps: int = 1_000_000
-
-    def to_step_controls(self) -> StepControls:
-        return StepControls(cfl=self.cfl, picard_max=self.picard_max,
-                            picard_tol=self.picard_tol,
-                            rho_vac_tol=self.rho_vac_tol, dt_max=self.dt_max,
-                            dt_min=self.dt_min, max_steps=self.max_steps)
-
-
-@dataclass
 class OutputConfig:
     out_dir: str = "out"
     snapshot_every: int = 0   # every k steps; 0 keeps initial/final only
@@ -96,17 +78,17 @@ class SimConfig:
     grid: GridConfig = field(default_factory=GridConfig)
     model: ModelConfig = field(default_factory=ModelConfig)
     init: InitConfig = field(default_factory=InitConfig)
-    controls: ControlsConfig = field(default_factory=ControlsConfig)
+    controls: StepControls = field(default_factory=StepControls)
     output: OutputConfig = field(default_factory=OutputConfig)
     admissibility: object = None
 
 
 _SECTIONS = {"grid": GridConfig, "model": ModelConfig, "init": InitConfig,
-             "controls": ControlsConfig, "output": OutputConfig}
+             "controls": StepControls, "output": OutputConfig}
 
-_INT_KEYS = {"grid.n", "grid.m", "controls.picard_max", "controls.max_steps",
-             "output.snapshot_every"}
-_STR_KEYS = {"model.family", "init.preset", "init.file", "output.out_dir"}
+# "section.key" -> type of the field's default (int, float or str)
+_KEY_TYPES = {f"{sec}.{f.name}": type(f.default)
+              for sec, cls in _SECTIONS.items() for f in fields(cls)}
 
 
 def _parse_value(raw: str, key: str, lineno: int):
@@ -123,14 +105,14 @@ def _parse_value(raw: str, key: str, lineno: int):
         raw = raw.split("#", 1)[0].strip()
     if not raw:
         raise ConfigError(f"line {lineno}: missing value for {key!r}")
-    if key in _STR_KEYS:
+    if _KEY_TYPES[key] is str:
         return raw
     try:
         val = float(raw)
     except ValueError:
         raise ConfigError(f"line {lineno}: {key} expects a number, "
                           f"got {raw!r}") from None
-    if key in _INT_KEYS:
+    if _KEY_TYPES[key] is int:
         if not float(val).is_integer():
             raise ConfigError(f"line {lineno}: {key} expects an integer, "
                               f"got {raw!r}")
@@ -161,17 +143,14 @@ def parse_config(text: str) -> SimConfig:
         key, raw = stripped.split("=", 1)
         key = key.strip()
         full = key if "." in key else (f"{section}.{key}" if section else key)
-        parts = full.split(".")
-        if len(parts) != 2 or parts[0] not in _SECTIONS:
-            raise ConfigError(f"line {lineno}: unknown key {full!r}")
-        sec_obj = getattr(cfg, parts[0])
-        if not hasattr(sec_obj, parts[1]):
+        if full not in _KEY_TYPES:
             raise ConfigError(f"line {lineno}: unknown key {full!r}")
         if full in seen:
             raise ConfigError(f"line {lineno}: duplicate key {full!r} "
                               f"(first set on line {seen[full]})")
         seen[full] = lineno
-        setattr(sec_obj, parts[1], _parse_value(raw, full, lineno))
+        sec_name, name = full.split(".")
+        setattr(getattr(cfg, sec_name), name, _parse_value(raw, full, lineno))
     _validate(cfg)
     return cfg
 
@@ -191,11 +170,9 @@ def _validate(cfg: SimConfig):
     except ValueError as exc:
         raise ConfigError(f"model: {exc}") from exc
     try:
-        cfg.controls.to_step_controls()
+        cfg.controls.validate()
     except ValueError as exc:
         raise ConfigError(f"controls: {exc}") from exc
-    if cfg.controls.t_end < 0.0:
-        raise ConfigError("controls.t_end must be >= 0")
     if cfg.init.eps < 0.0:
         raise ConfigError("init.eps must be >= 0")
     if not cfg.init.file and cfg.init.preset not in PRESETS:
@@ -224,10 +201,8 @@ def build_model(cfg: SimConfig) -> GasModel:
         q_family, r = "power", mc.r
     else:
         raise ValueError(f"unknown model.family {mc.family!r}")
-    pc_family = "barotropic" if mc.A > 0.0 else "zero"
     return GasModel(mu=mc.mu, lam=mc.lam, kappa0=mc.kappa0, q=mc.q,
-                    q_family=q_family, r=r, pc_family=pc_family, A=mc.A,
-                    gamma=mc.gamma)
+                    q_family=q_family, r=r, A=mc.A, gamma=mc.gamma)
 
 
 _PRESET_KEYS = {
@@ -268,13 +243,10 @@ def build_initial(cfg: SimConfig, g, model: GasModel):
 
 def override_config(cfg: SimConfig, key: str, raw_value: str) -> SimConfig:
     """Deep-copied config with one dotted key overridden (sweep support)."""
-    parts = key.split(".")
-    if len(parts) != 2 or parts[0] not in _SECTIONS:
+    if key not in _KEY_TYPES:
         raise ConfigError(f"unknown key {key!r}")
     out = copy.deepcopy(cfg)
-    sec = getattr(out, parts[0])
-    if not hasattr(sec, parts[1]):
-        raise ConfigError(f"unknown key {key!r}")
-    setattr(sec, parts[1], _parse_value(raw_value, key, 0))
+    sec_name, name = key.split(".")
+    setattr(getattr(out, sec_name), name, _parse_value(raw_value, key, 0))
     _validate(out)
     return out

@@ -9,7 +9,7 @@ the thermodynamic consistency identity by construction.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -19,6 +19,7 @@ __all__ = [
     "power_gas",
     "pressure",
     "internal_energy",
+    "sound_speed",
     "conductivity",
     "heat_capacity",
     "thermo_consistency_residual",
@@ -32,14 +33,10 @@ class GasModel:
     """Immutable constitutive model.
 
     q_family selects Q(theta): "linear" is Q = theta (r = 0); "power" is
-    Q = theta + theta^(1+r)/(1+r) with r >= 0.  pc_family selects the cold
-    pressure: "zero", or "barotropic" P_c = A rho^gamma (A > 0, gamma > 1)
-    with derived e_c = A rho^(gamma-1)/(gamma-1).  Conductivity is
-    kappa0 * (1 + theta^q) with q > r.
-
-    beta_flag is the 0/1 flag of the Q-family growth bounds (both provided
-    families use 0).  It is unrelated to the viscous coefficient
-    ``beta = 2*mu + lam``, exposed as a property.
+    Q = theta + theta^(1+r)/(1+r) with r >= 0.  The cold-pressure constant
+    A >= 0 selects the P_c family: A = 0 is "zero"; A > 0 is "barotropic"
+    P_c = A rho^gamma (gamma > 1) with derived e_c = A rho^(gamma-1)/(gamma-1).
+    Conductivity is kappa0 * (1 + theta^q) with q > r.
     """
 
     mu: float
@@ -48,10 +45,8 @@ class GasModel:
     q: float
     q_family: str = "linear"
     r: float = 0.0
-    pc_family: str = "zero"
     A: float = 0.0
     gamma: float = 2.0
-    beta_flag: int = field(default=0, repr=False)
 
     def __post_init__(self):
         if self.mu <= 0.0:
@@ -67,13 +62,16 @@ class GasModel:
         if not self.q > self.r:
             raise ValueError(f"conductivity growth must dominate: need q > r, "
                              f"got q={self.q}, r={self.r}")
-        if self.pc_family not in ("zero", "barotropic"):
-            raise ValueError(f"unknown cold-pressure family {self.pc_family!r}")
-        if self.pc_family == "barotropic":
-            if self.A <= 0.0:
-                raise ValueError("barotropic family needs A > 0")
-            if self.gamma <= 1.0:
-                raise ValueError("barotropic family needs gamma > 1")
+        if self.A < 0.0:
+            raise ValueError(f"cold-pressure constant must be >= 0, "
+                             f"got A={self.A}")
+        if self.A > 0.0 and self.gamma <= 1.0:
+            raise ValueError("barotropic family needs gamma > 1")
+
+    @property
+    def pc_family(self) -> str:
+        """Cold-pressure family: "barotropic" when A > 0, else "zero"."""
+        return "barotropic" if self.A > 0.0 else "zero"
 
     @property
     def beta(self) -> float:
@@ -88,9 +86,8 @@ def ideal_gas(mu=1.0, lam=0.0, kappa0=1.0, q=2.0) -> GasModel:
 
 def power_gas(mu, lam, r, q, kappa0=1.0, A=0.0, gamma=2.0) -> GasModel:
     """Power Q family, with an optional barotropic cold pressure when A > 0."""
-    pc = "barotropic" if A > 0.0 else "zero"
     return GasModel(mu=mu, lam=lam, kappa0=kappa0, q=q, q_family="power",
-                    r=r, pc_family=pc, A=A, gamma=gamma)
+                    r=r, A=A, gamma=gamma)
 
 
 def _check_nonneg(name, value):
@@ -137,6 +134,17 @@ def internal_energy(model: GasModel, rho, theta):
     rho = _check_nonneg("density", rho)
     theta = _check_nonneg("temperature", theta)
     out = _Q(model, theta) + _ec(model, rho)
+    return out if out.ndim else float(out)
+
+
+def sound_speed(model: GasModel, rho, theta):
+    """sqrt(dP/drho) at fixed theta = sqrt(Q(theta) + A*gamma*rho^(gamma-1))."""
+    rho = _check_nonneg("density", rho)
+    theta = _check_nonneg("temperature", theta)
+    cs2 = _Q(model, theta)
+    if model.pc_family == "barotropic":
+        cs2 = cs2 + model.A * model.gamma * rho ** (model.gamma - 1.0)
+    out = np.sqrt(cs2)
     return out if out.ndim else float(out)
 
 

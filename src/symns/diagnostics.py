@@ -207,13 +207,11 @@ class AltCriteria:
     """The competing blow-up quantities, on the symmetric fields.
 
     fan_jiang_ou:   sup theta + int ||grad u||_inf dt
-    fang_zi_zhang:  sup theta + sup rho
-    wen_zhu:        sup theta + sup rho
+    fang_zi_zhang:  sup theta + sup rho (also the Wen-Zhu quantity)
     sun_wang_zhang: adds sup 1/rho; infinite when vacuum was present.
     """
     fan_jiang_ou: float
     fang_zi_zhang: float
-    wen_zhu: float
     sun_wang_zhang: float
     sup_theta: float
     sup_rho: float
@@ -235,7 +233,6 @@ def alt_criteria(traj: Trajectory, rho_vac_tol: float = 1e-12) -> AltCriteria:
     return AltCriteria(
         fan_jiang_ou=sup_theta + grad_l1t,
         fang_zi_zhang=sup_theta + sup_rho,
-        wen_zhu=sup_theta + sup_rho,
         sun_wang_zhang=sup_theta + sup_rho + inv_rho,
         sup_theta=sup_theta, sup_rho=sup_rho, grad_u_l1t=grad_l1t,
         inv_rho_sup=inv_rho)

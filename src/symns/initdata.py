@@ -19,6 +19,7 @@ import numpy as np
 
 from .constitutive import GasModel, pressure
 from .grid import Grid, weighted_integral
+from .io import SNAPSHOT_COLUMNS
 from .operators import (axial_laplacian, ddx, dissipation, face_kappa,
                         heat_flux_div, lame_operator, lame_stencil)
 from .tridiag import solve_tridiagonal, tridiagonal_matvec
@@ -70,11 +71,9 @@ def regularize(d: InitialData, eps: float) -> InitialData:
 def solve_initial_velocity(model: GasModel, rho0e, theta0e, g1, g: Grid):
     """Solve beta*L[u] = P_x(rho0e, theta0e) + sqrt(rho0e)*g1 with u=0 walls.
 
-    L is the wall-pinned tridiagonal Lame stencil; one long-double
-    refinement pass pushes the discrete residual to the rounding floor of
-    the double-precision operator (the residual check below would trip
-    otherwise only if the system were near-singular, which beta > 0
-    excludes).
+    L is the wall-pinned tridiagonal Lame stencil.  The residual check
+    below trips only if the system is near-singular, which beta > 0
+    excludes.
     """
     rho0e = g.require_field(rho0e)
     theta0e = g.require_field(theta0e)
@@ -94,13 +93,6 @@ def solve_initial_velocity(model: GasModel, rho0e, theta0e, g1, g: Grid):
     b = -beta * diag
     c = -beta * sup
     u = solve_tridiagonal(a, b, c, -rhs, context="initial velocity solve")
-
-    ld = np.longdouble
-    resid = (-rhs).astype(ld) - tridiagonal_matvec(a.astype(ld), b.astype(ld),
-                                                   c.astype(ld), u.astype(ld))
-    du = solve_tridiagonal(a.astype(ld), b.astype(ld), c.astype(ld), resid,
-                           context="initial velocity refinement")
-    u = (u.astype(ld) + du).astype(float)
 
     check = tridiagonal_matvec(a, b, c, u) + rhs
     scale = np.max(np.abs(rhs)) + np.max(np.abs(b) * np.abs(u)) + 1e-300
@@ -235,9 +227,6 @@ def preset(name: str, g: Grid, **params) -> InitialData:
     return d
 
 
-_INIT_COLUMNS = ("x", "rho", "u", "v", "w", "theta")
-
-
 def load_initial_csv(path, g: Grid) -> InitialData:
     """Read initial fields from CSV with columns x,rho,u,v,w,theta
     (the snapshot format; a trailing 0 on field names is accepted).
@@ -250,9 +239,10 @@ def load_initial_csv(path, g: Grid) -> InitialData:
     if not rows:
         raise ValueError(f"{path}: empty file")
     header = [h.strip().rstrip("0") or "0" for h in rows[0]]
-    if tuple(header) != _INIT_COLUMNS:
-        raise ValueError(f"{path}: expected columns {','.join(_INIT_COLUMNS)} "
-                         f"(optionally 0-suffixed), got {','.join(rows[0])}")
+    if tuple(header) != SNAPSHOT_COLUMNS:
+        raise ValueError(f"{path}: expected columns "
+                         f"{','.join(SNAPSHOT_COLUMNS)} (optionally "
+                         f"0-suffixed), got {','.join(rows[0])}")
     data = np.array([[float(v) for v in row] for row in rows[1:]])
     if data.shape != (g.n, 6):
         raise ValueError(f"{path}: expected {g.n} data rows x 6 columns, "

@@ -5,13 +5,20 @@ from __future__ import annotations
 
 import os
 
+import numpy as np
+
 from .diagnostics import SERIES_COLUMNS, DiagnosticsSeries, Trajectory
 from .state import State
 
-__all__ = ["snapshot_filename", "write_snapshot", "write_diagnostics_csv",
-           "write_trajectory"]
+__all__ = ["SNAPSHOT_COLUMNS", "snapshot_filename", "write_snapshot",
+           "write_diagnostics_csv", "write_trajectory"]
 
-_FMT = "%.17g"
+SNAPSHOT_COLUMNS = ("x", "rho", "u", "v", "w", "theta")
+
+
+def _write_csv(path, columns, table):
+    np.savetxt(path, table, fmt="%.17g", delimiter=",",
+               header=",".join(columns), comments="")
 
 
 def snapshot_filename(step: int) -> str:
@@ -19,21 +26,14 @@ def snapshot_filename(step: int) -> str:
 
 
 def write_snapshot(path, state: State):
-    g = state.grid
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write("x,rho,u,v,w,theta\n")
-        for i in range(g.n):
-            row = (g.centers[i], state.rho[i], state.u[i], state.v[i],
-                   state.w[i], state.theta[i])
-            fh.write(",".join(_FMT % v for v in row) + "\n")
+    _write_csv(path, SNAPSHOT_COLUMNS,
+               np.column_stack([state.grid.centers, state.rho, state.u,
+                                state.v, state.w, state.theta]))
 
 
 def write_diagnostics_csv(path, series: DiagnosticsSeries):
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write(",".join(SERIES_COLUMNS) + "\n")
-        for i in range(len(series)):
-            fh.write(",".join(_FMT % series.rows[k][i]
-                              for k in SERIES_COLUMNS) + "\n")
+    _write_csv(path, SERIES_COLUMNS,
+               np.column_stack([series.column(k) for k in SERIES_COLUMNS]))
 
 
 def write_trajectory(out_dir, traj: Trajectory):

@@ -30,7 +30,6 @@ __all__ = [
     "face_kappa",
     "dissipation",
     "effective_viscous_flux",
-    "material_derivative",
     "upwind_derivative",
     "lame_stencil",
     "axial_stencil",
@@ -175,17 +174,6 @@ def effective_viscous_flux(g: Grid, u, P, model: GasModel) -> np.ndarray:
     """G = (2*mu + lam) * div(u) - P, smoother than either of its parts."""
     P = g.require_field(P)
     return model.beta * radial_div(g, u) - P
-
-
-def material_derivative(g: Grid, f_now, f_prev, dt: float, u,
-                        bc: str = "neumann0") -> np.ndarray:
-    """(f_now - f_prev)/dt + u * f_now_x, first order in time."""
-    if dt <= 0.0:
-        raise ValueError(f"dt must be positive, got {dt}")
-    f_now = g.require_field(f_now)
-    f_prev = g.require_field(f_prev)
-    u = g.require_field(u)
-    return (f_now - f_prev) / dt + u * ddx(g, f_now, bc)
 
 
 def upwind_derivative(g: Grid, f, wind, bc: str = "dirichlet0") -> np.ndarray:

@@ -25,7 +25,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .constitutive import GasModel, check_admissible, heat_capacity, pressure
+from .constitutive import (GasModel, check_admissible, heat_capacity,
+                           pressure, sound_speed)
 from .errors import ConfigError, DtUnderflow, PicardDivergence, SolverFailure
 from .grid import Grid, weighted_integral
 from .operators import (axial_stencil, ddx, dissipation, face_kappa,
@@ -46,11 +47,11 @@ __all__ = [
 ]
 
 _CLIP_WINDOW = 1e-10   # anything more negative is a scheme failure
-_SPLITTING = "continuity-momentum-temperature"
 
 
 @dataclass
 class StepControls:
+    """Time-stepping controls; the ``[controls]`` section of a run config."""
     cfl: float = 0.4
     picard_max: int = 10
     picard_tol: float = 1e-10
@@ -58,9 +59,13 @@ class StepControls:
     dt_max: float = math.inf
     dt_min: float = 1e-12
     max_steps: int = 1_000_000
-    splitting: str = _SPLITTING
+    t_end: float = 0.1
 
     def __post_init__(self):
+        self.validate()
+
+    def validate(self):
+        """Raise ValueError naming the first out-of-range field."""
         if not 0.0 < self.cfl < 1.0:
             raise ValueError(f"need 0 < cfl < 1, got {self.cfl}")
         for name in ("picard_tol", "rho_vac_tol", "dt_min"):
@@ -68,8 +73,11 @@ class StepControls:
                 raise ValueError(f"{name} must be positive")
         if self.dt_max <= 0.0:
             raise ValueError("dt_max must be positive")
-        if self.splitting != _SPLITTING:
-            raise ValueError(f"unsupported splitting {self.splitting!r}")
+        for name in ("picard_max", "max_steps"):
+            if getattr(self, name) < 1:
+                raise ValueError(f"{name} must be >= 1")
+        if self.t_end < 0.0:
+            raise ValueError("t_end must be >= 0")
 
 
 @dataclass
@@ -81,21 +89,11 @@ class StepInfo:
     picard_iters: int = 0
 
 
-def _sound_speed(model: GasModel, rho, theta):
-    """sqrt(dP/drho) at fixed theta, centered difference with relative step
-    1e-6 (one-sided against the vacuum boundary rho = 0)."""
-    h = 1e-6 * (rho + 1.0)
-    lo = np.maximum(rho - h, 0.0)
-    dp = pressure(model, rho + h, theta) - pressure(model, lo, theta)
-    cs2 = dp / (rho + h - lo)
-    return np.sqrt(np.maximum(cs2, 0.0))
-
-
 def cfl_dt(s: State, c: StepControls, model: GasModel) -> float:
     """Advective-acoustic CFL step, capped by dt_max, erroring below dt_min."""
     if not s.is_finite():
         raise ValueError("cfl_dt: state contains non-finite values")
-    wave = float(np.max(np.abs(s.u) + _sound_speed(model, s.rho, s.theta)))
+    wave = float(np.max(np.abs(s.u) + sound_speed(model, s.rho, s.theta)))
     if wave < 1e-30:
         if math.isinf(c.dt_max):
             raise SolverFailure("cfl_dt: zero wave speed and no dt_max cap")
@@ -325,9 +323,9 @@ def run(cfg, force: bool = False):
     if not report.ok and not force:
         raise ConfigError("inadmissible model/grid combination:\n" + str(report))
     init = build_initial(cfg, g, model)
-    c = cfg.controls.to_step_controls()
+    c = cfg.controls
     alpha = cfg.output.diag_alpha
-    t_end = cfg.controls.t_end
+    t_end = c.t_end
 
     state = State(grid=g, t=0.0, rho=init.rho0.copy(), u=init.u0.copy(),
                   v=init.v0.copy(), w=init.w0.copy(), theta=init.theta0.copy())

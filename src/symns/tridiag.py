@@ -21,13 +21,11 @@ def solve_tridiagonal(sub, diag, sup, rhs, context: str = "tridiagonal solve"):
 
     Raises :class:`SolverFailure` naming the first non-diagonally-dominant
     row (tiny slack allowed for the weak-equality rows of vacuum cells).
-    Works in whatever float precision the inputs share.
+    Inputs are coerced to float64.
     """
-    sub = np.asarray(sub)
-    diag = np.asarray(diag)
-    sup = np.asarray(sup)
-    rhs = np.asarray(rhs)
-    n = diag.shape[0]
+    sub = np.asarray(sub, dtype=float)
+    diag = np.asarray(diag, dtype=float)
+    sup = np.asarray(sup, dtype=float)
 
     off = np.abs(sub) + np.abs(sup)
     off[0] = abs(sup[0])
@@ -41,18 +39,10 @@ def solve_tridiagonal(sub, diag, sup, rhs, context: str = "tridiagonal solve"):
             f"(|diag|={abs(diag[i]):.6g}, |sub|+|sup|={off[i]:.6g})",
             cell=i)
 
-    dtype = np.result_type(sub, diag, sup, rhs)
-    if dtype == np.float64:
-        return _thomas_f64(sub, diag, sup, rhs, context)
-    return _thomas_generic(sub.astype(dtype), diag.astype(dtype),
-                           sup.astype(dtype), rhs.astype(dtype), context)
-
-
-def _thomas_f64(sub, diag, sup, rhs, context):
     # plain-python floats: several times faster than numpy scalar indexing
-    a = np.asarray(sub, dtype=float).tolist()
-    b = np.asarray(diag, dtype=float).tolist()
-    c = np.asarray(sup, dtype=float).tolist()
+    a = sub.tolist()
+    b = diag.tolist()
+    c = sup.tolist()
     d = np.asarray(rhs, dtype=float).tolist()
     n = len(b)
     cp = [0.0] * n
@@ -69,24 +59,6 @@ def _thomas_f64(sub, diag, sup, rhs, context):
     for i in range(n - 2, -1, -1):
         xp[i] -= cp[i] * xp[i + 1]
     return np.asarray(xp)
-
-
-def _thomas_generic(a, b, c, d, context):
-    n = b.shape[0]
-    cp = np.zeros_like(b)
-    xp = np.zeros_like(d)
-    cp[0] = c[0] / b[0]
-    xp[0] = d[0] / b[0]
-    for i in range(1, n):
-        denom = b[i] - a[i] * cp[i - 1]
-        if denom == 0.0:
-            raise SolverFailure(f"{context}: elimination breakdown at row {i}",
-                                cell=i)
-        cp[i] = c[i] / denom
-        xp[i] = (d[i] - a[i] * xp[i - 1]) / denom
-    for i in range(n - 2, -1, -1):
-        xp[i] = xp[i] - cp[i] * xp[i + 1]
-    return xp
 
 
 def tridiagonal_matvec(sub, diag, sup, x):

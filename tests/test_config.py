@@ -86,6 +86,27 @@ def test_unknown_preset_rejected():
         parse_config("[init]\npreset = tophat\n")
 
 
+@pytest.mark.parametrize("key", ["picard_max", "max_steps"])
+def test_controls_counts_must_be_positive(key):
+    with pytest.raises(ConfigError, match=f"controls: {key}"):
+        parse_config(f"[controls]\n{key} = 0\n")
+
+
+def test_negative_t_end_rejected():
+    with pytest.raises(ConfigError, match="controls: t_end"):
+        parse_config("[controls]\nt_end = -1.0\n")
+
+
+def test_negative_cold_pressure_rejected():
+    with pytest.raises(ConfigError, match="model: cold-pressure"):
+        parse_config("[model]\nA = -0.5\n")
+
+
+def test_method_names_are_not_keys():
+    with pytest.raises(ConfigError, match="unknown key"):
+        parse_config("[controls]\nvalidate = 1\n")
+
+
 def test_build_model_families():
     cfg = parse_config("[model]\nfamily = power\nr = 1.0\nq = 2.0\nA = 0.5\n")
     m = build_model(cfg)

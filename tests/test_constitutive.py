@@ -3,7 +3,7 @@ import pytest
 
 from symns.constitutive import (GasModel, check_admissible, conductivity,
                                 heat_capacity, ideal_gas, internal_energy,
-                                power_gas, pressure,
+                                power_gas, pressure, sound_speed,
                                 thermo_consistency_residual)
 
 
@@ -21,6 +21,10 @@ def test_pressure_power_barotropic():
     m = power_gas(mu=1, lam=0, r=1, q=2, A=1, gamma=2)
     # rho*(theta + theta^2/2) + rho^2 at rho = theta = 1
     assert pressure(m, 1.0, 1.0) == pytest.approx(2.5, rel=1e-15)
+    # A > 0 alone selects the barotropic cold pressure
+    m = GasModel(mu=1.0, lam=0.0, kappa0=1.0, q=2.0, A=2.0)
+    assert m.pc_family == "barotropic"
+    assert pressure(m, 1.0, 1.0) == 3.0
 
 
 def test_pressure_rejects_negative_inputs():
@@ -57,11 +61,46 @@ def test_model_validation():
         GasModel(mu=0.0, lam=0.0, kappa0=1.0, q=2.0)
     with pytest.raises(ValueError):
         GasModel(mu=1.0, lam=0.0, kappa0=1.0, q=1.0, q_family="power", r=1.0)
-    with pytest.raises(ValueError):
-        GasModel(mu=1.0, lam=0.0, kappa0=1.0, q=2.0, pc_family="barotropic",
-                 A=0.0)
+    with pytest.raises(ValueError, match="cold-pressure"):
+        GasModel(mu=1.0, lam=0.0, kappa0=1.0, q=2.0, A=-0.5)
+    with pytest.raises(ValueError, match="gamma"):
+        GasModel(mu=1.0, lam=0.0, kappa0=1.0, q=2.0, A=1.0, gamma=1.0)
     with pytest.raises(ValueError):
         GasModel(mu=1.0, lam=0.0, kappa0=-1.0, q=2.0)
+
+
+@pytest.mark.parametrize("model", [
+    ideal_gas(),
+    power_gas(mu=1, lam=0, r=0.5, q=2),
+    power_gas(mu=1, lam=0, r=1.0, q=2, A=0.7, gamma=1.4),
+    power_gas(mu=1, lam=0, r=1.0, q=2, A=0.7, gamma=2.0),
+    GasModel(mu=1.0, lam=0.0, kappa0=1.0, q=2.0, A=1.3, gamma=1.4),
+], ids=["linear", "power", "barotropic-1.4", "power-barotropic-2.0",
+        "linear-barotropic-1.4"])
+def test_sound_speed_matches_pressure_difference(model):
+    rho = np.array([1e-3, 0.2, 1.0, 3.7, 40.0])
+    theta = np.array([0.0, 0.5, 1.0, 2.5, 10.0])
+    h = 1e-6 * rho
+    dp = (pressure(model, rho + h, theta)
+          - pressure(model, rho - h, theta)) / (2.0 * h)
+    cs = sound_speed(model, rho, theta)
+    assert np.allclose(cs ** 2, dp, rtol=1e-6, atol=0.0)
+
+
+@pytest.mark.parametrize("gamma", [1.4, 2.0])
+def test_sound_speed_barotropic_vacuum(gamma):
+    # P_c'(0) = 0 for gamma > 1: vacuum cells keep only sqrt(Q(theta))
+    m = power_gas(mu=1, lam=0, r=1.0, q=2, A=0.7, gamma=gamma)
+    rho = np.array([0.0, 0.0, 0.5, 2.0])
+    theta = np.array([0.0, 2.0, 1.0, 3.0])
+    cs = sound_speed(m, rho, theta)
+    assert cs[0] == 0.0
+    assert cs[1] == np.sqrt(2.0 + 2.0 ** 2 / 2.0)
+    h = 1e-6 * rho[2:]
+    dp = (pressure(m, rho[2:] + h, theta[2:])
+          - pressure(m, rho[2:] - h, theta[2:])) / (2.0 * h)
+    assert np.allclose(cs[2:] ** 2, dp, rtol=1e-6, atol=0.0)
+    assert sound_speed(m, 0.0, 1.0) == pytest.approx(np.sqrt(1.5), rel=1e-15)
 
 
 def test_thermo_residual_ideal_gas():
@@ -72,8 +111,7 @@ def test_thermo_residual_ideal_gas():
 
 def test_thermo_residual_barotropic_cancellation():
     # rho^2 e_c' = P_c holds analytically, so only FD noise remains
-    m = GasModel(mu=1.0, lam=0.0, kappa0=1.0, q=2.0, pc_family="barotropic",
-                 A=1.0, gamma=2.0)
+    m = GasModel(mu=1.0, lam=0.0, kappa0=1.0, q=2.0, A=1.0, gamma=2.0)
     P = pressure(m, 2.0, 1.0)
     res = thermo_consistency_residual(m, 2.0, 1.0)
     assert abs(res) <= 1e-7 * (1.0 + abs(P))

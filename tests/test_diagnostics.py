@@ -202,7 +202,6 @@ def test_alt_criteria_constant_fields_closed_form():
                               [0.0, 1.0])
     crit = alt_criteria(traj)
     assert crit.fang_zi_zhang == pytest.approx(5.0)
-    assert crit.wen_zhu == pytest.approx(5.0)
     assert crit.sun_wang_zhang == pytest.approx(5.5)
 
 

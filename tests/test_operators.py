@@ -10,8 +10,7 @@ from symns.grid import make_grid, weighted_integral
 from symns.operators import (axial_laplacian, axial_stencil, ddx, dissipation,
                              effective_viscous_flux, face_kappa,
                              heat_flux_div, lame_operator, lame_stencil,
-                             material_derivative, radial_div,
-                             upwind_derivative)
+                             radial_div, upwind_derivative)
 from symns.tridiag import tridiagonal_matvec
 
 INTERIOR = slice(1, -1)
@@ -213,25 +212,6 @@ def test_effective_viscous_flux():
     G = effective_viscous_flux(g, u, P, model)
     again = model.beta * radial_div(g, u) - P
     assert np.max(np.abs(G - again)) <= 2 * np.spacing(np.max(np.abs(G)))
-
-
-def test_material_derivative_cases():
-    g = make_grid(1, 2, 32, 2)
-    c = np.full(32, 4.0)
-    assert not material_derivative(g, c, c, 0.1, np.zeros(32)).any()
-    # transported linear profile: f(x,t) = x - t with u = 1
-    dt = 1e-3
-    f_now = g.centers - dt
-    f_prev = g.centers.copy()
-    md = material_derivative(g, f_now, f_prev, dt, np.ones(32))
-    assert np.max(np.abs(md[INTERIOR])) < 1e-10
-    # u = 0 reduces to the plain time difference
-    rs = np.random.default_rng(3)
-    a, b = rs.standard_normal((2, 32))
-    md = material_derivative(g, a, b, dt, np.zeros(32))
-    assert np.allclose(md, (a - b) / dt, rtol=1e-14)
-    with pytest.raises(ValueError):
-        material_derivative(g, a, b, 0.0, np.zeros(32))
 
 
 def test_upwind_derivative_bias():

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from symns.config import parse_config
-from symns.constitutive import ideal_gas
+from symns.constitutive import GasModel, ideal_gas
 from symns.errors import ConfigError, DtUnderflow, SolverFailure
 from symns.grid import make_grid, weighted_integral
 from symns.initdata import preset
@@ -25,8 +25,9 @@ def test_controls_validation():
         StepControls(cfl=1.5)
     with pytest.raises(ValueError):
         StepControls(picard_tol=0.0)
-    with pytest.raises(ValueError):
-        StepControls(splitting="strang")
+    for name in ("picard_max", "max_steps"):
+        with pytest.raises(ValueError, match=name):
+            StepControls(**{name: 0})
 
 
 def test_cfl_dt_sound_speed():
@@ -35,6 +36,20 @@ def test_cfl_dt_sound_speed():
     c = StepControls(cfl=0.4)
     # ideal gas at rho = theta = 1: sound speed sqrt(dP/drho) = 1
     assert cfl_dt(s, c, MODEL) == pytest.approx(0.4 * g.dx, rel=1e-6)
+
+
+def test_cfl_dt_barotropic_sound_speed():
+    g = make_grid(1, 2, 64, 2)
+    s = _state_from("equilibrium", g)
+    model = GasModel(mu=1.0, lam=0.0, kappa0=1.0, q=2.0, A=1.0, gamma=2.0)
+    # dP/drho = theta + 2*A*rho = 3 at rho = theta = 1
+    assert cfl_dt(s, StepControls(cfl=0.4), model) == pytest.approx(
+        0.4 * g.dx / math.sqrt(3.0), rel=1e-14)
+    # vacuum cells (rho = 0) contribute sqrt(theta) only
+    s = _state_from("vacuum_bump", g)
+    expected = 0.4 * g.dx / float(np.max(np.sqrt(s.theta + 2.0 * s.rho)))
+    assert cfl_dt(s, StepControls(cfl=0.4), model) == pytest.approx(
+        expected, rel=1e-14)
 
 
 def test_cfl_dt_advective_scaling():

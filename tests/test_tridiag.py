@@ -73,15 +73,3 @@ def test_weak_dominance_allowed():
     x = solve_tridiagonal(sub, diag, sup, rhs)
     A = np.diag(diag) + np.diag(sub[1:], -1) + np.diag(sup[:-1], 1)
     assert np.max(np.abs(A @ x - rhs)) < 1e-12
-
-
-def test_longdouble_path(rng):
-    n = 16
-    sub, diag, sup = _random_dominant(rng, n)
-    rhs = rng.standard_normal(n)
-    ld = np.longdouble
-    x = solve_tridiagonal(sub.astype(ld), diag.astype(ld), sup.astype(ld),
-                          rhs.astype(ld))
-    assert x.dtype == ld
-    xd = solve_tridiagonal(sub, diag, sup, rhs)
-    assert np.max(np.abs(x.astype(float) - xd)) < 1e-12
