@@ -26,7 +26,6 @@ preset = "vacuum_bump"
 [controls]
 t_end = {t_end}
 [output]
-out_dir = "out/vacuum_bump_study"
 diag_alpha = 0.5
 """)
     traj = run(cfg)

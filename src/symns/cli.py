@@ -21,7 +21,7 @@ import numpy as np
 from .config import (SimConfig, build_grid, build_initial, build_model,
                      override_config, parse_config_file)
 from .diagnostics import Trajectory
-from .errors import ConfigError
+from .errors import ConfigError, SolverFailure
 from .grid import weighted_lp_norm
 from .initdata import compatibility_residuals
 from .io import write_trajectory
@@ -88,8 +88,10 @@ def _sweep_worker(task):
                    t_final=traj.final_state.t, mass_drift_rel=drift,
                    max_theta=float(traj.series.column("max_theta").max()),
                    seconds=time.perf_counter() - t0)
-    except ConfigError as exc:
-        row.update(reason="config_error", steps=0, t_final=0.0,
+    except (ConfigError, SolverFailure) as exc:
+        reason = ("config_error" if isinstance(exc, ConfigError)
+                  else "solver_failure")
+        row.update(reason=reason, steps=0, t_final=0.0,
                    mass_drift_rel=math.nan, max_theta=math.nan,
                    seconds=time.perf_counter() - t0, error=str(exc))
     return row
@@ -275,6 +277,9 @@ def cli(argv=None) -> int:
     except FileNotFoundError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 3
+    except SolverFailure as exc:
+        print(f"solver failure: {exc}", file=sys.stderr)
+        return 2
 
 
 def main():

@@ -173,7 +173,7 @@ def _validate(cfg: SimConfig):
         cfg.controls.validate()
     except ValueError as exc:
         raise ConfigError(f"controls: {exc}") from exc
-    if cfg.init.eps < 0.0:
+    if not cfg.init.eps >= 0.0:
         raise ConfigError("init.eps must be >= 0")
     if not cfg.init.file and cfg.init.preset not in PRESETS:
         raise ConfigError(f"init.preset: unknown preset {cfg.init.preset!r}; "
@@ -182,7 +182,7 @@ def _validate(cfg: SimConfig):
     if not 0.0 < cfg.output.diag_alpha < hi:
         raise ConfigError(f"output.diag_alpha must lie in (0, min(1, q-r)) "
                           f"= (0, {hi}), got {cfg.output.diag_alpha}")
-    if cfg.output.snapshot_every < 0 or cfg.output.snapshot_dt < 0.0:
+    if cfg.output.snapshot_every < 0 or not cfg.output.snapshot_dt >= 0.0:
         raise ConfigError("output snapshot cadence must be >= 0")
     cfg.admissibility = check_admissible(model, cfg.grid.m)
 

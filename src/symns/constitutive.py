@@ -49,23 +49,23 @@ class GasModel:
     gamma: float = 2.0
 
     def __post_init__(self):
-        if self.mu <= 0.0:
+        if not self.mu > 0.0:
             raise ValueError(f"shear viscosity must be positive, got mu={self.mu}")
-        if self.kappa0 <= 0.0:
+        if not self.kappa0 > 0.0:
             raise ValueError(f"kappa0 must be positive, got {self.kappa0}")
         if self.q_family not in ("linear", "power"):
             raise ValueError(f"unknown Q family {self.q_family!r}")
         if self.q_family == "linear" and self.r != 0.0:
             raise ValueError("the linear Q family has r = 0 by definition")
-        if self.r < 0.0:
+        if not self.r >= 0.0:
             raise ValueError(f"r must be >= 0, got {self.r}")
         if not self.q > self.r:
             raise ValueError(f"conductivity growth must dominate: need q > r, "
                              f"got q={self.q}, r={self.r}")
-        if self.A < 0.0:
+        if not self.A >= 0.0:
             raise ValueError(f"cold-pressure constant must be >= 0, "
                              f"got A={self.A}")
-        if self.A > 0.0 and self.gamma <= 1.0:
+        if self.A > 0.0 and not self.gamma > 1.0:
             raise ValueError("barotropic family needs gamma > 1")
 
     @property

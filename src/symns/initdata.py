@@ -18,6 +18,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .constitutive import GasModel, pressure
+from .errors import SolverFailure
 from .grid import Grid, weighted_integral
 from .io import SNAPSHOT_COLUMNS
 from .operators import (axial_laplacian, ddx, dissipation, face_kappa,
@@ -78,11 +79,11 @@ def solve_initial_velocity(model: GasModel, rho0e, theta0e, g1, g: Grid):
     rho0e = g.require_field(rho0e)
     theta0e = g.require_field(theta0e)
     g1 = g.require_field(g1)
-    if np.any(rho0e <= 0.0):
+    if not np.all(rho0e > 0.0):
         raise ValueError("solve_initial_velocity needs strictly positive "
                          "density (regularize first)")
     beta = model.beta
-    if beta <= 0.0:
+    if not beta > 0.0:
         raise ValueError(f"need beta = 2*mu + lam > 0, got {beta}")
 
     P = pressure(model, rho0e, theta0e)
@@ -98,8 +99,8 @@ def solve_initial_velocity(model: GasModel, rho0e, theta0e, g1, g: Grid):
     scale = np.max(np.abs(rhs)) + np.max(np.abs(b) * np.abs(u)) + 1e-300
     rel = float(np.max(np.abs(check))) / scale
     if rel > 1e-10:
-        raise RuntimeError(f"initial velocity solve residual {rel:.3e} "
-                           "exceeds 1e-10: solve assumed singular")
+        raise SolverFailure(f"initial velocity solve residual {rel:.3e} "
+                            "exceeds 1e-10: solve assumed singular")
     return u
 
 

@@ -68,15 +68,14 @@ class StepControls:
         """Raise ValueError naming the first out-of-range field."""
         if not 0.0 < self.cfl < 1.0:
             raise ValueError(f"need 0 < cfl < 1, got {self.cfl}")
-        for name in ("picard_tol", "rho_vac_tol", "dt_min"):
-            if getattr(self, name) <= 0.0:
+        # comparisons are written so that NaN fails them
+        for name in ("picard_tol", "rho_vac_tol", "dt_min", "dt_max"):
+            if not getattr(self, name) > 0.0:
                 raise ValueError(f"{name} must be positive")
-        if self.dt_max <= 0.0:
-            raise ValueError("dt_max must be positive")
         for name in ("picard_max", "max_steps"):
-            if getattr(self, name) < 1:
+            if not getattr(self, name) >= 1:
                 raise ValueError(f"{name} must be >= 1")
-        if self.t_end < 0.0:
+        if not self.t_end >= 0.0:
             raise ValueError("t_end must be >= 0")
 
 

@@ -1,8 +1,11 @@
-"""Thomas recurrence for the tridiagonal systems of the implicit solves.
+"""Tridiagonal solves for the implicit steps: Thomas recurrence, with
+odd-even cyclic reduction in front of it for long systems.
 
 No pivoting: every system assembled by this package is (weakly) diagonally
 dominant by construction, and the per-row check below turns a violated
 assumption into a named error instead of a silent loss of accuracy.
+Cyclic reduction keeps diagonal dominance at every level (Heller, SIAM J.
+Numer. Anal. 13, 1976), so it needs no pivoting either.
 """
 
 from __future__ import annotations
@@ -14,6 +17,16 @@ from .errors import SolverFailure
 __all__ = ["solve_tridiagonal", "tridiagonal_matvec"]
 
 _DOMINANCE_SLACK = 1e-10
+
+# Systems with more rows than this are cyclically reduced before the Thomas
+# recurrence runs.  A reduction level's cost is mostly a fixed numpy call
+# overhead (~30 us); it removes half the rows from the Python recurrence.
+# Timing solve_tridiagonal with one level against the plain recurrence on
+# random dominant systems of m rows (medians of 15 interleaved pairs, two
+# runs, shared 2-vCPU x86-64, Python 3.11, numpy 2.4) gave time ratios 1.17
+# at m=96, 1.04 at 128, 1.02-1.03 at 144, 0.96-0.98 at 160 and 0.83-0.85 at
+# 256: the break-even lies between 144 and 160 rows.
+_REDUCE_ABOVE = 150
 
 
 def solve_tridiagonal(sub, diag, sup, rhs, context: str = "tridiagonal solve"):
@@ -39,11 +52,21 @@ def solve_tridiagonal(sub, diag, sup, rhs, context: str = "tridiagonal solve"):
             f"(|diag|={abs(diag[i]):.6g}, |sub|+|sup|={off[i]:.6g})",
             cell=i)
 
+    rhs = np.asarray(rhs, dtype=float)
+    if len(diag) > _REDUCE_ABOVE:
+        return _cyclic_reduction(sub, diag, sup, rhs, context)
     # plain-python floats: several times faster than numpy scalar indexing
-    a = sub.tolist()
-    b = diag.tolist()
-    c = sup.tolist()
-    d = np.asarray(rhs, dtype=float).tolist()
+    return np.asarray(_thomas(sub.tolist(), diag.tolist(), sup.tolist(),
+                              rhs.tolist(), context))
+
+
+def _breakdown(context, row):
+    return SolverFailure(f"{context}: elimination breakdown at row {row}",
+                         cell=row)
+
+
+def _thomas(a, b, c, d, context, stride=1):
+    """Thomas recurrence on lists; row i is original row i*stride."""
     n = len(b)
     cp = [0.0] * n
     xp = [0.0] * n
@@ -52,13 +75,62 @@ def solve_tridiagonal(sub, diag, sup, rhs, context: str = "tridiagonal solve"):
     for i in range(1, n):
         denom = b[i] - a[i] * cp[i - 1]
         if denom == 0.0:
-            raise SolverFailure(f"{context}: elimination breakdown at row {i}",
-                                cell=i)
+            raise _breakdown(context, i * stride)
         cp[i] = c[i] / denom
         xp[i] = (d[i] - a[i] * xp[i - 1]) / denom
     for i in range(n - 2, -1, -1):
         xp[i] -= cp[i] * xp[i + 1]
-    return np.asarray(xp)
+    return xp
+
+
+def _cyclic_reduction(a, b, c, d, context):
+    """Odd-even reduction down to _REDUCE_ABOVE rows, Thomas, back-substitute.
+
+    Each level eliminates the odd rows, whose diagonals are the pivots, from
+    the even rows; the even rows form the next level.  Row j of level L is
+    original row j * 2**L.  a[0] and c[-1] are never read.
+    """
+    levels = []
+    stride = 1
+    while len(b) > _REDUCE_ABOVE:
+        m = len(b)
+        n_odd = m // 2
+        k = (m - 1) // 2          # even rows that have an odd row on the left
+        bo = b[1::2]
+        if np.count_nonzero(bo) < n_odd:
+            raise _breakdown(context,
+                             (2 * int(np.argmin(bo != 0.0)) + 1) * stride)
+        ao, co, do = a[1::2], c[1::2], d[1::2]
+        # multipliers that eliminate the odd neighbours from each even row
+        left = -a[2::2] / bo[:k]
+        right = -c[0:2 * n_odd:2] / bo
+        b_new = b[0::2].copy()
+        b_new[1:] += left * co[:k]
+        b_new[:n_odd] += right * ao
+        d_new = d[0::2].copy()
+        d_new[1:] += left * do[:k]
+        d_new[:n_odd] += right * do
+        a_new = np.zeros(m - n_odd)
+        a_new[1:] = left * ao[:k]
+        c_new = np.zeros(m - n_odd)
+        c_new[:k] = right[:k] * co[:k]
+        levels.append((ao, bo, co, do, k))
+        a, b, c, d = a_new, b_new, c_new, d_new
+        stride *= 2
+
+    if b[0] == 0.0:   # _thomas leaves its first pivot to the caller
+        raise _breakdown(context, 0)
+    x = np.asarray(_thomas(a.tolist(), b.tolist(), c.tolist(), d.tolist(),
+                           context, stride))
+    for ao, bo, co, do, k in reversed(levels):
+        x_odd = do - ao * x[:len(bo)]
+        x_odd[:k] -= co[:k] * x[1:]
+        x_odd /= bo
+        x_up = np.empty(len(x) + len(bo))
+        x_up[0::2] = x
+        x_up[1::2] = x_odd
+        x = x_up
+    return x
 
 
 def tridiagonal_matvec(sub, diag, sup, x):

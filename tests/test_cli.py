@@ -3,6 +3,7 @@ import os
 import numpy as np
 import pytest
 
+import symns.initdata
 from symns.cli import cli, convergence_study
 from symns.config import parse_config
 
@@ -134,6 +135,44 @@ out_dir = "{out}"
     assert (out / "model_q_2.0").exists() and (out / "model_q_3.0").exists()
     lines = (out / "sweep_summary.csv").read_text().strip().splitlines()
     assert len(lines) == 3  # header + one row per value
+
+
+BUMP_EPS_CONFIG = """
+[grid]
+n = 32
+[init]
+preset = "vacuum_bump"
+eps = 0.001
+[controls]
+t_end = 0.001
+[output]
+out_dir = "{out}"
+"""
+
+
+def _break_initial_velocity_solve(monkeypatch):
+    """Make the initial-velocity solve fail its residual check."""
+    monkeypatch.setattr(symns.initdata, "solve_tridiagonal",
+                        lambda a, b, c, d, context: np.ones(len(b)))
+
+
+def test_run_initial_velocity_failure_exits_2(tmp_path, monkeypatch, capsys):
+    _break_initial_velocity_solve(monkeypatch)
+    cfgp = _write(tmp_path, BUMP_EPS_CONFIG.format(out=tmp_path / "o"))
+    assert cli(["run", cfgp]) == 2
+    assert "solver failure: initial velocity solve residual" in \
+        capsys.readouterr().err
+
+
+def test_sweep_records_solver_failure_row(tmp_path, monkeypatch):
+    _break_initial_velocity_solve(monkeypatch)
+    out = tmp_path / "sw"
+    cfgp = _write(tmp_path, BUMP_EPS_CONFIG.format(out=out))
+    assert cli(["sweep", cfgp, "--vary", "init.eps=0.0,0.001",
+                "--workers", "1"]) == 2
+    lines = (out / "sweep_summary.csv").read_text().strip().splitlines()
+    assert [ln.split(",")[2] for ln in lines[1:]] == ["completed",
+                                                     "solver_failure"]
 
 
 def test_sweep_rejects_bad_vary(tmp_path):

@@ -102,6 +102,31 @@ def test_negative_cold_pressure_rejected():
         parse_config("[model]\nA = -0.5\n")
 
 
+@pytest.mark.parametrize("text, match", [
+    ("[grid]\na = nan\n", "grid: inner radius"),
+    ("[grid]\nb = nan\n", "grid: need b > a"),
+    ("[model]\nmu = nan\n", "model: shear viscosity"),
+    ("[model]\nkappa0 = nan\n", "model: kappa0"),
+    ("[model]\nq = nan\n", "model: conductivity growth"),
+    ("[model]\nr = nan\n", "model: model.r"),
+    ("[model]\nfamily = power\nr = nan\n", "model: r must be >= 0"),
+    ("[model]\nA = nan\n", "model: cold-pressure"),
+    ("[model]\nA = 1.0\ngamma = nan\n", "model: barotropic family"),
+    ("[controls]\ncfl = nan\n", "controls: need 0 < cfl"),
+    ("[controls]\npicard_tol = nan\n", "controls: picard_tol"),
+    ("[controls]\nrho_vac_tol = nan\n", "controls: rho_vac_tol"),
+    ("[controls]\ndt_min = nan\n", "controls: dt_min"),
+    ("[controls]\ndt_max = nan\n", "controls: dt_max"),
+    ("[controls]\nt_end = nan\n", "controls: t_end"),
+    ("[init]\neps = nan\n", "init.eps"),
+    ("[output]\nsnapshot_dt = nan\n", "output snapshot cadence"),
+    ("[output]\ndiag_alpha = nan\n", "output.diag_alpha"),
+])
+def test_nan_values_rejected(text, match):
+    with pytest.raises(ConfigError, match=match):
+        parse_config(text)
+
+
 def test_method_names_are_not_keys():
     with pytest.raises(ConfigError, match="unknown key"):
         parse_config("[controls]\nvalidate = 1\n")

@@ -1,7 +1,9 @@
 import numpy as np
 import pytest
 
+import symns.initdata
 from symns.constitutive import ideal_gas, pressure
+from symns.errors import SolverFailure
 from symns.grid import make_grid, weighted_integral
 from symns.initdata import (InitialData, compatibility_residuals,
                             load_initial_csv, preset, regularize,
@@ -88,6 +90,18 @@ def test_solve_initial_velocity_requires_positive_rho():
     rho[3] = 0.0
     with pytest.raises(ValueError):
         solve_initial_velocity(MODEL, rho, np.ones(64), np.zeros(64), g)
+
+
+def test_solve_initial_velocity_residual_check_is_solver_failure(
+        monkeypatch):
+    # a solve that returns a wrong answer trips the 1e-10 residual check
+    monkeypatch.setattr(symns.initdata, "solve_tridiagonal",
+                        lambda a, b, c, d, context: np.ones(len(b)))
+    g = make_grid(1, 2, 64, 2)
+    with pytest.raises(SolverFailure,
+                       match="initial velocity solve residual .* exceeds"):
+        solve_initial_velocity(MODEL, np.ones(64), np.ones(64),
+                               np.zeros(64), g)
 
 
 def test_solve_initial_velocity_dense_oracle(rng):
