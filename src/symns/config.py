@@ -58,8 +58,8 @@ class InitConfig:
     rho_bar: float = 1.0
     theta_bar: float = 1.0
     rho_max: float = 1.0
-    center: float = math.nan      # nan -> preset default
-    halfwidth: float = math.nan
+    center: float | None = None   # None -> preset default
+    halfwidth: float | None = None
     floor_frac: float = 0.05
     swirl: float = 0.1
     amplitude: float = 0.05
@@ -86,8 +86,10 @@ class SimConfig:
 _SECTIONS = {"grid": GridConfig, "model": ModelConfig, "init": InitConfig,
              "controls": StepControls, "output": OutputConfig}
 
-# "section.key" -> type of the field's default (int, float or str)
-_KEY_TYPES = {f"{sec}.{f.name}": type(f.default)
+# "section.key" -> type of the field's default (int, float or str); a None
+# default stands for an unset float
+_KEY_TYPES = {f"{sec}.{f.name}":
+              float if f.default is None else type(f.default)
               for sec, cls in _SECTIONS.items() for f in fields(cls)}
 
 
@@ -175,6 +177,10 @@ def _validate(cfg: SimConfig):
         raise ConfigError(f"controls: {exc}") from exc
     if not cfg.init.eps >= 0.0:
         raise ConfigError("init.eps must be >= 0")
+    for key in sorted(set().union(*_PRESET_KEYS.values())):
+        val = getattr(cfg.init, key)
+        if val is not None and math.isnan(val):
+            raise ConfigError(f"init.{key} must be a number, got nan")
     if not cfg.init.file and cfg.init.preset not in PRESETS:
         raise ConfigError(f"init.preset: unknown preset {cfg.init.preset!r}; "
                           f"choose from {PRESETS}")
@@ -222,12 +228,8 @@ def build_initial(cfg: SimConfig, g, model: GasModel):
         if ic.file:
             d = load_initial_csv(ic.file, g)
         else:
-            params = {}
-            for key in _PRESET_KEYS[ic.preset]:
-                val = getattr(ic, key)
-                if isinstance(val, float) and math.isnan(val):
-                    continue
-                params[key] = val
+            params = {key: getattr(ic, key) for key in _PRESET_KEYS[ic.preset]
+                      if getattr(ic, key) is not None}
             d = preset(ic.preset, g, **params)
     except (OSError, ValueError) as exc:
         raise ConfigError(f"init: {exc}") from exc

@@ -92,7 +92,7 @@ def power_gas(mu, lam, r, q, kappa0=1.0, A=0.0, gamma=2.0) -> GasModel:
 
 def _check_nonneg(name, value):
     arr = np.asarray(value, dtype=float)
-    if np.any(arr < 0.0):
+    if (arr < 0.0).any():
         raise ValueError(f"{name} must be nonnegative")
     return arr
 

@@ -15,9 +15,9 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .constitutive import GasModel, internal_energy
+from .constitutive import GasModel, internal_energy, pressure
 from .grid import Grid, radial_to_ambient_norm, weighted_integral
-from .operators import ddx, effective_viscous_flux
+from .operators import ddx
 from .state import State
 
 __all__ = [
@@ -94,16 +94,26 @@ def mass(s: State) -> float:
     return weighted_integral(s.grid, s.rho)
 
 
+def _speed_sq(s: State) -> np.ndarray:
+    return s.u ** 2 + s.v ** 2 + s.w ** 2
+
+
+def _kinetic_energy(s: State, speed_sq) -> float:
+    return weighted_integral(s.grid, 0.5 * s.rho * speed_sq)
+
+
+def _total_energy(s: State, model: GasModel, speed_sq) -> float:
+    e = internal_energy(model, s.rho, s.theta)
+    return weighted_integral(s.grid, s.rho * (e + 0.5 * speed_sq))
+
+
 def kinetic_energy(s: State) -> float:
-    return weighted_integral(s.grid,
-                             0.5 * s.rho * (s.u ** 2 + s.v ** 2 + s.w ** 2))
+    return _kinetic_energy(s, _speed_sq(s))
 
 
 def total_energy(s: State, model: GasModel) -> float:
     """int x^m rho (e + |u|^2/2) dx, the conserved energy of insulated walls."""
-    e = internal_energy(model, s.rho, s.theta)
-    kin = 0.5 * (s.u ** 2 + s.v ** 2 + s.w ** 2)
-    return weighted_integral(s.grid, s.rho * (e + kin))
+    return _total_energy(s, model, _speed_sq(s))
 
 
 def entropy_dissipation_integrand(s: State, model: GasModel,
@@ -133,26 +143,29 @@ def record_step(series: DiagnosticsSeries, s: State, model: GasModel, *,
     g = s.grid
     _check_alpha(model, alpha)
     ux = ddx(g, s.u, "dirichlet0")
-    grad_u = max(float(np.max(np.abs(ux))),
-                 float(np.max(g.m * np.abs(s.u) / g.centers)))
+    abs_u = np.abs(s.u)
+    grad_u = max(float(np.abs(ux).max()),
+                 float((g.m * abs_u / g.centers).max()))
     try:
         rt_norm = radial_to_ambient_norm(g, s.rho * s.theta, 12.0 / 5.0)
     except ValueError:
         rt_norm = math.nan
-    from .constitutive import pressure  # local to avoid import clutter
-    G = effective_viscous_flux(g, s.u, pressure(model, s.rho, s.theta), model)
+    # operators.effective_viscous_flux, on the u_x already in hand
+    G = model.beta * (ux + g.m * s.u / g.centers) \
+        - pressure(model, s.rho, s.theta)
+    speed_sq = _speed_sq(s)
     series.append(
         step=step, t=s.t, dt=dt,
         mass=mass(s),
-        total_energy=total_energy(s, model),
-        kinetic_energy=kinetic_energy(s),
+        total_energy=_total_energy(s, model, speed_sq),
+        kinetic_energy=_kinetic_energy(s, speed_sq),
         max_rho=float(s.rho.max()),
         min_rho=float(s.rho.min()),
         max_theta=float(s.theta.max()),
-        max_abs_u=float(np.max(np.abs(s.u))),
+        max_abs_u=float(abs_u.max()),
         grad_u_max=grad_u,
         rho_theta_norm_12_5=rt_norm,
-        G_max=float(np.max(np.abs(G))),
+        G_max=float(np.abs(G).max()),
         entropy_integrand=entropy_dissipation_integrand(s, model, alpha),
         clip_mass_cumulative=clip_cum,
     )

@@ -10,7 +10,7 @@ constant fields are exact and the weights telescope to
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -41,11 +41,32 @@ class Grid:
     centers: np.ndarray   # cell centers, length n
     faces: np.ndarray     # cell faces, length n+1, faces[0]=a, faces[-1]=b
     weights: np.ndarray   # exact int_{cell} x^m dx, length n
+    # arrays derived from the grid alone, see :meth:`cached`
+    _cache: dict = field(default_factory=dict, init=False, repr=False,
+                         compare=False)
 
     def __post_init__(self):
         self.centers.flags.writeable = False
         self.faces.flags.writeable = False
         self.weights.flags.writeable = False
+
+    def cached(self, key: str, build):
+        """``build(self)``, an array or a tuple of arrays that depends on the
+        grid alone, computed on the first call for ``key``.  Later calls
+        return the same objects; they are read-only because every caller
+        shares them."""
+        out = self._cache.get(key)
+        if out is None:
+            out = build(self)
+            for arr in (out,) if isinstance(out, np.ndarray) else out:
+                arr.flags.writeable = False
+            self._cache[key] = out
+        return out
+
+    @property
+    def face_powers(self) -> np.ndarray:
+        """x_f^m at every face (length n+1), built once per grid."""
+        return self.cached("face_powers", lambda g: g.faces ** g.m)
 
     @property
     def total_weight(self) -> float:
@@ -62,8 +83,8 @@ class Grid:
 def make_grid(a: float, b: float, n: int, m: int) -> Grid:
     """Uniform mesh of n cells on [a, b] with symmetry exponent m.
 
-    Requires 0 < a < b (the singular m/x terms are then bounded), n >= 8
-    and m >= 1.
+    Requires 0 < a < b < inf (the singular m/x terms are then bounded),
+    n >= 8 and m >= 1.
     """
     a = float(a)
     b = float(b)
@@ -73,6 +94,8 @@ def make_grid(a: float, b: float, n: int, m: int) -> Grid:
         raise ValueError(f"inner radius must be positive, got a={a}")
     if not b > a:
         raise ValueError(f"need b > a, got a={a}, b={b}")
+    if not math.isfinite(b):
+        raise ValueError(f"outer radius must be finite, got b={b}")
     if n < 8:
         raise ValueError(f"need at least 8 cells, got n={n}")
     if m < 1:

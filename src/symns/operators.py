@@ -27,6 +27,7 @@ __all__ = [
     "axial_laplacian",
     "heat_flux_div",
     "heat_flux_coeffs",
+    "apply_heat_flux",
     "face_kappa",
     "dissipation",
     "effective_viscous_flux",
@@ -129,7 +130,7 @@ def heat_flux_coeffs(g: Grid, kappa_face) -> tuple[np.ndarray, np.ndarray]:
     if kappa_face.shape != (g.n + 1,):
         raise ValueError(f"face conductivity has shape {kappa_face.shape}, "
                          f"expected ({g.n + 1},)")
-    geo = g.faces ** g.m * kappa_face / g.dx
+    geo = g.face_powers * kappa_face / g.dx
     cl = geo[:-1] / g.weights
     cr = geo[1:] / g.weights
     cl[0] = 0.0
@@ -145,9 +146,15 @@ def heat_flux_div(g: Grid, kappa_face, theta) -> np.ndarray:
     """
     theta = g.require_field(theta)
     cl, cr = heat_flux_coeffs(g, kappa_face)
-    out = np.zeros(g.n)
-    out[:-1] += cr[:-1] * (theta[1:] - theta[:-1])
-    out[1:] -= cl[1:] * (theta[1:] - theta[:-1])
+    return apply_heat_flux(cl, cr, theta[1:] - theta[:-1])
+
+
+def apply_heat_flux(cl, cr, jump) -> np.ndarray:
+    """:func:`heat_flux_div` from its coefficients and the face jumps
+    ``theta[1:] - theta[:-1]``, for callers that already hold both."""
+    out = np.zeros(len(cl))
+    out[:-1] += cr[:-1] * jump
+    out[1:] -= cl[1:] * jump
     return out
 
 
@@ -186,40 +193,33 @@ def upwind_derivative(g: Grid, f, wind, bc: str = "dirichlet0") -> np.ndarray:
     return np.where(wind > 0.0, backward, np.where(wind < 0.0, forward, 0.0))
 
 
-def _second_diff_rows(g: Grid):
+def lame_stencil(g: Grid):
+    """Tridiagonal rows (sub, diag, sup) of :func:`lame_operator` acting on
+    dirichlet0 fields, wall ghosts folded into the diagonal.
+
+    Built once per grid; the arrays are shared and read-only."""
+    return g.cached("lame_stencil", lambda g: _wall_pinned_rows(g, True))
+
+
+def axial_stencil(g: Grid):
+    """Rows of :func:`axial_laplacian` on dirichlet0 fields; built once per
+    grid, shared and read-only."""
+    return g.cached("axial_stencil", lambda g: _wall_pinned_rows(g, False))
+
+
+def _wall_pinned_rows(g: Grid, lame: bool):
+    x = g.centers
+    m = g.m
     inv2 = 1.0 / (g.dx * g.dx)
     sub = np.full(g.n, inv2)
     diag = np.full(g.n, -2.0 * inv2)
     sup = np.full(g.n, inv2)
-    return sub, diag, sup
-
-
-def lame_stencil(g: Grid):
-    """Tridiagonal rows (sub, diag, sup) of :func:`lame_operator` acting on
-    dirichlet0 fields, wall ghosts folded into the diagonal."""
-    x = g.centers
-    m = g.m
-    sub, diag, sup = _second_diff_rows(g)
     cross = m / (2.0 * g.dx * x)
     sub -= cross
     sup += cross
-    diag -= m / x ** 2
+    if lame:
+        diag -= m / x ** 2
     # ghost = -f at each wall: its column folds into the diagonal negated
-    diag[0] -= sub[0]
-    diag[-1] -= sup[-1]
-    sub[0] = 0.0
-    sup[-1] = 0.0
-    return sub, diag, sup
-
-
-def axial_stencil(g: Grid):
-    """Rows of :func:`axial_laplacian` on dirichlet0 fields."""
-    x = g.centers
-    m = g.m
-    sub, diag, sup = _second_diff_rows(g)
-    cross = m / (2.0 * g.dx * x)
-    sub -= cross
-    sup += cross
     diag[0] -= sub[0]
     diag[-1] -= sup[-1]
     sub[0] = 0.0

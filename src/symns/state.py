@@ -40,7 +40,8 @@ class State:
                 "theta": self.theta}
 
     def is_finite(self) -> bool:
-        return all(np.isfinite(f).all() for f in self.fields().values())
+        return all(np.isfinite(f).all()
+                   for f in (self.rho, self.u, self.v, self.w, self.theta))
 
     def validate(self):
         """Raise if the state violates its invariants."""

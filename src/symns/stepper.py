@@ -29,8 +29,8 @@ from .constitutive import (GasModel, check_admissible, heat_capacity,
                            pressure, sound_speed)
 from .errors import ConfigError, DtUnderflow, PicardDivergence, SolverFailure
 from .grid import Grid, weighted_integral
-from .operators import (axial_stencil, ddx, dissipation, face_kappa,
-                        heat_flux_coeffs, heat_flux_div, lame_stencil,
+from .operators import (apply_heat_flux, axial_stencil, ddx, dissipation,
+                        face_kappa, heat_flux_coeffs, lame_stencil,
                         radial_div, upwind_derivative)
 from .state import State
 from .tridiag import solve_tridiagonal
@@ -92,7 +92,7 @@ def cfl_dt(s: State, c: StepControls, model: GasModel) -> float:
     """Advective-acoustic CFL step, capped by dt_max, erroring below dt_min."""
     if not s.is_finite():
         raise ValueError("cfl_dt: state contains non-finite values")
-    wave = float(np.max(np.abs(s.u) + sound_speed(model, s.rho, s.theta)))
+    wave = float((np.abs(s.u) + sound_speed(model, s.rho, s.theta)).max())
     if wave < 1e-30:
         if math.isinf(c.dt_max):
             raise SolverFailure("cfl_dt: zero wave speed and no dt_max cap")
@@ -108,12 +108,14 @@ def _floor_field(g: Grid, values: np.ndarray, what: str):
     """Clip tiny negatives to zero; report the weighted amount added.
     Negatives beyond the clip window abort the step."""
     worst = float(values.min(initial=0.0))
+    if worst >= 0.0:    # False for NaN, which goes on to the full scan
+        return values, 0.0
     if worst < -_CLIP_WINDOW:
         cell = int(np.argmin(values))
         raise SolverFailure(f"{what} fell to {worst:.3e} at cell {cell}: "
                             "scheme failure", cell=cell)
     neg = values < 0.0
-    if not np.any(neg):
+    if not neg.any():
         return values, 0.0
     clipped = float(np.sum(g.weights[neg] * (-values[neg])))
     values = values.copy()
@@ -132,18 +134,19 @@ def step_continuity(s: State, dt: float) -> tuple[np.ndarray, float]:
     uf = 0.5 * (s.u[:-1] + s.u[1:])
     rho_up = np.where(uf > 0.0, s.rho[:-1], s.rho[1:])
     flux = np.zeros(g.n + 1)
-    flux[1:-1] = g.faces[1:-1] ** g.m * rho_up * uf
+    flux[1:-1] = g.face_powers[1:-1] * rho_up * uf
     rho_new = s.rho - dt * np.diff(flux) / g.weights
     return _floor_field(g, rho_new, "density")
 
 
-def _implicit_velocity(g, rho_new, vac, dt, coeff, stencil, star, rhs, context):
+def _implicit_velocity(rho_new, vac, has_vac, dt, coeff, stencil, star,
+                       context):
     sub_l, diag_l, sup_l = stencil
     a = -dt * coeff * sub_l
     b = rho_new - dt * coeff * diag_l
     cc = -dt * coeff * sup_l
-    d = rhs.copy()
-    if np.any(vac):
+    d = rho_new * star
+    if has_vac:
         a[vac] = 0.0
         cc[vac] = 0.0
         b[vac] = 1.0
@@ -164,47 +167,46 @@ def step_momentum(s: State, dt: float, model: GasModel, c: StepControls,
     x = g.centers
     rho = s.rho
     vac = rho < c.rho_vac_tol
+    has_vac = vac.any()
     P = pressure(model, rho, s.theta)
     Px = ddx(g, P, "neumann0")
-    safe_rho = np.where(vac, 1.0, rho)
+    safe_rho = np.where(vac, 1.0, rho) if has_vac else rho
+    lame = lame_stencil(g)
 
     ustar = s.u - dt * s.u * upwind_derivative(g, s.u, s.u) \
         + dt * (s.v ** 2 / x - Px / safe_rho)
     if force_u is not None:
         ustar = ustar + dt * np.asarray(force_u, dtype=float) / safe_rho
-    ustar = np.where(vac, s.u, ustar)
-    u_new = _implicit_velocity(g, rho, vac, dt, model.beta, lame_stencil(g),
-                               ustar, rho * ustar, "radial momentum solve")
+    if has_vac:
+        ustar = np.where(vac, s.u, ustar)
+    u_new = _implicit_velocity(rho, vac, has_vac, dt, model.beta, lame,
+                               ustar, "radial momentum solve")
 
     vstar = s.v - dt * s.u * upwind_derivative(g, s.v, s.u) \
         - dt * s.u * s.v / x
-    vstar = np.where(vac, s.v, vstar)
-    v_new = _implicit_velocity(g, rho, vac, dt, model.mu, lame_stencil(g),
-                               vstar, rho * vstar, "angular momentum solve")
+    if has_vac:
+        vstar = np.where(vac, s.v, vstar)
+    v_new = _implicit_velocity(rho, vac, has_vac, dt, model.mu, lame,
+                               vstar, "angular momentum solve")
 
     wstar = s.w - dt * s.u * upwind_derivative(g, s.w, s.u)
-    wstar = np.where(vac, s.w, wstar)
-    w_new = _implicit_velocity(g, rho, vac, dt, model.mu, axial_stencil(g),
-                               wstar, rho * wstar, "axial momentum solve")
+    if has_vac:
+        wstar = np.where(vac, s.w, wstar)
+    w_new = _implicit_velocity(rho, vac, has_vac, dt, model.mu,
+                               axial_stencil(g), wstar, "axial momentum solve")
     return u_new, v_new, w_new
 
 
-def _advection_rows(g, coef, u):
-    """Row contributions of the implicit upwind advection coef * theta_x.
+def _advection_rows(g, coef, pos, neg):
+    """Row contributions of the implicit upwind advection coef * theta_x,
+    with the wind masks pos = u > 0 and neg = u < 0.
 
     Returns (sub, diag, sup); the wall-outward one-sided stencil hits the
     even-extension ghost and cancels, matching upwind_derivative."""
-    n = g.n
-    sub = np.zeros(n)
-    diag = np.zeros(n)
-    sup = np.zeros(n)
-    pos = u > 0.0
-    neg = u < 0.0
     w = coef / g.dx
-    sub[pos] = -w[pos]
-    diag[pos] = w[pos]
-    sup[neg] = w[neg]
-    diag[neg] = -w[neg]
+    sub = np.where(pos, -w, 0.0)
+    diag = np.where(pos, w, np.where(neg, -w, 0.0))
+    sup = np.where(neg, w, 0.0)
     if pos[0]:
         sub[0] = 0.0
         diag[0] = 0.0
@@ -228,9 +230,16 @@ def step_temperature(s: State, dt: float, model: GasModel,
     g = s.grid
     rho, u = s.rho, s.u
     vac = rho < c.rho_vac_tol
+    has_vac = vac.any()
     theta_old = s.theta
     divu = radial_div(g, u)
     phi = dissipation(g, u, s.v, s.w, model)
+    # terms of theta_old and the wind, the same in every sweep
+    rho_u = rho * u
+    pos = u > 0.0
+    neg = u < 0.0
+    adv_old = upwind_derivative(g, theta_old, u, "neumann0")
+    jump_old = theta_old[1:] - theta_old[:-1]
 
     theta_k = theta_old
     delta_prev = math.inf
@@ -242,29 +251,30 @@ def step_temperature(s: State, dt: float, model: GasModel,
         kf = face_kappa(g, model, theta_eval)
         cl, cr = heat_flux_coeffs(g, kf)
 
-        mass = rho * qp / dt
-        adv_coef = rho * u * qp
-        a_sub, a_diag, a_sup = _advection_rows(g, adv_coef, u)
-        comp = rho * qp * divu
+        rho_qp = rho * qp
+        mass = rho_qp / dt
+        adv_coef = rho_u * qp
+        a_sub, a_diag, a_sup = _advection_rows(g, adv_coef, pos, neg)
+        comp = rho_qp * divu
 
         sub = a_sub - cl
         diag = mass + a_diag + comp + cl + cr
         sup = a_sup - cr
         # increment form: rhs = phi - (advection + compression - conduction)
         # applied to theta_old, all in difference form so constants cancel
-        rhs = phi - adv_coef * upwind_derivative(g, theta_old, u, "neumann0") \
-            - comp * theta_old + heat_flux_div(g, kf, theta_old)
-        if np.any(vac):
+        conduction = apply_heat_flux(cl, cr, jump_old)
+        rhs = phi - adv_coef * adv_old - comp * theta_old + conduction
+        if has_vac:
             sub[vac] = -cl[vac]
             diag[vac] = cl[vac] + cr[vac]
             sup[vac] = -cr[vac]
-            rhs[vac] = phi[vac] + heat_flux_div(g, kf, theta_old)[vac]
+            rhs[vac] = phi[vac] + conduction[vac]
 
         delta = solve_tridiagonal(sub, diag, sup, rhs,
                                   context="temperature solve")
         theta_next = theta_old + delta
-        change = float(np.max(np.abs(theta_next - theta_k)))
-        scale = max(float(np.max(np.abs(theta_next))), 1e-300)
+        change = float(np.abs(theta_next - theta_k).max())
+        scale = max(float(np.abs(theta_next).max()), 1e-300)
         rel = change / scale
         theta_k = theta_next
         if rel < c.picard_tol:
@@ -341,12 +351,15 @@ def run(cfg, force: bool = False):
     nstep = 0
     next_snap_t = cfg.output.snapshot_dt if cfg.output.snapshot_dt > 0 else None
 
+    # run checks each state once: the initial one on entering the loop,
+    # every later one right after the step that made it (before it reaches
+    # record_step); cfl_dt keeps its own check for its other callers
     while state.t < t_end - 1e-14 * max(1.0, t_end):
         if nstep >= c.max_steps:
             reason = "solver_failure"
             error_msg = f"exceeded max_steps = {c.max_steps}"
             break
-        if not state.is_finite():
+        if nstep == 0 and not state.is_finite():
             reason = "nan_detected"
             break
         try:

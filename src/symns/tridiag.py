@@ -43,9 +43,10 @@ def solve_tridiagonal(sub, diag, sup, rhs, context: str = "tridiagonal solve"):
     off = np.abs(sub) + np.abs(sup)
     off[0] = abs(sup[0])
     off[-1] = abs(sub[-1])
-    scale = np.abs(diag) + off
-    bad = (np.abs(diag) == 0.0) | (off - np.abs(diag) > _DOMINANCE_SLACK * scale)
-    if np.any(bad):
+    abs_diag = np.abs(diag)
+    scale = abs_diag + off
+    bad = (abs_diag == 0.0) | (off - abs_diag > _DOMINANCE_SLACK * scale)
+    if bad.any():
         i = int(np.argmax(bad))
         raise SolverFailure(
             f"{context}: row {i} not diagonally dominant "

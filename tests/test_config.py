@@ -1,10 +1,12 @@
 import math
 
+import numpy as np
 import pytest
 
-from symns.config import (build_initial, build_grid, build_model,
-                          override_config, parse_config)
+from symns.config import (_PRESET_KEYS, build_initial, build_grid,
+                          build_model, override_config, parse_config)
 from symns.errors import ConfigError
+from symns.initdata import preset
 
 
 def test_minimal_config_defaults():
@@ -121,10 +123,26 @@ def test_negative_cold_pressure_rejected():
     ("[init]\neps = nan\n", "init.eps"),
     ("[output]\nsnapshot_dt = nan\n", "output snapshot cadence"),
     ("[output]\ndiag_alpha = nan\n", "output.diag_alpha"),
-])
+] + [(f"[init]\npreset = {preset}\n{key} = nan\n", f"init.{key}")
+     for preset, keys in _PRESET_KEYS.items() for key in keys])
 def test_nan_values_rejected(text, match):
     with pytest.raises(ConfigError, match=match):
         parse_config(text)
+
+
+def test_infinite_outer_radius_rejected():
+    with pytest.raises(ConfigError, match="grid: outer radius must be finite"):
+        parse_config("[grid]\nb = inf\nn = 16\n")
+
+
+@pytest.mark.parametrize("name", sorted(_PRESET_KEYS))
+def test_omitted_preset_keys_keep_preset_defaults(name):
+    cfg = parse_config(f"[grid]\nn = 16\nm = 1\n[init]\npreset = {name}\n")
+    g = build_grid(cfg)
+    d = build_initial(cfg, g, build_model(cfg))
+    ref = preset(name, g)
+    for f in ("rho0", "u0", "v0", "w0", "theta0"):
+        assert np.array_equal(getattr(d, f), getattr(ref, f))
 
 
 def test_method_names_are_not_keys():

@@ -23,7 +23,9 @@ def test_make_grid_example_cylindrical():
 
 
 @pytest.mark.parametrize("args", [(0, 1, 8, 2), (-1, 1, 8, 2), (2, 1, 8, 2),
-                                  (1, 2, 7, 2), (1, 2, 8, 0)])
+                                  (1, 2, 7, 2), (1, 2, 8, 0),
+                                  (1, math.inf, 8, 2),
+                                  (math.inf, math.inf, 8, 2)])
 def test_make_grid_rejects_bad_domains(args):
     with pytest.raises(ValueError):
         make_grid(*args)

@@ -236,6 +236,19 @@ def test_stencils_match_operators(stencil, operator, rng):
     assert np.max(np.abs(mv - direct)) <= 1e-12 * scale
 
 
+def test_grid_only_arrays_built_once_and_read_only():
+    g = make_grid(1, 2, 16, 2)
+    other = make_grid(1, 2, 16, 2)
+    for build in (lame_stencil, axial_stencil, lambda g: (g.face_powers,)):
+        first, again, own = build(g), build(g), build(other)
+        for arr, same, fresh in zip(first, again, own):
+            assert same is arr
+            assert fresh is not arr and np.array_equal(fresh, arr)
+            with pytest.raises(ValueError):
+                arr[0] = 0.0
+    assert np.array_equal(g.face_powers, g.faces ** 2)
+
+
 def test_face_kappa_positive_mean():
     g = make_grid(1, 2, 16, 2)
     model = ideal_gas(kappa0=1.0, q=2.0)
