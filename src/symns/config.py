@@ -17,6 +17,7 @@ from dataclasses import dataclass, field, fields, replace
 import numpy as np
 
 from .constitutive import GasModel, check_admissible
+from .diagnostics import _check_alpha
 from .errors import ConfigError
 from .grid import make_grid
 from .initdata import (compatibility_residuals, load_initial_csv, preset,
@@ -179,15 +180,15 @@ def _validate(cfg: SimConfig):
         raise ConfigError("init.eps must be >= 0")
     for key in sorted(set().union(*_PRESET_KEYS.values())):
         val = getattr(cfg.init, key)
-        if val is not None and math.isnan(val):
-            raise ConfigError(f"init.{key} must be a number, got nan")
+        if val is not None and not math.isfinite(val):
+            raise ConfigError(f"init.{key} must be a finite number, got {val}")
     if not cfg.init.file and cfg.init.preset not in PRESETS:
         raise ConfigError(f"init.preset: unknown preset {cfg.init.preset!r}; "
                           f"choose from {PRESETS}")
-    hi = min(1.0, model.q - model.r)
-    if not 0.0 < cfg.output.diag_alpha < hi:
-        raise ConfigError(f"output.diag_alpha must lie in (0, min(1, q-r)) "
-                          f"= (0, {hi}), got {cfg.output.diag_alpha}")
+    try:
+        _check_alpha(model, cfg.output.diag_alpha)
+    except ValueError as exc:
+        raise ConfigError(f"output.diag_alpha: {exc}") from exc
     if cfg.output.snapshot_every < 0 or not cfg.output.snapshot_dt >= 0.0:
         raise ConfigError("output snapshot cadence must be >= 0")
     cfg.admissibility = check_admissible(model, cfg.grid.m)

@@ -12,7 +12,6 @@ the right-hand side vanishes with rho0).
 
 from __future__ import annotations
 
-import csv
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -47,11 +46,12 @@ class InitialData:
     w0: np.ndarray
     theta0: np.ndarray
     epsilon: float = 0.0
-    provenance: str = "unspecified"
 
     def validate(self, g: Grid):
         for name in ("rho0", "u0", "v0", "w0", "theta0"):
-            g.require_field(getattr(self, name))
+            if not np.isfinite(g.require_field(getattr(self, name))).all():
+                raise ValueError(f"initial field {name} has non-finite "
+                                 "values")
         if np.any(self.rho0 < 0.0):
             raise ValueError("initial density must be nonnegative")
         if np.any(self.theta0 < 0.0):
@@ -223,7 +223,7 @@ def preset(name: str, g: Grid, **params) -> InitialData:
     if params:
         raise ValueError(f"preset {name!r} got unknown parameters "
                          f"{sorted(params)}")
-    d = InitialData(**fields, provenance=f"preset:{name}")
+    d = InitialData(**fields)
     d.validate(g)
     return d
 
@@ -235,16 +235,17 @@ def load_initial_csv(path, g: Grid) -> InitialData:
     The x column must match the grid centers exactly -- this is a loader,
     not an interpolator.
     """
-    with open(path, newline="") as fh:
-        rows = list(csv.reader(fh))
-    if not rows:
-        raise ValueError(f"{path}: empty file")
-    header = [h.strip().rstrip("0") or "0" for h in rows[0]]
-    if tuple(header) != SNAPSHOT_COLUMNS:
-        raise ValueError(f"{path}: expected columns "
-                         f"{','.join(SNAPSHOT_COLUMNS)} (optionally "
-                         f"0-suffixed), got {','.join(rows[0])}")
-    data = np.array([[float(v) for v in row] for row in rows[1:]])
+    with open(path) as fh:
+        first = fh.readline()
+        if not first:
+            raise ValueError(f"{path}: empty file")
+        names = [h.strip() for h in first.split(",")]
+        header = [h.rstrip("0") or "0" for h in names]
+        if tuple(header) != SNAPSHOT_COLUMNS:
+            raise ValueError(f"{path}: expected columns "
+                             f"{','.join(SNAPSHOT_COLUMNS)} (optionally "
+                             f"0-suffixed), got {','.join(names)}")
+        data = np.loadtxt(fh, delimiter=",", ndmin=2)
     if data.shape != (g.n, 6):
         raise ValueError(f"{path}: expected {g.n} data rows x 6 columns, "
                          f"got {data.shape}")
@@ -252,7 +253,6 @@ def load_initial_csv(path, g: Grid) -> InitialData:
         raise ValueError(f"{path}: x column does not match the grid centers "
                          "exactly (no interpolation is performed)")
     d = InitialData(rho0=data[:, 1], u0=data[:, 2], v0=data[:, 3],
-                    w0=data[:, 4], theta0=data[:, 5],
-                    provenance=f"file:{path}")
+                    w0=data[:, 4], theta0=data[:, 5])
     d.validate(g)
     return d

@@ -35,22 +35,9 @@ class State:
         self.w = g.require_field(self.w)
         self.theta = g.require_field(self.theta)
 
-    def fields(self):
-        return {"rho": self.rho, "u": self.u, "v": self.v, "w": self.w,
-                "theta": self.theta}
-
     def is_finite(self) -> bool:
         return all(np.isfinite(f).all()
                    for f in (self.rho, self.u, self.v, self.w, self.theta))
-
-    def validate(self):
-        """Raise if the state violates its invariants."""
-        if not self.is_finite():
-            raise ValueError("state contains non-finite values")
-        if np.any(self.rho < 0.0):
-            raise ValueError(f"negative density (min {self.rho.min():.3e})")
-        if np.any(self.theta < 0.0):
-            raise ValueError(f"negative temperature (min {self.theta.min():.3e})")
 
     def copy(self) -> "State":
         return State(grid=self.grid, t=self.t, rho=self.rho.copy(),

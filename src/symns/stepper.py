@@ -139,62 +139,53 @@ def step_continuity(s: State, dt: float) -> tuple[np.ndarray, float]:
     return _floor_field(g, rho_new, "density")
 
 
-def _implicit_velocity(rho_new, vac, has_vac, dt, coeff, stencil, star,
-                       context):
-    sub_l, diag_l, sup_l = stencil
-    a = -dt * coeff * sub_l
-    b = rho_new - dt * coeff * diag_l
-    cc = -dt * coeff * sup_l
-    d = rho_new * star
-    if has_vac:
-        a[vac] = 0.0
-        cc[vac] = 0.0
-        b[vac] = 1.0
-        d[vac] = star[vac]
-    return solve_tridiagonal(a, b, cc, d, context=context)
-
-
 def step_momentum(s: State, dt: float, model: GasModel, c: StepControls,
                   force_u=None) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Advance (u, v, w): explicit upwind advection and geometric/pressure
     sources, then an implicit viscous tridiagonal solve per component.
 
     ``s.rho`` must already hold the continuity-updated density.  Vacuum
-    rows are frozen at the pre-viscous value.  ``force_u`` is an optional
+    rows are frozen at the old value.  ``force_u`` is an optional
     external momentum source density (rho*f) for the radial component.
     """
     g = s.grid
     x = g.centers
-    rho = s.rho
+    rho, u = s.rho, s.u
     vac = rho < c.rho_vac_tol
     has_vac = vac.any()
     P = pressure(model, rho, s.theta)
     Px = ddx(g, P, "neumann0")
     safe_rho = np.where(vac, 1.0, rho) if has_vac else rho
     lame = lame_stencil(g)
+    dt_u = dt * u
 
-    ustar = s.u - dt * s.u * upwind_derivative(g, s.u, s.u) \
-        + dt * (s.v ** 2 / x - Px / safe_rho)
+    # explicit sources of each component, added after the advection in
+    # list order (the order fixes the rounding)
+    radial = [dt * (s.v ** 2 / x - Px / safe_rho)]
     if force_u is not None:
-        ustar = ustar + dt * np.asarray(force_u, dtype=float) / safe_rho
-    if has_vac:
-        ustar = np.where(vac, s.u, ustar)
-    u_new = _implicit_velocity(rho, vac, has_vac, dt, model.beta, lame,
-                               ustar, "radial momentum solve")
-
-    vstar = s.v - dt * s.u * upwind_derivative(g, s.v, s.u) \
-        - dt * s.u * s.v / x
-    if has_vac:
-        vstar = np.where(vac, s.v, vstar)
-    v_new = _implicit_velocity(rho, vac, has_vac, dt, model.mu, lame,
-                               vstar, "angular momentum solve")
-
-    wstar = s.w - dt * s.u * upwind_derivative(g, s.w, s.u)
-    if has_vac:
-        wstar = np.where(vac, s.w, wstar)
-    w_new = _implicit_velocity(rho, vac, has_vac, dt, model.mu,
-                               axial_stencil(g), wstar, "axial momentum solve")
-    return u_new, v_new, w_new
+        radial.append(dt * np.asarray(force_u, dtype=float) / safe_rho)
+    components = (
+        ("radial", u, model.beta, lame, radial),
+        ("angular", s.v, model.mu, lame, [-(dt_u * s.v / x)]),
+        ("axial", s.w, model.mu, axial_stencil(g), []),
+    )
+    new = []
+    for name, f, coeff, (sub_l, diag_l, sup_l), sources in components:
+        star = f - dt_u * upwind_derivative(g, f, u)
+        for source in sources:
+            star = star + source
+        a = -dt * coeff * sub_l
+        b = rho - dt * coeff * diag_l
+        cc = -dt * coeff * sup_l
+        d = rho * star
+        if has_vac:
+            a[vac] = 0.0
+            cc[vac] = 0.0
+            b[vac] = 1.0
+            d[vac] = f[vac]
+        new.append(solve_tridiagonal(a, b, cc, d,
+                                     context=f"{name} momentum solve"))
+    return tuple(new)
 
 
 def _advection_rows(g, coef, pos, neg):

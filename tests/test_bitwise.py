@@ -1,9 +1,12 @@
-"""Bitwise regression pins for three small runs.
+"""Bitwise regression pins for three small runs and one momentum step.
 
 Each run is reduced to one SHA-256 digest of its step count, termination
 reason, final state and full diagnostics series.  A change that alters any
 floating-point operation of the stepper or the diagnostics moves a digest;
 a change that only removes repeated work must leave all three unchanged.
+The momentum pins hash the three velocities of one ``step_momentum`` call
+on a state with vacuum cells, all three components nonzero and a radial
+force, so every source term and every frozen vacuum row is covered.
 
 The digests were recorded with numpy 2.4.6 on x86-64 Linux (Python 3.11).
 Another numpy build or libm may round ``**``, ``sqrt`` or the summation
@@ -17,8 +20,12 @@ import numpy as np
 import pytest
 
 from symns.config import parse_config
+from symns.constitutive import power_gas
 from symns.diagnostics import SERIES_COLUMNS
-from symns.stepper import run
+from symns.grid import make_grid
+from symns.initdata import preset
+from symns.state import State
+from symns.stepper import StepControls, run, step_momentum
 
 RECORDED_WITH_NUMPY = "2.4.6"
 
@@ -109,5 +116,33 @@ def test_run_is_bitwise_pinned(make_config, expected, tmp_path):
     traj = run(parse_config(make_config(tmp_path)))
     assert traj.reason == "completed"
     assert _digest(traj) == expected, (
+        f"digest moved (recorded with numpy {RECORDED_WITH_NUMPY}, "
+        f"running {np.__version__})")
+
+
+@pytest.mark.parametrize("n,expected", [
+    (64,
+     "774af3726ce48d91e2f4f9f40d1472d777a4a9901576cf22790d477983c043a9"),
+    (256,
+     "f4a0692f1288923b74c5d349170f0ca5244cdb1c8342fb10933454be13270a61"),
+], ids=["thomas_n64", "cyclic_reduction_n256"])
+def test_step_momentum_is_bitwise_pinned(n, expected):
+    g = make_grid(1.0, 2.0, n, 1)
+    d = preset("vacuum_bump", g)
+    phase = np.pi * (g.centers - 1.0)
+    # u, v and w are nonzero on the vacuum cells too, so that a vacuum row
+    # which is not frozen moves the digest
+    u = 0.3 * np.sin(phase)
+    v = 0.2 * np.sin(2.0 * phase) + 0.05
+    w = 0.1 * np.cos(phase)
+    s = State(g, 0.0, d.rho0, u, v, w, d.theta0)
+    c = StepControls()
+    assert (s.rho < c.rho_vac_tol).any()
+    model = power_gas(mu=1.0, lam=0.5, r=0.5, q=2.0, A=0.5, gamma=1.4)
+    force_u = 0.7 * d.rho0 * np.cos(3.0 * phase)
+    h = hashlib.sha256()
+    for f in step_momentum(s, 2e-3, model, c, force_u=force_u):
+        h.update(f.tobytes())
+    assert h.hexdigest() == expected, (
         f"digest moved (recorded with numpy {RECORDED_WITH_NUMPY}, "
         f"running {np.__version__})")

@@ -124,6 +124,8 @@ def test_negative_cold_pressure_rejected():
     ("[output]\nsnapshot_dt = nan\n", "output snapshot cadence"),
     ("[output]\ndiag_alpha = nan\n", "output.diag_alpha"),
 ] + [(f"[init]\npreset = {preset}\n{key} = nan\n", f"init.{key}")
+     for preset, keys in _PRESET_KEYS.items() for key in keys]
+  + [(f"[init]\npreset = {preset}\n{key} = inf\n", f"init.{key}")
      for preset, keys in _PRESET_KEYS.items() for key in keys])
 def test_nan_values_rejected(text, match):
     with pytest.raises(ConfigError, match=match):
@@ -173,6 +175,23 @@ eps = 1e-4
     assert d.rho0.min() == pytest.approx(1e-4)
     assert d.u0.any()  # re-solved, nonzero against the pressure gradient
     assert not d.v0.any() and not d.w0.any()  # reused unchanged
+
+
+@pytest.mark.parametrize("column, value", [
+    ("theta", np.inf), ("rho", np.inf), ("rho", np.nan), ("w", -np.inf),
+])
+def test_non_finite_restart_field_rejected(column, value, tmp_path):
+    path = tmp_path / "restart.csv"
+    cfg = parse_config(f'[grid]\nn = 16\n[init]\nfile = "{path}"\n')
+    g = build_grid(cfg)
+    table = {"x": g.centers, "rho": np.ones(16), "u": np.zeros(16),
+             "v": np.zeros(16), "w": np.zeros(16), "theta": np.ones(16)}
+    table[column][5] = value
+    np.savetxt(path, np.column_stack(list(table.values())), fmt="%.17g",
+               delimiter=",", header=",".join(table), comments="")
+    with pytest.raises(ConfigError,
+                       match=f"init: initial field {column}0 has non-finite"):
+        build_initial(cfg, g, build_model(cfg))
 
 
 def test_override_config():

@@ -234,3 +234,17 @@ def test_initial_csv_rejects_bad_header(tmp_path):
     path.write_text("x,density,u,v,w,theta\n" + "1,1,0,0,0,1\n" * 8)
     with pytest.raises(ValueError, match="columns"):
         load_initial_csv(path, g)
+
+
+@pytest.mark.parametrize("body", [
+    "1,1,0,0,0,1\n" * 7 + "1,1,0\n",
+    "1,1,0,0,0,1\n" * 7 + "1,one,0,0,0,1\n",
+    # numpy warns that the input has no data before the shape check raises
+    pytest.param("", marks=pytest.mark.filterwarnings("ignore:loadtxt")),
+], ids=["short_row", "not_a_number", "no_rows"])
+def test_initial_csv_rejects_malformed_rows(body, tmp_path):
+    g = make_grid(1, 2, 8, 2)
+    path = tmp_path / "init.csv"
+    path.write_text("x,rho,u,v,w,theta\n" + body)
+    with pytest.raises(ValueError):
+        load_initial_csv(path, g)
