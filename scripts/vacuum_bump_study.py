@@ -8,8 +8,7 @@ import sys
 
 sys.path.insert(0, "src")
 
-from symns.config import parse_config
-from symns.constitutive import ideal_gas
+from symns.config import build_model, parse_config
 from symns.diagnostics import (alt_criteria, blowup_indicator,
                                entropy_dissipation, sup_theta_time_integral)
 from symns.stepper import run
@@ -29,7 +28,7 @@ t_end = {t_end}
 diag_alpha = 0.5
 """)
     traj = run(cfg)
-    model = ideal_gas()
+    model = build_model(cfg)
     m = traj.series.column("mass")
     print(f"termination: {traj.reason} after {traj.steps} steps, "
           f"t = {traj.final_state.t:.6g}")

@@ -14,10 +14,10 @@ from .diagnostics import (DiagnosticsSeries, Trajectory, alt_criteria,
 from .errors import ConfigError, DtUnderflow, PicardDivergence, SolverFailure
 from .grid import (Grid, make_grid, radial_to_ambient_norm, weighted_integral,
                    weighted_lp_norm)
-from .initdata import (InitialData, compatibility_residuals, load_initial_csv,
-                       preset, regularize, solve_initial_velocity)
+from .initdata import (compatibility_residuals, load_initial_csv, preset,
+                       regularize, solve_initial_velocity)
 from .state import State
-from .stepper import (StepControls, cfl_dt, run, step, step_continuity,
-                      step_momentum, step_temperature)
+from .stepper import (StepControls, cfl_dt, run, step_continuity,
+                      step_detailed, step_momentum, step_temperature)
 
 __version__ = "0.1.0"

@@ -20,12 +20,11 @@ import numpy as np
 
 from .config import (SimConfig, build_grid, build_initial, build_model,
                      override_config, parse_config_file)
-from .diagnostics import Trajectory
+from .constitutive import check_admissible
 from .errors import ConfigError, SolverFailure
 from .grid import weighted_lp_norm
 from .initdata import compatibility_residuals
 from .io import write_trajectory
-from .state import State
 from .stepper import cfl_dt, run
 
 __all__ = ["cli", "main", "convergence_study", "ConvergenceResult"]
@@ -57,11 +56,11 @@ def _cmd_verify(args) -> int:
     cfg = parse_config_file(args.config)
     g = build_grid(cfg)
     model = build_model(cfg)
-    report = cfg.admissibility
+    report = check_admissible(model, g.m)
     print("admissibility:")
     print(report)
-    init = build_initial(cfg, g, model)
-    res = compatibility_residuals(init, model, g,
+    s0 = build_initial(cfg, g, model)
+    res = compatibility_residuals(s0, model,
                                   rho_vac_tol=cfg.controls.rho_vac_tol)
     print("compatibility residuals (max |g_i| on non-vacuum cells):")
     for name, val in zip(("g1", "g2", "g3", "g4"), res.max_abs()):
@@ -173,9 +172,7 @@ def convergence_study(cfg: SimConfig, levels: int) -> ConvergenceResult:
     fine = override_config(cfg, "grid.n", str(ns[-1]))
     gf = build_grid(fine)
     model = build_model(fine)
-    init = build_initial(fine, gf, model)
-    s0 = State(grid=gf, t=0.0, rho=init.rho0, u=init.u0, v=init.v0,
-               w=init.w0, theta=init.theta0)
+    s0 = build_initial(fine, gf, model)
     dt_fixed = 0.5 * cfl_dt(s0, fine.controls, model)
 
     finals = []
@@ -185,7 +182,6 @@ def convergence_study(cfg: SimConfig, levels: int) -> ConvergenceResult:
         ci = override_config(cfg, "grid.n", str(n))
         ci.controls.dt_max = dt_fixed
         ci.output.snapshot_every = 0
-        ci.output.snapshot_dt = 0.0
         traj = run(ci)
         reasons.append(traj.reason)
         finals.append(traj.final_state)

@@ -4,8 +4,8 @@ Accepted syntax: ``[section]`` headers, ``key = value`` lines (dotted keys
 work outside sections too), ``#`` comments, quoted or bare strings,
 integers, floats (``inf`` allowed for dt_max).  Unknown and duplicate keys
 are errors carrying the line number; validation failures carry the key
-path.  Parsing also pre-checks model admissibility for the configured
-symmetry exponent and attaches the report.
+path.  Model admissibility is not part of parsing: ``run`` and
+``symns verify`` check it.
 """
 
 from __future__ import annotations
@@ -16,12 +16,13 @@ from dataclasses import dataclass, field, fields, replace
 
 import numpy as np
 
-from .constitutive import GasModel, check_admissible
+from .constitutive import GasModel
 from .diagnostics import _check_alpha
 from .errors import ConfigError
 from .grid import make_grid
 from .initdata import (compatibility_residuals, load_initial_csv, preset,
-                       regularize, solve_initial_velocity, PRESETS)
+                       regularize, solve_initial_velocity, validate_initial,
+                       PRESETS)
 from .stepper import StepControls
 
 __all__ = [
@@ -70,7 +71,6 @@ class InitConfig:
 class OutputConfig:
     out_dir: str = "out"
     snapshot_every: int = 0   # every k steps; 0 keeps initial/final only
-    snapshot_dt: float = 0.0  # or a time interval; 0 disables
     diag_alpha: float = 0.5
 
 
@@ -81,7 +81,6 @@ class SimConfig:
     init: InitConfig = field(default_factory=InitConfig)
     controls: StepControls = field(default_factory=StepControls)
     output: OutputConfig = field(default_factory=OutputConfig)
-    admissibility: object = None
 
 
 _SECTIONS = {"grid": GridConfig, "model": ModelConfig, "init": InitConfig,
@@ -189,9 +188,8 @@ def _validate(cfg: SimConfig):
         _check_alpha(model, cfg.output.diag_alpha)
     except ValueError as exc:
         raise ConfigError(f"output.diag_alpha: {exc}") from exc
-    if cfg.output.snapshot_every < 0 or not cfg.output.snapshot_dt >= 0.0:
+    if cfg.output.snapshot_every < 0:
         raise ConfigError("output snapshot cadence must be >= 0")
-    cfg.admissibility = check_admissible(model, cfg.grid.m)
 
 
 def build_grid(cfg: SimConfig):
@@ -222,26 +220,28 @@ _PRESET_KEYS = {
 
 
 def build_initial(cfg: SimConfig, g, model: GasModel):
-    """Initial data from the config: preset or CSV file, then the optional
-    epsilon-regularization with its re-solved radial velocity."""
+    """The initial State from the config: preset or CSV file, then the
+    optional epsilon-regularization with its re-solved radial velocity."""
     ic = cfg.init
     try:
         if ic.file:
-            d = load_initial_csv(ic.file, g)
+            s = load_initial_csv(ic.file, g)
         else:
             params = {key: getattr(ic, key) for key in _PRESET_KEYS[ic.preset]
                       if getattr(ic, key) is not None}
-            d = preset(ic.preset, g, **params)
+            s = preset(ic.preset, g, **params)
+        if ic.eps > 0.0:
+            res = compatibility_residuals(s, model,
+                                          rho_vac_tol=cfg.controls.rho_vac_tol)
+            g1 = np.nan_to_num(res.g1, nan=0.0)
+            s = regularize(s, ic.eps)
+            s = replace(s, u=solve_initial_velocity(model, s.rho, s.theta,
+                                                    g1, g))
+            # the re-solve can overflow on finite data
+            validate_initial(s)
     except (OSError, ValueError) as exc:
         raise ConfigError(f"init: {exc}") from exc
-    if ic.eps > 0.0:
-        res = compatibility_residuals(d, model, g,
-                                      rho_vac_tol=cfg.controls.rho_vac_tol)
-        g1 = np.nan_to_num(res.g1, nan=0.0)
-        d = regularize(d, ic.eps)
-        u0e = solve_initial_velocity(model, d.rho0, d.theta0, g1, g)
-        d = replace(d, u0=u0e)
-    return d
+    return s
 
 
 def override_config(cfg: SimConfig, key: str, raw_value: str) -> SimConfig:

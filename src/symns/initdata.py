@@ -1,13 +1,13 @@
 """Initial states: presets, epsilon-regularization, and compatibility residuals.
 
-The regularization lifts rho0 and theta0 by eps and re-solves the initial
-radial velocity from the elliptic balance
-``beta * (u_xx + m u_x/x - m u/x^2) - P_x = sqrt(rho0) * g1`` with
-wall-pinned u; the swirl components are reused unchanged.  The
+Initial data is the :class:`State` at t = 0.  The regularization lifts
+rho and theta by eps and re-solves the initial radial velocity from the
+elliptic balance ``beta * (u_xx + m u_x/x - m u/x^2) - P_x = sqrt(rho) * g1``
+with wall-pinned u; the swirl components are reused unchanged.  The
 compatibility residuals g1..g4 divide the four elliptic expressions by
-sqrt(rho0) on non-vacuum cells; on vacuum cells the raw expressions are
+sqrt(rho) on non-vacuum cells; on vacuum cells the raw expressions are
 reported instead (they must themselves be small for compatible data, since
-the right-hand side vanishes with rho0).
+the right-hand side vanishes with rho).
 """
 
 from __future__ import annotations
@@ -22,10 +22,11 @@ from .grid import Grid, weighted_integral
 from .io import SNAPSHOT_COLUMNS
 from .operators import (axial_laplacian, ddx, dissipation, face_kappa,
                         heat_flux_div, lame_operator, lame_stencil)
+from .state import State
 from .tridiag import solve_tridiagonal, tridiagonal_matvec
 
 __all__ = [
-    "InitialData",
+    "validate_initial",
     "CompatibilityResiduals",
     "regularize",
     "solve_initial_velocity",
@@ -38,35 +39,26 @@ __all__ = [
 PRESETS = ("equilibrium", "vacuum_bump", "swirl_cylinder", "manufactured")
 
 
-@dataclass
-class InitialData:
-    rho0: np.ndarray
-    u0: np.ndarray
-    v0: np.ndarray
-    w0: np.ndarray
-    theta0: np.ndarray
-    epsilon: float = 0.0
-
-    def validate(self, g: Grid):
-        for name in ("rho0", "u0", "v0", "w0", "theta0"):
-            if not np.isfinite(g.require_field(getattr(self, name))).all():
-                raise ValueError(f"initial field {name} has non-finite "
-                                 "values")
-        if np.any(self.rho0 < 0.0):
-            raise ValueError("initial density must be nonnegative")
-        if np.any(self.theta0 < 0.0):
-            raise ValueError("initial temperature must be nonnegative")
-        if not weighted_integral(g, self.rho0) > 0.0:
-            raise ValueError("initial data must carry positive total mass")
+def validate_initial(s: State):
+    """Reject initial data that is non-finite, negative in rho or theta, or
+    massless; each check guards outside input."""
+    for name in ("rho", "u", "v", "w", "theta"):
+        if not np.isfinite(getattr(s, name)).all():
+            raise ValueError(f"initial field {name} has non-finite values")
+    if np.any(s.rho < 0.0):
+        raise ValueError("initial density must be nonnegative")
+    if np.any(s.theta < 0.0):
+        raise ValueError("initial temperature must be nonnegative")
+    if not weighted_integral(s.grid, s.rho) > 0.0:
+        raise ValueError("initial data must carry positive total mass")
 
 
-def regularize(d: InitialData, eps: float) -> InitialData:
-    """Lift rho0 and theta0 by eps > 0; velocities are untouched here and
+def regularize(s: State, eps: float) -> State:
+    """Lift rho and theta by eps > 0; velocities are untouched here and
     the radial one is meant to be re-solved afterwards."""
     if not eps > 0.0:
         raise ValueError(f"regularization parameter must be positive, got {eps}")
-    return replace(d, rho0=d.rho0 + eps, theta0=d.theta0 + eps,
-                   epsilon=d.epsilon + eps)
+    return replace(s, rho=s.rho + eps, theta=s.theta + eps)
 
 
 def solve_initial_velocity(model: GasModel, rho0e, theta0e, g1, g: Grid):
@@ -124,18 +116,19 @@ class CompatibilityResiduals:
         return out
 
 
-def compatibility_residuals(d: InitialData, model: GasModel, g: Grid,
+def compatibility_residuals(s: State, model: GasModel,
                             rho_vac_tol: float = 1e-12) -> CompatibilityResiduals:
-    d.validate(g)
-    P = pressure(model, d.rho0, d.theta0)
-    expr1 = model.beta * lame_operator(g, d.u0) - ddx(g, P, "neumann0")
-    expr2 = model.mu * lame_operator(g, d.v0)
-    expr3 = model.mu * axial_laplacian(g, d.w0)
-    kf = face_kappa(g, model, d.theta0)
-    expr4 = heat_flux_div(g, kf, d.theta0) + dissipation(g, d.u0, d.v0, d.w0, model)
+    validate_initial(s)
+    g = s.grid
+    P = pressure(model, s.rho, s.theta)
+    expr1 = model.beta * lame_operator(g, s.u) - ddx(g, P, "neumann0")
+    expr2 = model.mu * lame_operator(g, s.v)
+    expr3 = model.mu * axial_laplacian(g, s.w)
+    kf = face_kappa(g, model, s.theta)
+    expr4 = heat_flux_div(g, kf, s.theta) + dissipation(g, s.u, s.v, s.w, model)
 
-    vac = d.rho0 <= rho_vac_tol
-    sqrt_rho = np.sqrt(np.where(vac, 1.0, d.rho0))
+    vac = s.rho < rho_vac_tol
+    sqrt_rho = np.sqrt(np.where(vac, 1.0, s.rho))
     gs = []
     for expr in (expr1, expr2, expr3, expr4):
         gi = expr / sqrt_rho
@@ -155,7 +148,7 @@ def _bump(xi):
     return out
 
 
-def preset(name: str, g: Grid, **params) -> InitialData:
+def preset(name: str, g: Grid, **params) -> State:
     """Build one of the named initial profiles.
 
     equilibrium      rho_bar, theta_bar constants, zero velocities.
@@ -176,9 +169,9 @@ def preset(name: str, g: Grid, **params) -> InitialData:
     if name == "equilibrium":
         rho_bar = take("rho_bar", 1.0)
         theta_bar = take("theta_bar", 1.0)
-        fields = dict(rho0=np.full(g.n, rho_bar), u0=zeros.copy(),
-                      v0=zeros.copy(), w0=zeros.copy(),
-                      theta0=np.full(g.n, theta_bar))
+        fields = dict(rho=np.full(g.n, rho_bar), u=zeros.copy(),
+                      v=zeros.copy(), w=zeros.copy(),
+                      theta=np.full(g.n, theta_bar))
     elif name == "vacuum_bump":
         rho_max = take("rho_max", 1.0)
         center = take("center", 0.5 * (g.a + g.b))
@@ -191,9 +184,9 @@ def preset(name: str, g: Grid, **params) -> InitialData:
         if center - halfwidth <= g.a or center + halfwidth >= g.b:
             raise ValueError("bump support must lie strictly inside (a, b)")
         shape = _bump((x - center) / halfwidth)
-        fields = dict(rho0=rho_max * shape, u0=zeros.copy(), v0=zeros.copy(),
-                      w0=zeros.copy(),
-                      theta0=theta_bar * (floor_frac + shape))
+        fields = dict(rho=rho_max * shape, u=zeros.copy(), v=zeros.copy(),
+                      w=zeros.copy(),
+                      theta=theta_bar * (floor_frac + shape))
     elif name == "swirl_cylinder":
         if g.m != 1:
             raise ValueError("swirl_cylinder requires the cylindrical mode "
@@ -201,9 +194,9 @@ def preset(name: str, g: Grid, **params) -> InitialData:
         rho_bar = take("rho_bar", 1.0)
         theta_bar = take("theta_bar", 1.0)
         swirl = take("swirl", 0.1)
-        v0 = swirl * np.sin(np.pi * (x - g.a) / (g.b - g.a))
-        fields = dict(rho0=np.full(g.n, rho_bar), u0=zeros.copy(), v0=v0,
-                      w0=zeros.copy(), theta0=np.full(g.n, theta_bar))
+        v = swirl * np.sin(np.pi * (x - g.a) / (g.b - g.a))
+        fields = dict(rho=np.full(g.n, rho_bar), u=zeros.copy(), v=v,
+                      w=zeros.copy(), theta=np.full(g.n, theta_bar))
     elif name == "manufactured":
         rho_bar = take("rho_bar", 1.0)
         theta_bar = take("theta_bar", 1.0)
@@ -213,22 +206,22 @@ def preset(name: str, g: Grid, **params) -> InitialData:
                              "background values")
         k = np.pi / (g.b - g.a)
         c = np.cos(k * (x - g.a))
-        fields = dict(rho0=rho_bar + amp * c,
-                      u0=amp * np.sin(k * (x - g.a)),
-                      v0=zeros.copy(), w0=zeros.copy(),
-                      theta0=theta_bar + amp * c)
+        fields = dict(rho=rho_bar + amp * c,
+                      u=amp * np.sin(k * (x - g.a)),
+                      v=zeros.copy(), w=zeros.copy(),
+                      theta=theta_bar + amp * c)
     else:
         raise ValueError(f"unknown preset {name!r}; choose from {PRESETS}")
 
     if params:
         raise ValueError(f"preset {name!r} got unknown parameters "
                          f"{sorted(params)}")
-    d = InitialData(**fields)
-    d.validate(g)
-    return d
+    s = State(grid=g, t=0.0, **fields)
+    validate_initial(s)
+    return s
 
 
-def load_initial_csv(path, g: Grid) -> InitialData:
+def load_initial_csv(path, g: Grid) -> State:
     """Read initial fields from CSV with columns x,rho,u,v,w,theta
     (the snapshot format; a trailing 0 on field names is accepted).
 
@@ -252,7 +245,7 @@ def load_initial_csv(path, g: Grid) -> InitialData:
     if not np.array_equal(data[:, 0], g.centers):
         raise ValueError(f"{path}: x column does not match the grid centers "
                          "exactly (no interpolation is performed)")
-    d = InitialData(rho0=data[:, 1], u0=data[:, 2], v0=data[:, 3],
-                    w0=data[:, 4], theta0=data[:, 5])
-    d.validate(g)
-    return d
+    _, rho, u, v, w, theta = data.T
+    s = State(grid=g, t=0.0, rho=rho, u=u, v=v, w=w, theta=theta)
+    validate_initial(s)
+    return s

@@ -42,7 +42,7 @@ __all__ = [
     "step_continuity",
     "step_momentum",
     "step_temperature",
-    "step",
+    "step_detailed",
     "run",
 ]
 
@@ -287,14 +287,9 @@ def step_temperature(s: State, dt: float, model: GasModel,
     return theta_new, clipped, iters
 
 
-def step(s: State, c: StepControls, model: GasModel, force_u=None) -> State:
-    """One full split step; dt chosen by :func:`cfl_dt`."""
-    new, _ = step_detailed(s, c, model, force_u=force_u)
-    return new
-
-
 def step_detailed(s: State, c: StepControls, model: GasModel, dt=None,
                   force_u=None) -> tuple[State, StepInfo]:
+    """One full split step; dt chosen by :func:`cfl_dt` unless given."""
     if dt is None:
         dt = cfl_dt(s, c, model)
     rho_new, clip_rho = step_continuity(s, dt)
@@ -322,13 +317,11 @@ def run(cfg, force: bool = False):
     report = check_admissible(model, g.m)
     if not report.ok and not force:
         raise ConfigError("inadmissible model/grid combination:\n" + str(report))
-    init = build_initial(cfg, g, model)
+    state = build_initial(cfg, g, model)
     c = cfg.controls
     alpha = cfg.output.diag_alpha
     t_end = c.t_end
 
-    state = State(grid=g, t=0.0, rho=init.rho0.copy(), u=init.u0.copy(),
-                  v=init.v0.copy(), w=init.w0.copy(), theta=init.theta0.copy())
     series = DiagnosticsSeries()
     record_step(series, state, model, step=0, dt=0.0, alpha=alpha,
                 clip_cum=0.0)
@@ -340,18 +333,14 @@ def run(cfg, force: bool = False):
     error_msg = None
     clip_cum = 0.0
     nstep = 0
-    next_snap_t = cfg.output.snapshot_dt if cfg.output.snapshot_dt > 0 else None
 
-    # run checks each state once: the initial one on entering the loop,
-    # every later one right after the step that made it (before it reaches
-    # record_step); cfl_dt keeps its own check for its other callers
+    # build_initial validates the initial state; every later one is checked
+    # right after the step that made it (before it reaches record_step);
+    # cfl_dt keeps its own check for its other callers
     while state.t < t_end - 1e-14 * max(1.0, t_end):
         if nstep >= c.max_steps:
             reason = "solver_failure"
             error_msg = f"exceeded max_steps = {c.max_steps}"
-            break
-        if nstep == 0 and not state.is_finite():
-            reason = "nan_detected"
             break
         try:
             dt = cfl_dt(state, c, model)
@@ -377,13 +366,8 @@ def run(cfg, force: bool = False):
             break
         record_step(series, state, model, step=nstep, dt=info.dt, alpha=alpha,
                     clip_cum=clip_cum)
-        want_snap = (cfg.output.snapshot_every > 0
-                     and nstep % cfg.output.snapshot_every == 0)
-        if next_snap_t is not None and state.t >= next_snap_t - 1e-14:
-            want_snap = True
-            while next_snap_t <= state.t + 1e-14:
-                next_snap_t += cfg.output.snapshot_dt
-        if want_snap:
+        if (cfg.output.snapshot_every > 0
+                and nstep % cfg.output.snapshot_every == 0):
             states.append(state.copy())
             snapshot_steps.append(nstep)
 

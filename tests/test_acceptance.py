@@ -5,6 +5,7 @@ under pytest's capture)."""
 import math
 import sys
 import time
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -15,8 +16,8 @@ from symns.diagnostics import (DiagnosticsSeries, Trajectory,
                                blowup_indicator, blowup_indicator_series,
                                record_step)
 from symns.grid import make_grid, weighted_lp_norm
-from symns.initdata import (InitialData, compatibility_residuals, preset,
-                            regularize, solve_initial_velocity)
+from symns.initdata import (compatibility_residuals, preset, regularize,
+                            solve_initial_velocity)
 from symns.operators import (dissipation, face_kappa, heat_flux_div,
                              lame_operator, lame_stencil, radial_div)
 from symns.state import State
@@ -76,8 +77,7 @@ def test_criterion_02_energy_drift_refinement():
 
     def max_drift(n, dt, t_end=0.1):
         g = make_grid(1, 2, n, 2)
-        d = preset("manufactured", g, amplitude=0.05)
-        s = State(g, 0.0, d.rho0, d.u0, d.v0, d.w0, d.theta0)
+        s = preset("manufactured", g, amplitude=0.05)
         c = StepControls(dt_max=dt)
         from symns.diagnostics import total_energy
         e0 = total_energy(s, MODEL)
@@ -99,8 +99,7 @@ def test_criterion_02_energy_drift_refinement():
 
 def test_criterion_03_equilibrium_fixed_point():
     g = make_grid(1, 2, 64, 2)
-    d = preset("equilibrium", g)
-    s0 = State(g, 0.0, d.rho0, d.u0, d.v0, d.w0, d.theta0)
+    s0 = preset("equilibrium", g)
     s = s0.copy()
     c = StepControls()
     for _ in range(1000):
@@ -113,8 +112,7 @@ def test_criterion_03_equilibrium_fixed_point():
 
 def test_criterion_04_zero_swirl_invariance():
     g = make_grid(1, 2, 64, 2)
-    d = preset("manufactured", g, amplitude=0.02)  # spherical: v0 = w0 = 0
-    s = State(g, 0.0, d.rho0, d.u0, d.v0, d.w0, d.theta0)
+    s = preset("manufactured", g, amplitude=0.02)  # spherical: v = w = 0
     c = StepControls()
     ok = True
     for _ in range(1000):
@@ -170,14 +168,14 @@ def test_criterion_07_auxiliary_elliptic_problem():
     g = make_grid(1, 2, n, 2)
     d = regularize(preset("vacuum_bump", g), 1e-6)
     g1 = np.sin(3.0 * g.centers) + 0.5 * rng.standard_normal(n)
-    u = solve_initial_velocity(MODEL, d.rho0, d.theta0, g1, g)
+    u = solve_initial_velocity(MODEL, d.rho, d.theta, g1, g)
     sub, diag, sup = lame_stencil(g)
     beta = MODEL.beta
     A = (np.diag(-beta * diag) + np.diag(-beta * sub[1:], -1)
          + np.diag(-beta * sup[:-1], 1))
     from symns.operators import ddx
-    rhs = ddx(g, pressure(MODEL, d.rho0, d.theta0), "neumann0") \
-        + np.sqrt(d.rho0) * g1
+    rhs = ddx(g, pressure(MODEL, d.rho, d.theta), "neumann0") \
+        + np.sqrt(d.rho) * g1
     dense_err = float(np.max(np.abs(u - np.linalg.solve(A, -rhs))))
 
     # (b) g1 round-trip through the compatibility residuals
@@ -186,11 +184,9 @@ def test_criterion_07_auxiliary_elliptic_problem():
         g = make_grid(1, 2, n, 2)
         d = regularize(preset("vacuum_bump", g), 1e-6)
         g1 = np.sin(2.0 * g.centers) + 0.3 * rng.standard_normal(n)
-        u = solve_initial_velocity(MODEL, d.rho0, d.theta0, g1, g)
-        d2 = InitialData(rho0=d.rho0, u0=u, v0=d.v0, w0=d.w0,
-                         theta0=d.theta0, epsilon=d.epsilon)
-        res = compatibility_residuals(d2, MODEL, g)
-        mask = d.rho0 >= 1e-6
+        u = solve_initial_velocity(MODEL, d.rho, d.theta, g1, g)
+        res = compatibility_residuals(replace(d, u=u), MODEL)
+        mask = d.rho >= 1e-6
         rt_err = max(rt_err, float(np.max(np.abs(res.g1[mask] - g1[mask]))))
     ok = dense_err <= 1e-10 and rt_err <= 1e-8
     _report(7, "initial-velocity solve: dense oracle and g1 round-trip",

@@ -135,11 +135,11 @@ def test_step_momentum_is_bitwise_pinned(n, expected):
     u = 0.3 * np.sin(phase)
     v = 0.2 * np.sin(2.0 * phase) + 0.05
     w = 0.1 * np.cos(phase)
-    s = State(g, 0.0, d.rho0, u, v, w, d.theta0)
+    s = State(g, 0.0, d.rho, u, v, w, d.theta)
     c = StepControls()
     assert (s.rho < c.rho_vac_tol).any()
     model = power_gas(mu=1.0, lam=0.5, r=0.5, q=2.0, A=0.5, gamma=1.4)
-    force_u = 0.7 * d.rho0 * np.cos(3.0 * phase)
+    force_u = 0.7 * d.rho * np.cos(3.0 * phase)
     h = hashlib.sha256()
     for f in step_momentum(s, 2e-3, model, c, force_u=force_u):
         h.update(f.tobytes())

@@ -6,6 +6,8 @@ import pytest
 import symns.initdata
 from symns.cli import cli, convergence_study
 from symns.config import parse_config
+from symns.errors import ConfigError
+from symns.stepper import run
 
 EQ_CONFIG = """
 [grid]
@@ -112,6 +114,32 @@ def test_verify_inadmissible_exits_1(tmp_path, capsys):
     text = "[model]\nlam = -0.7\n[grid]\nn = 32\n"
     assert cli(["verify", _write(tmp_path, text)]) == 1
     assert "FAIL" in capsys.readouterr().out
+
+
+# finite data whose eps re-solve overflows to a non-finite radial velocity
+OVERFLOW_CONFIG = """
+[grid]
+n = 32
+[init]
+preset = "vacuum_bump"
+rho_max = 1e10
+theta_bar = 1e300
+eps = 1e-3
+"""
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+def test_verify_overflowing_resolve_is_config_error(tmp_path, capsys):
+    assert cli(["verify", _write(tmp_path, OVERFLOW_CONFIG)]) == 3
+    err = capsys.readouterr().err
+    assert "config error: init: initial field u has non-finite" in err
+    assert "Traceback" not in err
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+def test_run_overflowing_resolve_is_config_error():
+    with pytest.raises(ConfigError, match="init: initial field u"):
+        run(parse_config(OVERFLOW_CONFIG))
 
 
 def test_sweep_runs_and_summarizes(tmp_path, capsys):

@@ -5,6 +5,7 @@ import pytest
 
 from symns.config import (_PRESET_KEYS, build_initial, build_grid,
                           build_model, override_config, parse_config)
+from symns.constitutive import check_admissible
 from symns.errors import ConfigError
 from symns.initdata import preset
 
@@ -16,7 +17,7 @@ def test_minimal_config_defaults():
     assert cfg.grid.m == 2
     assert cfg.model.q == 2.0 and cfg.model.r == 0.0
     assert cfg.model.mu == 1.0 and cfg.model.lam == 0.0
-    assert cfg.admissibility.ok
+    assert check_admissible(build_model(cfg), cfg.grid.m).ok
 
 
 def test_sections_and_dotted_keys_equivalent():
@@ -121,7 +122,6 @@ def test_negative_cold_pressure_rejected():
     ("[controls]\ndt_max = nan\n", "controls: dt_max"),
     ("[controls]\nt_end = nan\n", "controls: t_end"),
     ("[init]\neps = nan\n", "init.eps"),
-    ("[output]\nsnapshot_dt = nan\n", "output snapshot cadence"),
     ("[output]\ndiag_alpha = nan\n", "output.diag_alpha"),
 ] + [(f"[init]\npreset = {preset}\n{key} = nan\n", f"init.{key}")
      for preset, keys in _PRESET_KEYS.items() for key in keys]
@@ -143,13 +143,18 @@ def test_omitted_preset_keys_keep_preset_defaults(name):
     g = build_grid(cfg)
     d = build_initial(cfg, g, build_model(cfg))
     ref = preset(name, g)
-    for f in ("rho0", "u0", "v0", "w0", "theta0"):
+    for f in ("rho", "u", "v", "w", "theta"):
         assert np.array_equal(getattr(d, f), getattr(ref, f))
 
 
 def test_method_names_are_not_keys():
     with pytest.raises(ConfigError, match="unknown key"):
         parse_config("[controls]\nvalidate = 1\n")
+
+
+def test_removed_keys_are_unknown():
+    with pytest.raises(ConfigError, match="unknown key 'output.snapshot_dt'"):
+        parse_config("[output]\nsnapshot_dt = 0.1\n")
 
 
 def test_build_model_families():
@@ -171,10 +176,9 @@ eps = 1e-4
     g = build_grid(cfg)
     model = build_model(cfg)
     d = build_initial(cfg, g, model)
-    assert d.epsilon == 1e-4
-    assert d.rho0.min() == pytest.approx(1e-4)
-    assert d.u0.any()  # re-solved, nonzero against the pressure gradient
-    assert not d.v0.any() and not d.w0.any()  # reused unchanged
+    assert d.rho.min() == pytest.approx(1e-4)
+    assert d.u.any()  # re-solved, nonzero against the pressure gradient
+    assert not d.v.any() and not d.w.any()  # reused unchanged
 
 
 @pytest.mark.parametrize("column, value", [
@@ -190,7 +194,7 @@ def test_non_finite_restart_field_rejected(column, value, tmp_path):
     np.savetxt(path, np.column_stack(list(table.values())), fmt="%.17g",
                delimiter=",", header=",".join(table), comments="")
     with pytest.raises(ConfigError,
-                       match=f"init: initial field {column}0 has non-finite"):
+                       match=f"init: initial field {column} has non-finite"):
         build_initial(cfg, g, build_model(cfg))
 
 

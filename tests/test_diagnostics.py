@@ -182,7 +182,7 @@ def test_entropy_dissipation_refinement_stable():
 def test_alt_criteria_vacuum_flag():
     g = make_grid(1, 2, 64, 2)
     d = preset("vacuum_bump", g)
-    traj = _frozen_trajectory(g, d.rho0, d.theta0, [0.0, 0.5])
+    traj = _frozen_trajectory(g, d.rho, d.theta, [0.0, 0.5])
     crit = alt_criteria(traj)
     assert math.isinf(crit.sun_wang_zhang)
     assert math.isinf(crit.inv_rho_sup)

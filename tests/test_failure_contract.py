@@ -55,7 +55,6 @@ VALUES = {
     "init.amplitude": ([0.05, 0.0], [2.0, NAN, INF]),
     "output.diag_alpha": ([0.5, 0.99], [0.0, 1.0, NAN]),
     "output.snapshot_every": ([0, 1], [-1]),
-    "output.snapshot_dt": ([0.0, 1e-3], [-1.0, NAN]),
 }
 
 # every key omitted or legal, then up to two keys moved to the edge or out

@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -5,9 +7,9 @@ import symns.initdata
 from symns.constitutive import ideal_gas, pressure
 from symns.errors import SolverFailure
 from symns.grid import make_grid, weighted_integral
-from symns.initdata import (InitialData, compatibility_residuals,
-                            load_initial_csv, preset, regularize,
-                            solve_initial_velocity)
+from symns.initdata import (compatibility_residuals, load_initial_csv,
+                            preset, regularize, solve_initial_velocity,
+                            validate_initial)
 from symns.operators import ddx, lame_stencil
 
 MODEL = ideal_gas()
@@ -16,22 +18,23 @@ MODEL = ideal_gas()
 def test_equilibrium_preset():
     g = make_grid(1, 2, 64, 2)
     d = preset("equilibrium", g, rho_bar=1.0, theta_bar=1.0)
-    d.validate(g)
-    assert np.all(d.rho0 == 1.0)
-    assert not d.u0.any() and not d.v0.any() and not d.w0.any()
+    validate_initial(d)
+    assert d.grid is g and d.t == 0.0
+    assert np.all(d.rho == 1.0)
+    assert not d.u.any() and not d.v.any() and not d.w.any()
 
 
 def test_vacuum_bump_preset():
     g = make_grid(1, 2, 128, 2)
     d = preset("vacuum_bump", g)
-    assert d.rho0.min() == 0.0
-    assert weighted_integral(g, d.rho0) > 0.0
-    assert np.all(d.theta0 > 0.0)
+    assert d.rho.min() == 0.0
+    assert weighted_integral(g, d.rho) > 0.0
+    assert np.all(d.theta > 0.0)
     # support strictly inside: vacuum next to both walls
-    assert d.rho0[0] == 0.0 and d.rho0[-1] == 0.0
+    assert d.rho[0] == 0.0 and d.rho[-1] == 0.0
     # theta has exactly zero discrete slope at the walls (bump gone there)
-    assert d.theta0[1] - d.theta0[0] == 0.0
-    assert d.theta0[-1] - d.theta0[-2] == 0.0
+    assert d.theta[1] - d.theta[0] == 0.0
+    assert d.theta[-1] - d.theta[-2] == 0.0
 
 
 def test_vacuum_bump_support_validation():
@@ -46,8 +49,8 @@ def test_swirl_requires_cylindrical():
         preset("swirl_cylinder", g2)
     g1 = make_grid(1, 2, 64, 1)
     d = preset("swirl_cylinder", g1, swirl=0.3)
-    assert d.v0.max() > 0.0
-    assert not d.u0.any() and not d.w0.any()
+    assert d.v.max() > 0.0
+    assert not d.u.any() and not d.w.any()
 
 
 def test_unknown_preset_and_params():
@@ -64,15 +67,13 @@ def test_regularize():
     with pytest.raises(ValueError):
         regularize(d, 0.0)
     d1 = regularize(d, 1e-3)
-    assert d1.rho0.min() == pytest.approx(1e-3)
-    assert d1.epsilon == 1e-3
+    assert d1.rho.min() == pytest.approx(1e-3)
     # additivity
     d2 = regularize(regularize(d, 2e-4), 3e-4)
     d_once = regularize(d, 5e-4)
-    assert np.allclose(d2.rho0, d_once.rho0, rtol=0, atol=1e-18)
-    assert d2.epsilon == pytest.approx(5e-4)
+    assert np.allclose(d2.rho, d_once.rho, rtol=0, atol=1e-18)
     # exact mass increase eps * total weight
-    dm = weighted_integral(g, d1.rho0) - weighted_integral(g, d.rho0)
+    dm = weighted_integral(g, d1.rho) - weighted_integral(g, d.rho)
     assert dm == pytest.approx(1e-3 * g.total_weight, rel=1e-12)
 
 
@@ -109,13 +110,13 @@ def test_solve_initial_velocity_dense_oracle(rng):
     g = make_grid(1, 2, n, 2)
     d = regularize(preset("vacuum_bump", g), 1e-6)
     g1 = np.sin(3.0 * g.centers) + 0.5 * rng.standard_normal(n)
-    u = solve_initial_velocity(MODEL, d.rho0, d.theta0, g1, g)
+    u = solve_initial_velocity(MODEL, d.rho, d.theta, g1, g)
     sub, diag, sup = lame_stencil(g)
     beta = MODEL.beta
     A = (np.diag(-beta * diag) + np.diag(-beta * sub[1:], -1)
          + np.diag(-beta * sup[:-1], 1))
-    P = pressure(MODEL, d.rho0, d.theta0)
-    rhs = ddx(g, P, "neumann0") + np.sqrt(d.rho0) * g1
+    P = pressure(MODEL, d.rho, d.theta)
+    rhs = ddx(g, P, "neumann0") + np.sqrt(d.rho) * g1
     u_dense = np.linalg.solve(A, -rhs)
     assert np.max(np.abs(u - u_dense)) <= 1e-10
 
@@ -143,9 +144,9 @@ def test_solve_initial_velocity_superposition(rng):
     g = make_grid(1, 2, 64, 2)
     d = regularize(preset("vacuum_bump", g), 1e-3)
     g1 = rng.standard_normal(64)
-    u0 = solve_initial_velocity(MODEL, d.rho0, d.theta0, np.zeros(64), g)
-    u1 = solve_initial_velocity(MODEL, d.rho0, d.theta0, g1, g)
-    u2 = solve_initial_velocity(MODEL, d.rho0, d.theta0, 2.0 * g1, g)
+    u0 = solve_initial_velocity(MODEL, d.rho, d.theta, np.zeros(64), g)
+    u1 = solve_initial_velocity(MODEL, d.rho, d.theta, g1, g)
+    u2 = solve_initial_velocity(MODEL, d.rho, d.theta, 2.0 * g1, g)
     # affine in g1: u(2 g1) - u(g1) = u(g1) - u(0)
     lhs = u2 - u1
     rhs = u1 - u0
@@ -156,7 +157,7 @@ def test_solve_initial_velocity_superposition(rng):
 def test_compatibility_residuals_equilibrium():
     g = make_grid(1, 2, 64, 2)
     d = preset("equilibrium", g)
-    res = compatibility_residuals(d, MODEL, g)
+    res = compatibility_residuals(d, MODEL)
     for gi in (res.g1, res.g2, res.g3, res.g4):
         assert np.max(np.abs(gi)) == 0.0
     assert res.vacuum_indices.size == 0
@@ -166,12 +167,15 @@ def test_compatibility_vacuum_report_matches_threshold():
     g = make_grid(1, 2, 128, 2)
     d = preset("vacuum_bump", g)
     tol = 1e-12
-    res = compatibility_residuals(d, MODEL, g, rho_vac_tol=tol)
-    expected = np.nonzero(d.rho0 <= tol)[0]
+    # a cell exactly at the tolerance is fluid, as in the stepper
+    d.rho[0] = tol
+    res = compatibility_residuals(d, MODEL, rho_vac_tol=tol)
+    expected = np.nonzero(d.rho < tol)[0]
+    assert expected.size and 0 not in expected
     assert np.array_equal(res.vacuum_indices, expected)
     assert res.vacuum_raw.shape == (expected.size, 4)
     assert np.all(np.isnan(res.g1[expected]))
-    assert np.all(np.isfinite(res.g1[d.rho0 > tol]))
+    assert np.all(np.isfinite(res.g1[d.rho >= tol]))
 
 
 @pytest.mark.parametrize("name", ["equilibrium", "vacuum_bump",
@@ -181,29 +185,26 @@ def test_g1_roundtrip_all_presets(name, n):
     m = 1 if name == "swirl_cylinder" else 2
     g = make_grid(1, 2, n, m)
     d0 = preset(name, g)
-    res0 = compatibility_residuals(d0, MODEL, g)
+    res0 = compatibility_residuals(d0, MODEL)
     g1 = np.nan_to_num(res0.g1, nan=0.0) + np.sin(2.0 * g.centers)
     d = regularize(d0, 1e-6)
-    u = solve_initial_velocity(MODEL, d.rho0, d.theta0, g1, g)
-    d = InitialData(rho0=d.rho0, u0=u, v0=d.v0, w0=d.w0, theta0=d.theta0,
-                    epsilon=d.epsilon)
-    res = compatibility_residuals(d, MODEL, g)
-    mask = d.rho0 >= 1e-6
+    u = solve_initial_velocity(MODEL, d.rho, d.theta, g1, g)
+    d = replace(d, u=u)
+    res = compatibility_residuals(d, MODEL)
+    mask = d.rho >= 1e-6
     assert np.max(np.abs(res.g1[mask] - g1[mask])) <= 1e-8
 
 
 def test_initial_csv_roundtrip(tmp_path):
     from symns.io import write_snapshot
-    from symns.state import State
     g = make_grid(1, 2, 32, 2)
     d = preset("vacuum_bump", g)
-    s = State(g, 0.0, d.rho0, d.u0, d.v0, d.w0, d.theta0)
     path = tmp_path / "snap.csv"
-    write_snapshot(path, s)
+    write_snapshot(path, d)
     loaded = load_initial_csv(path, g)
-    for a, b in ((loaded.rho0, d.rho0), (loaded.u0, d.u0),
-                 (loaded.theta0, d.theta0)):
-        assert np.array_equal(a, b)
+    assert loaded.t == 0.0
+    for name in ("rho", "u", "v", "w", "theta"):
+        assert np.array_equal(getattr(loaded, name), getattr(d, name))
 
 
 def test_initial_csv_zero_suffixed_header(tmp_path):
@@ -214,7 +215,7 @@ def test_initial_csv_zero_suffixed_header(tmp_path):
         rows.append("%.17g,1.0,0.0,0.0,0.0,1.0" % g.centers[i])
     path.write_text("\n".join(rows) + "\n")
     d = load_initial_csv(path, g)
-    assert np.all(d.rho0 == 1.0)
+    assert np.all(d.rho == 1.0)
 
 
 def test_initial_csv_rejects_mismatched_grid(tmp_path):

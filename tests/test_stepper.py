@@ -9,15 +9,10 @@ from symns.errors import ConfigError, DtUnderflow, SolverFailure
 from symns.grid import make_grid, weighted_integral
 from symns.initdata import preset
 from symns.state import State
-from symns.stepper import (StepControls, cfl_dt, run, step, step_continuity,
+from symns.stepper import (StepControls, cfl_dt, run, step_continuity,
                            step_detailed, step_momentum, step_temperature)
 
 MODEL = ideal_gas()
-
-
-def _state_from(name, g, **params):
-    d = preset(name, g, **params)
-    return State(g, 0.0, d.rho0, d.u0, d.v0, d.w0, d.theta0)
 
 
 def test_controls_validation():
@@ -32,7 +27,7 @@ def test_controls_validation():
 
 def test_cfl_dt_sound_speed():
     g = make_grid(1, 2, 64, 2)
-    s = _state_from("equilibrium", g)
+    s = preset("equilibrium", g)
     c = StepControls(cfl=0.4)
     # ideal gas at rho = theta = 1: sound speed sqrt(dP/drho) = 1
     assert cfl_dt(s, c, MODEL) == pytest.approx(0.4 * g.dx, rel=1e-6)
@@ -40,13 +35,13 @@ def test_cfl_dt_sound_speed():
 
 def test_cfl_dt_barotropic_sound_speed():
     g = make_grid(1, 2, 64, 2)
-    s = _state_from("equilibrium", g)
+    s = preset("equilibrium", g)
     model = GasModel(mu=1.0, lam=0.0, kappa0=1.0, q=2.0, A=1.0, gamma=2.0)
     # dP/drho = theta + 2*A*rho = 3 at rho = theta = 1
     assert cfl_dt(s, StepControls(cfl=0.4), model) == pytest.approx(
         0.4 * g.dx / math.sqrt(3.0), rel=1e-14)
     # vacuum cells (rho = 0) contribute sqrt(theta) only
-    s = _state_from("vacuum_bump", g)
+    s = preset("vacuum_bump", g)
     expected = 0.4 * g.dx / float(np.max(np.sqrt(s.theta + 2.0 * s.rho)))
     assert cfl_dt(s, StepControls(cfl=0.4), model) == pytest.approx(
         expected, rel=1e-14)
@@ -55,7 +50,7 @@ def test_cfl_dt_barotropic_sound_speed():
 def test_cfl_dt_advective_scaling():
     g = make_grid(1, 2, 64, 2)
     c = StepControls()
-    s = _state_from("equilibrium", g)
+    s = preset("equilibrium", g)
     s.u = np.full(64, 10.0)
     dt1 = cfl_dt(s, c, MODEL)
     s.u = np.full(64, 20.0)
@@ -65,7 +60,7 @@ def test_cfl_dt_advective_scaling():
 
 def test_cfl_dt_rejects_nan():
     g = make_grid(1, 2, 64, 2)
-    s = _state_from("equilibrium", g)
+    s = preset("equilibrium", g)
     s.u[5] = math.nan
     with pytest.raises(ValueError):
         cfl_dt(s, StepControls(), MODEL)
@@ -73,14 +68,14 @@ def test_cfl_dt_rejects_nan():
 
 def test_cfl_dt_underflow():
     g = make_grid(1, 2, 64, 2)
-    s = _state_from("equilibrium", g)
+    s = preset("equilibrium", g)
     with pytest.raises(DtUnderflow):
         cfl_dt(s, StepControls(dt_min=1.0), MODEL)
 
 
 def test_continuity_zero_velocity_identity():
     g = make_grid(1, 2, 64, 2)
-    s = _state_from("vacuum_bump", g)
+    s = preset("vacuum_bump", g)
     rho, clip = step_continuity(s, 1e-3)
     assert np.array_equal(rho, s.rho)
     assert clip == 0.0
@@ -88,7 +83,7 @@ def test_continuity_zero_velocity_identity():
 
 def test_continuity_conserves_mass(rng):
     g = make_grid(1, 2, 64, 2)
-    s = _state_from("vacuum_bump", g)
+    s = preset("vacuum_bump", g)
     s.u = 0.3 * np.sin(np.pi * (g.centers - 1.0)) * rng.random()
     m0 = weighted_integral(g, s.rho)
     rho, _ = step_continuity(s, 1e-3)
@@ -97,7 +92,7 @@ def test_continuity_conserves_mass(rng):
 
 def test_continuity_advected_bump_mass_drift():
     g = make_grid(1, 2, 128, 2)
-    s = _state_from("vacuum_bump", g)
+    s = preset("vacuum_bump", g)
     u = 0.2 * np.sin(np.pi * (g.centers - 1.0))
     m0 = weighted_integral(g, s.rho)
     rho = s.rho
@@ -110,14 +105,14 @@ def test_continuity_advected_bump_mass_drift():
 
 def test_momentum_equilibrium_is_zero():
     g = make_grid(1, 2, 64, 2)
-    s = _state_from("equilibrium", g)
+    s = preset("equilibrium", g)
     u, v, w = step_momentum(s, 1e-3, MODEL, StepControls())
     assert not u.any() and not v.any() and not w.any()
 
 
 def test_momentum_zero_swirl_preserved_bitwise(rng):
     g = make_grid(1, 2, 64, 2)
-    s = _state_from("manufactured", g)
+    s = preset("manufactured", g)
     assert not s.v.any() and not s.w.any()
     u, v, w = step_momentum(s, 1e-3, MODEL, StepControls())
     assert not v.any() and not w.any()
@@ -126,7 +121,7 @@ def test_momentum_zero_swirl_preserved_bitwise(rng):
 
 def test_momentum_vacuum_rows_frozen():
     g = make_grid(1, 2, 64, 2)
-    s = _state_from("vacuum_bump", g)
+    s = preset("vacuum_bump", g)
     s.u = 0.01 * np.sin(np.pi * (g.centers - 1.0))
     s.v = 0.02 * np.cos(np.pi * (g.centers - 1.0))
     s.w = 0.03 + 0.01 * g.centers
@@ -140,7 +135,7 @@ def test_momentum_vacuum_rows_frozen():
 
 def test_temperature_constant_fixed_point():
     g = make_grid(1, 2, 64, 2)
-    s = _state_from("equilibrium", g, theta_bar=2.5)
+    s = preset("equilibrium", g, theta_bar=2.5)
     theta, clip, iters = step_temperature(s, 1e-3, MODEL, StepControls())
     assert np.array_equal(theta, s.theta)
     assert clip == 0.0
@@ -183,8 +178,8 @@ def test_temperature_conduction_flattens():
 
 def test_step_equilibrium_fixed_point_composition():
     g = make_grid(1, 2, 32, 2)
-    s0 = _state_from("equilibrium", g)
-    s = step(s0, StepControls(), MODEL)
+    s0 = preset("equilibrium", g)
+    s, _ = step_detailed(s0, StepControls(), MODEL)
     assert s.t > 0.0
     for name in ("rho", "u", "v", "w", "theta"):
         assert np.array_equal(getattr(s, name), getattr(s0, name))
