@@ -20,9 +20,8 @@ from .constitutive import GasModel
 from .diagnostics import _check_alpha
 from .errors import ConfigError
 from .grid import make_grid
-from .initdata import (compatibility_residuals, load_initial_csv, preset,
-                       regularize, solve_initial_velocity, validate_initial,
-                       PRESETS)
+from .initdata import (load_initial_csv, preset, radial_residual, regularize,
+                       solve_initial_velocity, validate_initial, PRESETS)
 from .stepper import StepControls
 
 __all__ = [
@@ -231,9 +230,8 @@ def build_initial(cfg: SimConfig, g, model: GasModel):
                       if getattr(ic, key) is not None}
             s = preset(ic.preset, g, **params)
         if ic.eps > 0.0:
-            res = compatibility_residuals(s, model,
-                                          rho_vac_tol=cfg.controls.rho_vac_tol)
-            g1 = np.nan_to_num(res.g1, nan=0.0)
+            g1 = np.nan_to_num(radial_residual(
+                s, model, rho_vac_tol=cfg.controls.rho_vac_tol), nan=0.0)
             s = regularize(s, ic.eps)
             s = replace(s, u=solve_initial_velocity(model, s.rho, s.theta,
                                                     g1, g))

@@ -31,6 +31,7 @@ __all__ = [
     "regularize",
     "solve_initial_velocity",
     "compatibility_residuals",
+    "radial_residual",
     "preset",
     "load_initial_csv",
     "PRESETS",
@@ -41,10 +42,18 @@ PRESETS = ("equilibrium", "vacuum_bump", "swirl_cylinder", "manufactured")
 
 def validate_initial(s: State):
     """Reject initial data that is non-finite, negative in rho or theta, or
-    massless; each check guards outside input."""
+    massless, or that has swirl or axial velocity off the cylindrical case
+    (m != 1 is spherical: the velocity is radial); each check guards
+    outside input."""
     for name in ("rho", "u", "v", "w", "theta"):
         if not np.isfinite(getattr(s, name)).all():
             raise ValueError(f"initial field {name} has non-finite values")
+    m = s.grid.m
+    if m != 1:
+        for name in ("v", "w"):
+            if getattr(s, name).any():
+                raise ValueError(f"initial field {name} must be zero when "
+                                 f"m = {m} != 1")
     if np.any(s.rho < 0.0):
         raise ValueError("initial density must be nonnegative")
     if np.any(s.theta < 0.0):
@@ -116,24 +125,38 @@ class CompatibilityResiduals:
         return out
 
 
+def _per_sqrt_rho(s: State, expr, vac):
+    """expr / sqrt(rho) on non-vacuum cells, NaN on vacuum cells."""
+    gi = expr / np.sqrt(np.where(vac, 1.0, s.rho))
+    gi[vac] = np.nan
+    return gi
+
+
+def _radial_balance(s: State, model: GasModel):
+    """beta*L[u] - P_x, the elliptic expression behind g1."""
+    P = pressure(model, s.rho, s.theta)
+    return model.beta * lame_operator(s.grid, s.u) - ddx(s.grid, P, "neumann0")
+
+
+def radial_residual(s: State, model: GasModel,
+                    rho_vac_tol: float = 1e-12) -> np.ndarray:
+    """g1 alone (NaN on vacuum cells): the source the epsilon re-solve of
+    the initial radial velocity keeps."""
+    return _per_sqrt_rho(s, _radial_balance(s, model), s.rho < rho_vac_tol)
+
+
 def compatibility_residuals(s: State, model: GasModel,
                             rho_vac_tol: float = 1e-12) -> CompatibilityResiduals:
     validate_initial(s)
     g = s.grid
-    P = pressure(model, s.rho, s.theta)
-    expr1 = model.beta * lame_operator(g, s.u) - ddx(g, P, "neumann0")
+    expr1 = _radial_balance(s, model)
     expr2 = model.mu * lame_operator(g, s.v)
     expr3 = model.mu * axial_laplacian(g, s.w)
     kf = face_kappa(g, model, s.theta)
     expr4 = heat_flux_div(g, kf, s.theta) + dissipation(g, s.u, s.v, s.w, model)
 
     vac = s.rho < rho_vac_tol
-    sqrt_rho = np.sqrt(np.where(vac, 1.0, s.rho))
-    gs = []
-    for expr in (expr1, expr2, expr3, expr4):
-        gi = expr / sqrt_rho
-        gi[vac] = np.nan
-        gs.append(gi)
+    gs = [_per_sqrt_rho(s, expr, vac) for expr in (expr1, expr2, expr3, expr4)]
     idx = np.nonzero(vac)[0]
     raw = np.column_stack([expr1[idx], expr2[idx], expr3[idx], expr4[idx]]) \
         if idx.size else np.empty((0, 4))

@@ -1,9 +1,10 @@
 """Time integration: sequential splitting continuity -> momentum -> temperature.
 
 Each step advances the density with an explicit conservative upwind flux
-(exact mass telescoping, zero wall flux), then the three velocity
-components with explicit advection/sources and an implicit tridiagonal
-viscous solve, then the temperature with a Picard-linearized implicit
+(exact mass telescoping, zero wall flux), then the velocity with explicit
+advection/sources and an implicit tridiagonal viscous solve per component
+(u, v and w when m = 1; u alone otherwise, since a spherically symmetric
+velocity is radial), then the temperature with a Picard-linearized implicit
 solve of the Q-form energy equation (frozen face conductivity and heat
 capacity per sweep, insulated walls).
 
@@ -144,9 +145,12 @@ def step_momentum(s: State, dt: float, model: GasModel, c: StepControls,
     """Advance (u, v, w): explicit upwind advection and geometric/pressure
     sources, then an implicit viscous tridiagonal solve per component.
 
-    ``s.rho`` must already hold the continuity-updated density.  Vacuum
-    rows are frozen at the old value.  ``force_u`` is an optional
-    external momentum source density (rho*f) for the radial component.
+    Only the cylindrical case (m = 1) carries the angular ``v`` and axial
+    ``w``; for m != 1 the velocity is radial, ``u`` alone is advanced and
+    ``s.v``, ``s.w`` are returned as they are.  ``s.rho`` must already hold
+    the continuity-updated density.  Vacuum rows are frozen at the old
+    value.  ``force_u`` is an optional external momentum source density
+    (rho*f) for the radial component.
     """
     g = s.grid
     x = g.centers
@@ -164,11 +168,12 @@ def step_momentum(s: State, dt: float, model: GasModel, c: StepControls,
     radial = [dt * (s.v ** 2 / x - Px / safe_rho)]
     if force_u is not None:
         radial.append(dt * np.asarray(force_u, dtype=float) / safe_rho)
-    components = (
-        ("radial", u, model.beta, lame, radial),
-        ("angular", s.v, model.mu, lame, [-(dt_u * s.v / x)]),
-        ("axial", s.w, model.mu, axial_stencil(g), []),
-    )
+    components = [("radial", u, model.beta, lame, radial)]
+    if g.m == 1:
+        components += [
+            ("angular", s.v, model.mu, lame, [-(dt_u * s.v / x)]),
+            ("axial", s.w, model.mu, axial_stencil(g), []),
+        ]
     new = []
     for name, f, coeff, (sub_l, diag_l, sup_l), sources in components:
         star = f - dt_u * upwind_derivative(g, f, u)
@@ -185,6 +190,8 @@ def step_momentum(s: State, dt: float, model: GasModel, c: StepControls,
             d[vac] = f[vac]
         new.append(solve_tridiagonal(a, b, cc, d,
                                      context=f"{name} momentum solve"))
+    if g.m != 1:
+        new += [s.v, s.w]
     return tuple(new)
 
 

@@ -5,8 +5,9 @@ reason, final state and full diagnostics series.  A change that alters any
 floating-point operation of the stepper or the diagnostics moves a digest;
 a change that only removes repeated work must leave all three unchanged.
 The momentum pins hash the three velocities of one ``step_momentum`` call
-on a state with vacuum cells, all three components nonzero and a radial
-force, so every source term and every frozen vacuum row is covered.
+on a state with vacuum cells and a radial force: at m = 1 with all three
+components nonzero, so every source term and every frozen vacuum row is
+covered, and at m = 2, where only the radial component is advanced.
 
 The digests were recorded with numpy 2.4.6 on x86-64 Linux (Python 3.11).
 Another numpy build or libm may round ``**``, ``sqrt`` or the summation
@@ -83,7 +84,8 @@ def _restart_config(tmp_path):
                      0.0)
     zeros = np.zeros(n)
     path = tmp_path / "restart.csv"
-    np.savetxt(path, np.column_stack([x, shape, zeros, 0.1 * shape, zeros,
+    # m=2 is spherical: the initial v and w must be zero
+    np.savetxt(path, np.column_stack([x, shape, zeros, zeros, zeros,
                                       0.05 + shape]),
                fmt="%.17g", delimiter=",", header="x,rho,u,v,w,theta",
                comments="")
@@ -110,7 +112,7 @@ t_end = 0.05
     (_swirl_config,
      "6d77311c96c885c0f8eef1e2cd0c7fdb4dc91d2be63d3c653da970586eb7781a"),
     (_restart_config,
-     "035e710daa920777213e1cb52ee4fdf8fa2feb17d8518a0850e1eb56f8617e5c"),
+     "d0ccc17896bb05a99ed7a5c186795862e4d454cbac306a13e1ba0e99daac7071"),
 ], ids=["vacuum_bump_m2_n256", "swirl_m1_n64", "csv_restart_eps"])
 def test_run_is_bitwise_pinned(make_config, expected, tmp_path):
     traj = run(parse_config(make_config(tmp_path)))
@@ -120,21 +122,27 @@ def test_run_is_bitwise_pinned(make_config, expected, tmp_path):
         f"running {np.__version__})")
 
 
-@pytest.mark.parametrize("n,expected", [
-    (64,
+@pytest.mark.parametrize("m,n,expected", [
+    (1, 64,
      "774af3726ce48d91e2f4f9f40d1472d777a4a9901576cf22790d477983c043a9"),
-    (256,
+    (1, 256,
      "f4a0692f1288923b74c5d349170f0ca5244cdb1c8342fb10933454be13270a61"),
-], ids=["thomas_n64", "cyclic_reduction_n256"])
-def test_step_momentum_is_bitwise_pinned(n, expected):
-    g = make_grid(1.0, 2.0, n, 1)
+    (2, 256,
+     "8e85f119cfd0ea146d6bb47b15848af6468ba050b372d3650b86d4f88c714f49"),
+], ids=["thomas_n64", "cyclic_reduction_n256", "spherical_n256"])
+def test_step_momentum_is_bitwise_pinned(m, n, expected):
+    g = make_grid(1.0, 2.0, n, m)
     d = preset("vacuum_bump", g)
     phase = np.pi * (g.centers - 1.0)
-    # u, v and w are nonzero on the vacuum cells too, so that a vacuum row
-    # which is not frozen moves the digest
+    # the velocities are nonzero on the vacuum cells too, so that a vacuum
+    # row which is not frozen moves the digest; a spherical state (m = 2)
+    # has only the radial one
     u = 0.3 * np.sin(phase)
-    v = 0.2 * np.sin(2.0 * phase) + 0.05
-    w = 0.1 * np.cos(phase)
+    if m == 1:
+        v = 0.2 * np.sin(2.0 * phase) + 0.05
+        w = 0.1 * np.cos(phase)
+    else:
+        v = w = np.zeros(n)
     s = State(g, 0.0, d.rho, u, v, w, d.theta)
     c = StepControls()
     assert (s.rho < c.rho_vac_tol).any()

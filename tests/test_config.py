@@ -198,6 +198,22 @@ def test_non_finite_restart_field_rejected(column, value, tmp_path):
         build_initial(cfg, g, build_model(cfg))
 
 
+@pytest.mark.parametrize("column", ["v", "w"])
+def test_spherical_restart_with_swirl_or_axial_rejected(column, tmp_path):
+    # m = 2 is spherical: the velocity is radial, so v and w must be zero
+    path = tmp_path / "restart.csv"
+    cfg = parse_config(f'[grid]\nn = 16\nm = 2\n[init]\nfile = "{path}"\n')
+    g = build_grid(cfg)
+    table = {"x": g.centers, "rho": np.ones(16), "u": np.zeros(16),
+             "v": np.zeros(16), "w": np.zeros(16), "theta": np.ones(16)}
+    table[column][5] = 0.1
+    np.savetxt(path, np.column_stack(list(table.values())), fmt="%.17g",
+               delimiter=",", header=",".join(table), comments="")
+    with pytest.raises(ConfigError, match=f"init: initial field {column} "
+                                          "must be zero when m = 2 != 1"):
+        build_initial(cfg, g, build_model(cfg))
+
+
 def test_override_config():
     cfg = parse_config("[grid]\nn = 64\n")
     cfg2 = override_config(cfg, "grid.n", "128")

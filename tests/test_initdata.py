@@ -8,8 +8,8 @@ from symns.constitutive import ideal_gas, pressure
 from symns.errors import SolverFailure
 from symns.grid import make_grid, weighted_integral
 from symns.initdata import (compatibility_residuals, load_initial_csv,
-                            preset, regularize, solve_initial_velocity,
-                            validate_initial)
+                            preset, radial_residual, regularize,
+                            solve_initial_velocity, validate_initial)
 from symns.operators import ddx, lame_stencil
 
 MODEL = ideal_gas()
@@ -176,6 +176,30 @@ def test_compatibility_vacuum_report_matches_threshold():
     assert res.vacuum_raw.shape == (expected.size, 4)
     assert np.all(np.isnan(res.g1[expected]))
     assert np.all(np.isfinite(res.g1[d.rho >= tol]))
+
+
+def test_radial_residual_is_compatibility_g1():
+    g = make_grid(1, 2, 128, 2)
+    s = replace(preset("vacuum_bump", g), u=0.1 * np.sin(g.centers))
+    model = ideal_gas(lam=0.5)
+    for tol in (1e-12, 1e-3):
+        res = compatibility_residuals(s, model, rho_vac_tol=tol)
+        g1 = radial_residual(s, model, rho_vac_tol=tol)
+        assert np.array_equal(g1, res.g1, equal_nan=True)
+        assert np.isnan(g1).any()
+
+
+def test_swirl_or_axial_velocity_needs_cylindrical_mode():
+    for m in (1, 2):
+        g = make_grid(1, 2, 16, m)
+        for name in ("v", "w"):
+            s = replace(preset("equilibrium", g), **{name: np.full(16, 0.1)})
+            if m == 1:
+                validate_initial(s)
+            else:
+                with pytest.raises(ValueError, match=f"initial field {name} "
+                                                     "must be zero when m = 2"):
+                    validate_initial(s)
 
 
 @pytest.mark.parametrize("name", ["equilibrium", "vacuum_bump",

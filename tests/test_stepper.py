@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+import symns.stepper
 from symns.config import parse_config
 from symns.constitutive import GasModel, ideal_gas
 from symns.errors import ConfigError, DtUnderflow, SolverFailure
@@ -11,6 +12,7 @@ from symns.initdata import preset
 from symns.state import State
 from symns.stepper import (StepControls, cfl_dt, run, step_continuity,
                            step_detailed, step_momentum, step_temperature)
+from symns.tridiag import solve_tridiagonal
 
 MODEL = ideal_gas()
 
@@ -111,7 +113,8 @@ def test_momentum_equilibrium_is_zero():
 
 
 def test_momentum_zero_swirl_preserved_bitwise(rng):
-    g = make_grid(1, 2, 64, 2)
+    # cylindrical (m = 1), where v and w are solved
+    g = make_grid(1, 2, 64, 1)
     s = preset("manufactured", g)
     assert not s.v.any() and not s.w.any()
     u, v, w = step_momentum(s, 1e-3, MODEL, StepControls())
@@ -120,7 +123,8 @@ def test_momentum_zero_swirl_preserved_bitwise(rng):
 
 
 def test_momentum_vacuum_rows_frozen():
-    g = make_grid(1, 2, 64, 2)
+    # cylindrical (m = 1), where all three components are solved
+    g = make_grid(1, 2, 64, 1)
     s = preset("vacuum_bump", g)
     s.u = 0.01 * np.sin(np.pi * (g.centers - 1.0))
     s.v = 0.02 * np.cos(np.pi * (g.centers - 1.0))
@@ -131,6 +135,23 @@ def test_momentum_vacuum_rows_frozen():
     new = step_momentum(s, 1e-4, MODEL, c)
     for name, f in zip("uvw", new):
         assert np.array_equal(f[vac], getattr(s, name)[vac]), name
+
+
+def test_spherical_momentum_solves_radial_only(monkeypatch):
+    g = make_grid(1, 2, 64, 2)
+    s = preset("vacuum_bump", g)
+    s.u = 0.01 * np.sin(np.pi * (g.centers - 1.0))
+    contexts = []
+
+    def counting(*args, context):
+        contexts.append(context)
+        return solve_tridiagonal(*args, context=context)
+
+    monkeypatch.setattr(symns.stepper, "solve_tridiagonal", counting)
+    u, v, w = step_momentum(s, 1e-4, MODEL, StepControls())
+    assert len(contexts) == 1 and "radial momentum" in contexts[0]
+    assert v is s.v and w is s.w
+    assert u.any()
 
 
 def test_temperature_constant_fixed_point():
