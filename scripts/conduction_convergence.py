@@ -2,7 +2,7 @@
 """Nonlinear-conduction refinement study: the implicit temperature step
 against an explicit fine-grid reference, across grids.
 
-Usage: python scripts/conduction_convergence.py
+Usage: python scripts/conduction_convergence.py [n ...]   (default 32 64 128)
 """
 
 import sys
@@ -44,10 +44,11 @@ def explicit_theta(g, model, theta0, t_end):
 
 
 def main():
+    ns = [int(a) for a in sys.argv[1:]] or [32, 64, 128]
     model = ideal_gas(q=2.0)  # kappa = 1 + theta^2
     t_end = 0.01
     print(" n    L2 relative difference vs 8x explicit reference")
-    for n in (32, 64, 128):
+    for n in ns:
         g = make_grid(1.0, 2.0, n, 2)
         theta0 = 1.0 + 0.5 * np.cos(np.pi * (g.centers - g.a) / (g.b - g.a))
         nsteps = max(200, 10 * n)

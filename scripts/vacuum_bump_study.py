@@ -8,7 +8,7 @@ import sys
 
 sys.path.insert(0, "src")
 
-from symns.config import build_model, parse_config
+from symns.config import parse_config
 from symns.diagnostics import (alt_criteria, blowup_indicator,
                                entropy_dissipation, sup_theta_time_integral)
 from symns.stepper import run
@@ -28,16 +28,14 @@ t_end = {t_end}
 diag_alpha = 0.5
 """)
     traj = run(cfg)
-    model = build_model(cfg)
     m = traj.series.column("mass")
     print(f"termination: {traj.reason} after {traj.steps} steps, "
           f"t = {traj.final_state.t:.6g}")
     print(f"mass drift (relative): {abs(m[-1] - m[0]) / m[0]:.3e}")
     print(f"blow-up indicator:     {blowup_indicator(traj):.6f}")
-    print(f"entropy dissipation:   "
-          f"{entropy_dissipation(traj, model, cfg.output.diag_alpha):.6e}")
+    print(f"entropy dissipation:   {entropy_dissipation(traj):.6e}")
     print(f"int ||theta||_inf^(2q+2) dt: "
-          f"{sup_theta_time_integral(traj, 2 * model.q + 2):.6e}")
+          f"{sup_theta_time_integral(traj, 2 * cfg.model.q + 2):.6e}")
     crit = alt_criteria(traj)
     print(f"alternative criteria: fan_jiang_ou = {crit.fan_jiang_ou:.4f}, "
           f"fang_zi_zhang = {crit.fang_zi_zhang:.4f}, "

@@ -2,7 +2,9 @@
 
 Exit codes: 0 success/completed, 1 failed verification, 2 solver failure
 (any of dt_underflow, solver_failure, nan_detected), 3 configuration
-error.  Human-readable diagnostics go to stderr; results to stdout.
+error, which includes a missing input file and an output directory that
+cannot be made (found before any run starts).  Human-readable diagnostics
+go to stderr; results to stdout.
 The SYMNS_OUT_DIR environment variable overrides output.out_dir.
 """
 
@@ -18,8 +20,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .config import (SimConfig, build_grid, build_initial, build_model,
-                     override_config, parse_config_file)
+from .config import (SimConfig, build_grid, build_initial, override_config,
+                     parse_config_file)
 from .constitutive import check_admissible
 from .errors import ConfigError, SolverFailure
 from .grid import weighted_lp_norm
@@ -42,6 +44,8 @@ def _apply_out_dir_env(cfg: SimConfig):
 
 def _cmd_run(args) -> int:
     cfg = _apply_out_dir_env(parse_config_file(args.config))
+    # an unwritable out_dir is a config error before the run, not after it
+    os.makedirs(cfg.output.out_dir, exist_ok=True)
     traj = run(cfg, force=args.force)
     paths = write_trajectory(cfg.output.out_dir, traj)
     if traj.error:
@@ -55,7 +59,7 @@ def _cmd_run(args) -> int:
 def _cmd_verify(args) -> int:
     cfg = parse_config_file(args.config)
     g = build_grid(cfg)
-    model = build_model(cfg)
+    model = cfg.model
     report = check_admissible(model, g.m)
     print("admissibility:")
     print(report)
@@ -110,6 +114,7 @@ def _cmd_sweep(args) -> int:
     if not values:
         raise ConfigError("--vary lists no values")
     base_out = cfg.output.out_dir
+    os.makedirs(base_out, exist_ok=True)
     tasks = []
     for v in values:
         sub = override_config(cfg, key, v)
@@ -131,7 +136,6 @@ def _cmd_sweep(args) -> int:
             v = row.get(c, "")
             cells.append(f"{v:>14.6g}" if isinstance(v, float) else f"{v!s:>14s}")
         print("  " + "  ".join(cells))
-    os.makedirs(base_out, exist_ok=True)
     with open(os.path.join(base_out, "sweep_summary.csv"), "w",
               encoding="utf-8") as fh:
         fh.write(",".join(("key",) + _SWEEP_COLS) + "\n")
@@ -171,9 +175,8 @@ def convergence_study(cfg: SimConfig, levels: int) -> ConvergenceResult:
     ns = [cfg.grid.n * 2 ** i for i in range(levels)]
     fine = override_config(cfg, "grid.n", str(ns[-1]))
     gf = build_grid(fine)
-    model = build_model(fine)
-    s0 = build_initial(fine, gf, model)
-    dt_fixed = 0.5 * cfl_dt(s0, fine.controls, model)
+    s0 = build_initial(fine, gf, fine.model)
+    dt_fixed = 0.5 * cfl_dt(s0, fine.controls, fine.model)
 
     finals = []
     grids = []
@@ -267,10 +270,7 @@ def cli(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except ConfigError as exc:
-        print(f"config error: {exc}", file=sys.stderr)
-        return 3
-    except FileNotFoundError as exc:
+    except (ConfigError, OSError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 3
     except SolverFailure as exc:

@@ -2,17 +2,19 @@
 
 Accepted syntax: ``[section]`` headers, ``key = value`` lines (dotted keys
 work outside sections too), ``#`` comments, quoted or bare strings,
-integers, floats (``inf`` allowed for dt_max).  Unknown and duplicate keys
-are errors carrying the line number; validation failures carry the key
-path.  Model admissibility is not part of parsing: ``run`` and
-``symns verify`` check it.
+integers, floats (``inf`` allowed for dt_max).  The keys of a section are
+the fields of its dataclass: ``[model]`` is ``constitutive.GasModel`` and
+``[controls]`` is ``stepper.StepControls``, which validate themselves when
+built.  Unknown and duplicate keys are errors carrying the line number;
+validation failures carry the section or key path.  The one model
+condition that depends on the grid, 2*mu + (m+1)*lam > 0, is not part of
+parsing: ``run`` and ``symns verify`` check it.
 """
 
 from __future__ import annotations
 
-import copy
 import math
-from dataclasses import dataclass, field, fields, replace
+from dataclasses import asdict, dataclass, field, fields, replace
 
 import numpy as np
 
@@ -25,7 +27,7 @@ from .initdata import (load_initial_csv, preset, radial_residual, regularize,
 from .stepper import StepControls
 
 __all__ = [
-    "SimConfig", "GridConfig", "ModelConfig", "InitConfig", "OutputConfig",
+    "SimConfig", "GridConfig", "InitConfig", "OutputConfig",
     "parse_config", "parse_config_file", "build_grid",
     "build_model", "build_initial", "override_config",
 ]
@@ -37,18 +39,6 @@ class GridConfig:
     b: float = 2.0
     n: int = 128
     m: int = 2
-
-
-@dataclass
-class ModelConfig:
-    family: str = "ideal"   # ideal|linear -> linear Q; power -> power Q
-    mu: float = 1.0
-    lam: float = 0.0
-    r: float = 0.0
-    q: float = 2.0
-    kappa0: float = 1.0
-    A: float = 0.0          # > 0 switches on the barotropic cold pressure
-    gamma: float = 2.0
 
 
 @dataclass
@@ -76,13 +66,13 @@ class OutputConfig:
 @dataclass
 class SimConfig:
     grid: GridConfig = field(default_factory=GridConfig)
-    model: ModelConfig = field(default_factory=ModelConfig)
+    model: GasModel = field(default_factory=GasModel)
     init: InitConfig = field(default_factory=InitConfig)
     controls: StepControls = field(default_factory=StepControls)
     output: OutputConfig = field(default_factory=OutputConfig)
 
 
-_SECTIONS = {"grid": GridConfig, "model": ModelConfig, "init": InitConfig,
+_SECTIONS = {"grid": GridConfig, "model": GasModel, "init": InitConfig,
              "controls": StepControls, "output": OutputConfig}
 
 # "section.key" -> type of the field's default (int, float or str); a None
@@ -123,7 +113,7 @@ def _parse_value(raw: str, key: str, lineno: int):
 
 def parse_config(text: str) -> SimConfig:
     """Parse and validate run-configuration text; see the module docstring."""
-    cfg = SimConfig()
+    values = {sec: {} for sec in _SECTIONS}
     seen = {}
     section = None
     for lineno, line in enumerate(text.splitlines(), start=1):
@@ -151,9 +141,8 @@ def parse_config(text: str) -> SimConfig:
                               f"(first set on line {seen[full]})")
         seen[full] = lineno
         sec_name, name = full.split(".")
-        setattr(getattr(cfg, sec_name), name, _parse_value(raw, full, lineno))
-    _validate(cfg)
-    return cfg
+        values[sec_name][name] = _parse_value(raw, full, lineno)
+    return _build(values)
 
 
 def parse_config_file(path) -> SimConfig:
@@ -161,19 +150,26 @@ def parse_config_file(path) -> SimConfig:
         return parse_config(fh.read())
 
 
+def _build(values: dict) -> SimConfig:
+    """The validated config whose sections are built from the field values
+    in values[section]; omitted fields take their defaults.  GasModel and
+    StepControls check themselves as they are constructed."""
+    sections = {}
+    for sec, cls in _SECTIONS.items():
+        try:
+            sections[sec] = cls(**values[sec])
+        except ValueError as exc:
+            raise ConfigError(f"{sec}: {exc}") from exc
+    cfg = SimConfig(**sections)
+    _validate(cfg)
+    return cfg
+
+
 def _validate(cfg: SimConfig):
     try:
         build_grid(cfg)
     except ValueError as exc:
         raise ConfigError(f"grid: {exc}") from exc
-    try:
-        model = build_model(cfg)
-    except ValueError as exc:
-        raise ConfigError(f"model: {exc}") from exc
-    try:
-        cfg.controls.validate()
-    except ValueError as exc:
-        raise ConfigError(f"controls: {exc}") from exc
     if not cfg.init.eps >= 0.0:
         raise ConfigError("init.eps must be >= 0")
     for key in sorted(set().union(*_PRESET_KEYS.values())):
@@ -184,7 +180,7 @@ def _validate(cfg: SimConfig):
         raise ConfigError(f"init.preset: unknown preset {cfg.init.preset!r}; "
                           f"choose from {PRESETS}")
     try:
-        _check_alpha(model, cfg.output.diag_alpha)
+        _check_alpha(cfg.model, cfg.output.diag_alpha)
     except ValueError as exc:
         raise ConfigError(f"output.diag_alpha: {exc}") from exc
     if cfg.output.snapshot_every < 0:
@@ -196,17 +192,8 @@ def build_grid(cfg: SimConfig):
 
 
 def build_model(cfg: SimConfig) -> GasModel:
-    mc = cfg.model
-    if mc.family in ("ideal", "linear"):
-        if mc.r != 0.0:
-            raise ValueError("model.r must be 0 for the linear/ideal family")
-        q_family, r = "linear", 0.0
-    elif mc.family == "power":
-        q_family, r = "power", mc.r
-    else:
-        raise ValueError(f"unknown model.family {mc.family!r}")
-    return GasModel(mu=mc.mu, lam=mc.lam, kappa0=mc.kappa0, q=mc.q,
-                    q_family=q_family, r=r, A=mc.A, gamma=mc.gamma)
+    """The config's ``[model]`` section, already a validated GasModel."""
+    return cfg.model
 
 
 _PRESET_KEYS = {
@@ -243,11 +230,11 @@ def build_initial(cfg: SimConfig, g, model: GasModel):
 
 
 def override_config(cfg: SimConfig, key: str, raw_value: str) -> SimConfig:
-    """Deep-copied config with one dotted key overridden (sweep support)."""
+    """A new config with one dotted key overridden (sweep support); cfg
+    itself is left unchanged."""
     if key not in _KEY_TYPES:
         raise ConfigError(f"unknown key {key!r}")
-    out = copy.deepcopy(cfg)
+    values = {sec: asdict(getattr(cfg, sec)) for sec in _SECTIONS}
     sec_name, name = key.split(".")
-    setattr(getattr(out, sec_name), name, _parse_value(raw_value, key, 0))
-    _validate(out)
-    return out
+    values[sec_name][name] = _parse_value(raw_value, key, 0)
+    return _build(values)

@@ -177,19 +177,11 @@ def _trapz(y: np.ndarray, t: np.ndarray) -> float:
     return float(np.sum(0.5 * (y[1:] + y[:-1]) * np.diff(t)))
 
 
-def entropy_dissipation(traj: Trajectory, model: GasModel,
-                        alpha: float) -> float:
+def entropy_dissipation(traj: Trajectory) -> float:
     """Time-cumulative entropy-weighted dissipation
-    int_0^T int x^m (1+theta^q) theta_x^2 / theta^(1+alpha) dx dt.
-
-    alpha must equal the diag_alpha the trajectory recorded its integrand
-    with (the full fields are not kept at every step).
-    """
-    _check_alpha(model, alpha)
-    if abs(alpha - traj.diag_alpha) > 0.0:
-        raise ValueError(
-            f"trajectory recorded the entropy integrand at alpha = "
-            f"{traj.diag_alpha}; rerun with output.diag_alpha = {alpha}")
+    int_0^T int x^m (1+theta^q) theta_x^2 / theta^(1+alpha) dx dt at the
+    trajectory's diag_alpha, the alpha its integrand was recorded with
+    (the full fields are not kept at every step)."""
     return _trapz(traj.series.column("entropy_integrand"), traj.series.t)
 
 

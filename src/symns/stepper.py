@@ -63,9 +63,6 @@ class StepControls:
     t_end: float = 0.1
 
     def __post_init__(self):
-        self.validate()
-
-    def validate(self):
         """Raise ValueError naming the first out-of-range field."""
         if not 0.0 < self.cfl < 1.0:
             raise ValueError(f"need 0 < cfl < 1, got {self.cfl}")
@@ -316,11 +313,11 @@ def run(cfg, force: bool = False):
     """Run a configured simulation to t_end; every failure becomes a
     termination reason on the returned trajectory."""
     # deferred import: config builds models/grids, diagnostics builds series
-    from .config import build_grid, build_initial, build_model
+    from .config import build_grid, build_initial
     from .diagnostics import DiagnosticsSeries, Trajectory, record_step
 
     g = build_grid(cfg)
-    model = build_model(cfg)
+    model = cfg.model
     report = check_admissible(model, g.m)
     if not report.ok and not force:
         raise ConfigError("inadmissible model/grid combination:\n" + str(report))

@@ -3,6 +3,7 @@ import os
 import numpy as np
 import pytest
 
+import symns.cli
 import symns.initdata
 from symns.cli import cli, convergence_study
 from symns.config import parse_config
@@ -163,6 +164,39 @@ out_dir = "{out}"
     assert (out / "model_q_2.0").exists() and (out / "model_q_3.0").exists()
     lines = (out / "sweep_summary.csv").read_text().strip().splitlines()
     assert len(lines) == 3  # header + one row per value
+
+
+def test_sweep_process_pool_matches_serial(tmp_path):
+    rows = {}
+    for workers in ("1", "2"):
+        out = tmp_path / f"w{workers}"
+        text = ("[grid]\nn = 16\n[init]\npreset = \"manufactured\"\n"
+                f"[controls]\nt_end = 0.002\n[output]\nout_dir = \"{out}\"\n")
+        cfgp = _write(tmp_path, text, f"w{workers}.toml")
+        assert cli(["sweep", cfgp, "--vary", "model.q=2.0,3.0",
+                    "--workers", workers]) == 0
+        lines = (out / "sweep_summary.csv").read_text().splitlines()
+        assert lines[0].endswith(",seconds")
+        rows[workers] = [ln.rsplit(",", 1)[0] for ln in lines]
+    assert len(rows["2"]) == 3  # header + one row per value
+    assert rows["2"] == rows["1"]
+
+
+@pytest.mark.parametrize("command", [["run"],
+                                     ["sweep", "--vary", "model.q=2.0,3.0",
+                                      "--workers", "1"]])
+def test_unwritable_out_dir_exits_3_before_running(tmp_path, monkeypatch,
+                                                   capsys, command):
+    def no_run(*args, **kwargs):
+        raise AssertionError("run started")
+
+    monkeypatch.setattr(symns.cli, "run", no_run)
+    blocker = tmp_path / "file"
+    blocker.write_text("")
+    cfgp = _write(tmp_path, EQ_CONFIG.format(out=blocker / "out"))
+    assert cli([command[0], cfgp] + command[1:]) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("config error: ") and "Traceback" not in err
 
 
 BUMP_EPS_CONFIG = """

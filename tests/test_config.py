@@ -1,11 +1,15 @@
+import dataclasses
+import glob
 import math
+import os
 
 import numpy as np
 import pytest
 
-from symns.config import (_PRESET_KEYS, build_initial, build_grid,
-                          build_model, override_config, parse_config)
-from symns.constitutive import check_admissible
+from symns.config import (_KEY_TYPES, _PRESET_KEYS, build_initial,
+                          build_grid, build_model, override_config,
+                          parse_config, parse_config_file)
+from symns.constitutive import GasModel, check_admissible, ideal_gas
 from symns.errors import ConfigError
 from symns.initdata import preset
 
@@ -111,7 +115,7 @@ def test_negative_cold_pressure_rejected():
     ("[model]\nmu = nan\n", "model: shear viscosity"),
     ("[model]\nkappa0 = nan\n", "model: kappa0"),
     ("[model]\nq = nan\n", "model: conductivity growth"),
-    ("[model]\nr = nan\n", "model: model.r"),
+    ("[model]\nr = nan\n", "model: r must be 0"),
     ("[model]\nfamily = power\nr = nan\n", "model: r must be >= 0"),
     ("[model]\nA = nan\n", "model: cold-pressure"),
     ("[model]\nA = 1.0\ngamma = nan\n", "model: barotropic family"),
@@ -160,9 +164,49 @@ def test_removed_keys_are_unknown():
 def test_build_model_families():
     cfg = parse_config("[model]\nfamily = power\nr = 1.0\nq = 2.0\nA = 0.5\n")
     m = build_model(cfg)
-    assert m.q_family == "power" and m.pc_family == "barotropic"
+    assert m.family == "power" and m.pc_family == "barotropic"
     cfg = parse_config("[model]\nfamily = linear\n")
-    assert build_model(cfg).q_family == "linear"
+    assert build_model(cfg).family == "linear"
+
+
+IDEAL_FIELDS = {"family": "ideal", "mu": 1.0, "lam": 0.0, "r": 0.0, "q": 2.0,
+                "kappa0": 1.0, "A": 0.0, "gamma": 2.0}
+
+CONFIGS = sorted(glob.glob(os.path.join(os.path.dirname(__file__), "..",
+                                        "configs", "*.toml")))
+
+
+@pytest.mark.parametrize("path", CONFIGS, ids=os.path.basename)
+def test_shipped_configs_build_the_default_ideal_gas(path):
+    model = build_model(parse_config_file(path))
+    assert dataclasses.asdict(model) == IDEAL_FIELDS
+    assert model == ideal_gas() == GasModel()
+
+
+def test_model_section_is_gas_model():
+    # the model block of the benchmark's workloads
+    cfg = parse_config('[model]\nfamily = "ideal"\nmu = 1.0\nlam = 0.0\n'
+                       'q = 2.0\n')
+    assert dataclasses.asdict(build_model(cfg)) == IDEAL_FIELDS
+    assert {k for k in _KEY_TYPES if k.startswith("model.")} == {
+        f"model.{name}" for name in IDEAL_FIELDS}
+    assert len(_KEY_TYPES) == 34
+    every = {"family": "power", "mu": 0.5, "lam": 0.25, "r": 1.5, "q": 3.0,
+             "kappa0": 2.0, "A": 0.75, "gamma": 1.4}
+    text = "[model]\n" + "".join(f"{k} = {v}\n" for k, v in every.items())
+    assert dataclasses.asdict(build_model(parse_config(text))) == every
+
+
+def test_override_config_model_key():
+    cfg = parse_config("[grid]\nn = 16\n")
+    cfg2 = override_config(cfg, "model.q", "3.0")
+    assert cfg2.model.q == 3.0 and cfg.model.q == 2.0
+    assert cfg2.grid == cfg.grid and cfg2.output is not cfg.output
+    with pytest.raises(ConfigError, match="model: conductivity growth"):
+        override_config(cfg, "model.q", "0.0")
+    with pytest.raises(ConfigError, match="model: unknown family 'gas'"):
+        override_config(cfg, "model.family", "gas")
+    assert cfg.model == GasModel()
 
 
 def test_build_initial_with_eps_resolves_velocity():

@@ -60,7 +60,7 @@ def test_model_validation():
     with pytest.raises(ValueError):
         GasModel(mu=0.0, lam=0.0, kappa0=1.0, q=2.0)
     with pytest.raises(ValueError):
-        GasModel(mu=1.0, lam=0.0, kappa0=1.0, q=1.0, q_family="power", r=1.0)
+        GasModel(mu=1.0, lam=0.0, kappa0=1.0, q=1.0, family="power", r=1.0)
     with pytest.raises(ValueError, match="cold-pressure"):
         GasModel(mu=1.0, lam=0.0, kappa0=1.0, q=2.0, A=-0.5)
     with pytest.raises(ValueError, match="gamma"):
@@ -152,13 +152,36 @@ def test_check_admissible_lame_combination():
 
 def test_q_equal_r_rejected_at_construction():
     with pytest.raises(ValueError, match="q > r"):
-        GasModel(mu=1.0, lam=0.0, kappa0=1.0, q=1.0, q_family="power", r=1.0)
+        GasModel(mu=1.0, lam=0.0, kappa0=1.0, q=1.0, family="power", r=1.0)
 
 
 def test_check_admissible_ideal_passes():
     rep = check_admissible(ideal_gas(mu=1.0, lam=0.0, q=2.0), m=2)
     assert rep.ok
     assert "pass" in str(rep)
+
+
+@pytest.mark.parametrize("model, constants", [
+    # the sampled closed forms of the old check overflowed to NaN here
+    (power_gas(mu=1, lam=0, r=0.5, q=2, A=0.5, gamma=200),
+     "C1 = gamma - 1 = 199.0, C4 = C5 = 1.0"),
+    (power_gas(mu=1, lam=0, r=200, q=300), "e_c = 0, C4 = C5 = 1.0"),
+    (ideal_gas(), "e_c = 0, C4 = C5 = 0.5"),
+])
+def test_check_admissible_reports_exact_constants(model, constants):
+    rep = check_admissible(model, m=2)
+    assert rep.ok, str(rep)
+    assert constants in str(rep)
+
+
+@pytest.mark.parametrize("m", [1, 2, 3])
+def test_check_admissible_fails_exactly_on_lame_condition(m):
+    # lam at, just above and just below -2*mu/(m+1)
+    edge = -2.0 / (m + 1)
+    for lam, ok in ((edge, False), (edge * 0.99, True), (edge * 1.01, False)):
+        rep = check_admissible(GasModel(lam=lam), m)
+        assert rep.ok is ok
+        assert len(rep.failures()) == (0 if ok else 1)
 
 
 def test_monotonicity_in_theta():

@@ -82,28 +82,25 @@ def test_entropy_dissipation_zero_for_flat_theta():
     g = make_grid(1, 2, 32, 2)
     traj = _frozen_trajectory(g, np.ones(32), np.full(32, 2.0),
                               [0.0, 0.5, 1.0])
-    assert entropy_dissipation(traj, MODEL, 0.5) == 0.0
+    assert entropy_dissipation(traj) == 0.0
 
 
 def test_entropy_dissipation_alpha_interval():
+    # the integrand is recorded at one alpha, so record_step checks it
     g = make_grid(1, 2, 32, 2)
-    traj = _frozen_trajectory(g, np.ones(32), np.ones(32), [0.0, 1.0])
+    s = State(g, 0.0, np.ones(32), *(np.zeros(32),) * 3, np.ones(32))
+
+    def record(model, alpha):
+        record_step(DiagnosticsSeries(), s, model, step=0, dt=0.0,
+                    alpha=alpha, clip_cum=0.0)
+
     # q = 2, r = 0: open interval (0, 1)
     with pytest.raises(ValueError):
-        entropy_dissipation(traj, MODEL, 1.0)
+        record(MODEL, 1.0)
     with pytest.raises(ValueError):
-        entropy_dissipation(traj, MODEL, 0.0)
-    m2 = ideal_gas(q=0.5)
+        record(MODEL, 0.0)
     with pytest.raises(ValueError):
-        entropy_dissipation(traj, m2, 0.5)  # alpha = q - r excluded
-
-
-def test_entropy_dissipation_requires_recorded_alpha():
-    g = make_grid(1, 2, 32, 2)
-    traj = _frozen_trajectory(g, np.ones(32), np.ones(32), [0.0, 1.0],
-                              alpha=0.5)
-    with pytest.raises(ValueError, match="diag_alpha"):
-        entropy_dissipation(traj, MODEL, 0.25)
+        record(ideal_gas(q=0.5), 0.5)  # alpha = q - r excluded
 
 
 def test_sup_theta_time_integral():
@@ -172,7 +169,7 @@ def test_entropy_dissipation_refinement_stable():
                         clip_cum=0.0)
         traj = Trajectory(states=[s], snapshot_steps=[nsteps], series=ser,
                           reason="completed", steps=nsteps, diag_alpha=alpha)
-        return entropy_dissipation(traj, model, alpha)
+        return entropy_dissipation(traj)
 
     e1 = conduction_value(64, 4e-5, 250)
     e2 = conduction_value(128, 2e-5, 500)
