@@ -9,6 +9,7 @@ the thermodynamic consistency identity by construction.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -37,8 +38,9 @@ class GasModel:
     constant A >= 0 selects the P_c family: A = 0 is "zero"; A > 0 is
     "barotropic" P_c = A rho^gamma (gamma > 1) with derived
     e_c = A rho^(gamma-1)/(gamma-1).  Conductivity is kappa0 * (1 + theta^q)
-    with q > r.  The constructor enforces all of this; the one condition
-    left, 2*mu + (m+1)*lam > 0, depends on the grid (check_admissible).
+    with q > r.  Every numeric field must be finite.  The constructor
+    enforces all of this; the one condition left, 2*mu + (m+1)*lam > 0,
+    depends on the grid (check_admissible).
     """
 
     family: str = "ideal"
@@ -54,7 +56,8 @@ class GasModel:
         if not self.mu > 0.0:
             raise ValueError(f"shear viscosity must be positive, got mu={self.mu}")
         if not self.kappa0 > 0.0:
-            raise ValueError(f"kappa0 must be positive, got {self.kappa0}")
+            raise ValueError(f"kappa0 must be positive, "
+                             f"got kappa0={self.kappa0}")
         if self.family not in ("ideal", "linear", "power"):
             raise ValueError(f"unknown family {self.family!r}; choose from "
                              f"ideal, linear, power")
@@ -62,7 +65,7 @@ class GasModel:
             raise ValueError(f"r must be 0 for the {self.family} family, "
                              f"got r={self.r}")
         if not self.r >= 0.0:
-            raise ValueError(f"r must be >= 0, got {self.r}")
+            raise ValueError(f"r must be >= 0, got r={self.r}")
         if not self.q > self.r:
             raise ValueError(f"conductivity growth must dominate: need q > r, "
                              f"got q={self.q}, r={self.r}")
@@ -70,7 +73,14 @@ class GasModel:
             raise ValueError(f"cold-pressure constant must be >= 0, "
                              f"got A={self.A}")
         if self.A > 0.0 and not self.gamma > 1.0:
-            raise ValueError("barotropic family needs gamma > 1")
+            raise ValueError(f"barotropic family needs gamma > 1, "
+                             f"got gamma={self.gamma}")
+        # last, so that NaN keeps the range messages above; lam and, when
+        # A = 0, gamma have no range check to catch it
+        for name in ("mu", "lam", "r", "q", "kappa0", "A", "gamma"):
+            if not math.isfinite(getattr(self, name)):
+                raise ValueError(f"{name} must be finite, "
+                                 f"got {name}={getattr(self, name)}")
 
     @property
     def pc_family(self) -> str:

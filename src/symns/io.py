@@ -1,5 +1,10 @@
-"""Snapshot and diagnostics files: plain CSV, 17 significant digits so that
-doubles round-trip bit-exactly, C-locale scientific notation."""
+"""Snapshot and diagnostics files: plain CSV with a header line and '\n'
+line endings.  Every value is printf ``%.17g``: 17 significant digits, so
+that doubles round-trip bit-exactly, in fixed form or, when the decimal
+exponent is below -4 or at least 17, in exponent form (``1e-300``), with
+trailing zeros dropped and ``-0``, ``nan``, ``inf``, ``-inf`` spelled that
+way.  Each file is formatted in one pass over the whole table and written
+with one call."""
 
 from __future__ import annotations
 
@@ -17,8 +22,13 @@ SNAPSHOT_COLUMNS = ("x", "rho", "u", "v", "w", "theta")
 
 
 def _write_csv(path, columns, table):
-    np.savetxt(path, table, fmt="%.17g", delimiter=",",
-               header=",".join(columns), comments="")
+    # one %-format over the whole table, not one per row; tolist() keeps
+    # the bytes, since %.17g formats a float and an np.float64 identically
+    rows, k = table.shape
+    template = (",".join(["%.17g"] * k) + "\n") * rows
+    with open(path, "w", encoding="ascii", newline="") as fh:
+        fh.write(",".join(columns) + "\n"
+                 + template % tuple(table.ravel().tolist()))
 
 
 def snapshot_filename(step: int) -> str:

@@ -54,7 +54,7 @@ _CLIP_WINDOW = 1e-10   # anything more negative is a scheme failure
 class StepControls:
     """Time-stepping controls; the ``[controls]`` section of a run config."""
     cfl: float = 0.4
-    picard_max: int = 10
+    picard_max: int = 30
     picard_tol: float = 1e-10
     rho_vac_tol: float = 1e-12
     dt_max: float = math.inf

@@ -6,6 +6,7 @@ import os
 import numpy as np
 import pytest
 
+import symns.cli
 from symns.config import (_KEY_TYPES, _PRESET_KEYS, build_initial,
                           build_grid, build_model, override_config,
                           parse_config, parse_config_file)
@@ -119,6 +120,8 @@ def test_negative_cold_pressure_rejected():
     ("[model]\nfamily = power\nr = nan\n", "model: r must be >= 0"),
     ("[model]\nA = nan\n", "model: cold-pressure"),
     ("[model]\nA = 1.0\ngamma = nan\n", "model: barotropic family"),
+    ("[model]\nlam = nan\n", "model: lam must be finite"),
+    ("[model]\ngamma = nan\n", "model: gamma must be finite"),
     ("[controls]\ncfl = nan\n", "controls: need 0 < cfl"),
     ("[controls]\npicard_tol = nan\n", "controls: picard_tol"),
     ("[controls]\nrho_vac_tol = nan\n", "controls: rho_vac_tol"),
@@ -134,6 +137,19 @@ def test_negative_cold_pressure_rejected():
 def test_nan_values_rejected(text, match):
     with pytest.raises(ConfigError, match=match):
         parse_config(text)
+
+
+def test_infinite_model_parameter_exits_3_before_running(tmp_path,
+                                                        monkeypatch, capsys):
+    def no_run(*args, **kwargs):
+        raise AssertionError("run started")
+
+    monkeypatch.setattr(symns.cli, "run", no_run)
+    path = tmp_path / "run.toml"
+    path.write_text(f"[grid]\nn = 16\n[model]\nmu = inf\n"
+                    f"[output]\nout_dir = \"{tmp_path / 'out'}\"\n")
+    assert symns.cli.cli(["run", str(path)]) == 3
+    assert "config error: model: mu must be finite" in capsys.readouterr().err
 
 
 def test_infinite_outer_radius_rejected():

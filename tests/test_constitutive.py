@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -148,6 +150,17 @@ def test_check_admissible_lame_combination():
     bad = check_admissible(GasModel(mu=1.0, lam=-0.7, kappa0=1, q=2), m=2)
     assert not bad.ok
     assert any("2*mu" in name for name, _ in bad.failures())
+
+
+@pytest.mark.parametrize("value", [math.inf, -math.inf], ids=["inf", "-inf"])
+@pytest.mark.parametrize("field", ["mu", "lam", "r", "q", "kappa0", "A",
+                                   "gamma"])
+def test_infinite_parameter_rejected_naming_field(field, value):
+    # every range check of a power gas with cold pressure is active here
+    base = dict(family="power", mu=1.0, lam=0.0, r=0.5, q=2.0, kappa0=1.0,
+                A=0.5, gamma=2.0)
+    with pytest.raises(ValueError, match=rf"\b{field}={value}\b"):
+        GasModel(**{**base, field: value})
 
 
 def test_q_equal_r_rejected_at_construction():

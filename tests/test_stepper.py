@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -239,6 +240,32 @@ t_end = 0.02
     assert s.theta.min() >= 0.0
     m = traj.series.column("mass")
     assert np.max(np.abs(m - m[0])) <= 1e-12 * m[0]
+
+
+def test_large_vacuum_bump_converges_at_default_picard_max():
+    # two temperature steps of this run need 11 or more Picard sweeps; at
+    # picard_max = 10 it still completes, with relative updates 3.2e-5 and
+    # 1.1e-9 left against picard_tol = 1e-10
+    cfg = parse_config("""
+[grid]
+n = 128
+m = 2
+[model]
+family = "power"
+r = 0.5
+q = 3.5
+[init]
+preset = "vacuum_bump"
+rho_max = 20.0
+theta_bar = 5.0
+[controls]
+t_end = 0.2
+""")
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        traj = run(cfg)
+    assert traj.reason == "completed"
+    assert not [w for w in caught if "picard_max" in str(w.message)]
 
 
 def test_run_swirl_cylinder():
