@@ -264,14 +264,14 @@ def weighted_supnorm_check(g: Grid, rho, v) -> SupnormCheck:
     v = g.require_field(v)
     if np.any(rho < 0.0):
         raise ValueError("density must be nonnegative")
-    M = math.fsum((rho * g.dx).tolist())
+    M = math.fsum(memoryview(rho * g.dx))
     if not M > 0.0:
         raise ValueError("density must carry positive total mass")
     lhs = float(np.max(np.abs(v)))
     tv = float(np.sum(np.abs(np.diff(v))))
     # normalize the density weights before touching v: rho*v can underflow
     # at extreme magnitudes even though the average of v cannot
-    avg_v = math.fsum((rho * (g.dx / M) * v).tolist())
+    avg_v = math.fsum(memoryview(rho * (g.dx / M) * v))
     rhs = tv + abs(avg_v)
     return SupnormCheck(lhs=lhs, rhs=rhs,
                         passed=lhs <= rhs * (1.0 + 1e-8), mass=M)

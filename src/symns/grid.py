@@ -117,7 +117,7 @@ def weighted_integral(g: Grid, f) -> float:
     not the accumulator.  Exact for cellwise constant f.
     """
     f = g.require_field(f)
-    return math.fsum((g.weights * f).tolist())
+    return math.fsum(memoryview(g.weights * f))
 
 
 def weighted_lp_norm(g: Grid, f, p: float) -> float:
@@ -128,7 +128,7 @@ def weighted_lp_norm(g: Grid, f, p: float) -> float:
     p = float(p)
     if p < 1.0:
         raise ValueError(f"norm exponent must be >= 1, got p={p}")
-    s = math.fsum((g.weights * np.abs(f) ** p).tolist())
+    s = math.fsum(memoryview(g.weights * np.abs(f) ** p))
     return s ** (1.0 / p)
 
 

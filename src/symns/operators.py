@@ -162,18 +162,22 @@ def dissipation(g: Grid, u, v, w, model: GasModel) -> np.ndarray:
     """Viscous dissipation rate, nonnegative whenever 2*mu+(m+1)*lam > 0.
 
     lam*(u_x + m u/x)^2 + mu*(w_x^2 + 2 u_x^2 + (v_x - m v/x)^2 + 2m u^2/x^2),
-    with the symmetry exponent taken from the grid.
+    with the symmetry exponent taken from the grid.  The v and w terms are
+    evaluated only when m = 1: a spherically symmetric velocity is radial,
+    so for m != 1 ``v`` and ``w`` are ignored.
     """
     u = g.require_field(u)
-    v = g.require_field(v)
-    w = g.require_field(w)
     x = g.centers
     m = g.m
     ux = ddx(g, u, "dirichlet0")
-    vx = ddx(g, v, "dirichlet0")
-    wx = ddx(g, w, "dirichlet0")
     div_u = ux + m * u / x
-    shear = wx ** 2 + 2.0 * ux ** 2 + (vx - m * v / x) ** 2 + 2.0 * m * (u / x) ** 2
+    shear = 2.0 * ux ** 2
+    if m == 1:
+        v = g.require_field(v)
+        vx = ddx(g, v, "dirichlet0")
+        wx = ddx(g, g.require_field(w), "dirichlet0")
+        shear = wx ** 2 + shear + (vx - m * v / x) ** 2
+    shear = shear + 2.0 * m * (u / x) ** 2
     return model.lam * div_u ** 2 + model.mu * shear
 
 

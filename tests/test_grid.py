@@ -144,3 +144,37 @@ def test_ambient_norm_unsupported_m():
     g = make_grid(1, 2, 16, 3)
     with pytest.raises(ValueError):
         radial_to_ambient_norm(g, np.ones(16), 2)
+
+
+def _awkward_values(rng, n):
+    """Random values with exact zeros, -0.0, subnormals and magnitudes
+    from 1e-300 to 1e80, in both signs."""
+    f = rng.standard_normal(n) * 10.0 ** rng.integers(-300, 80, n)
+    f[::7] = 0.0
+    f[3::7] = -0.0
+    f[5::11] = 5e-324 * rng.integers(-9, 10, len(f[5::11]))
+    return f
+
+
+@pytest.mark.parametrize("n", [8, 64, 1000])
+def test_fsum_reductions_match_list_fsum_bitwise(n, rng):
+    from symns.diagnostics import weighted_supnorm_check
+
+    def same(a, b):
+        return np.float64(a).tobytes() == np.float64(b).tobytes()
+
+    g = make_grid(1.0, 2.0, n, 2)
+    for _ in range(20):
+        f = _awkward_values(rng, n)
+        assert same(weighted_integral(g, f),
+                    math.fsum((g.weights * f).tolist()))
+        for p in (1.0, 2.0, 3.5):
+            want = math.fsum((g.weights * np.abs(f) ** p).tolist()) ** (1 / p)
+            assert same(weighted_lp_norm(g, f, p), want)
+        rho = np.abs(_awkward_values(rng, n))
+        rho[0] = 1.0      # positive total mass
+        chk = weighted_supnorm_check(g, rho, f)
+        mass = math.fsum((rho * g.dx).tolist())
+        avg_v = math.fsum((rho * (g.dx / mass) * f).tolist())
+        assert same(chk.mass, mass)
+        assert same(chk.rhs, float(np.sum(np.abs(np.diff(f)))) + abs(avg_v))
