@@ -16,6 +16,10 @@ meaningful), temperature rows solve the stationary conduction balance
 The temperature system is solved for the increment theta' - theta, with
 the right-hand side evaluated through the same difference operators that
 build the matrix; constant states are then exact fixed points bitwise.
+``run`` starts each step's Picard loop from theta extrapolated in time
+through the last accepted steps (second-order Newton form, linear on the
+second step, theta_old on the first); the guess moves the result only
+within ``picard_tol`` and reproduces a constant state exactly.
 """
 
 from __future__ import annotations
@@ -212,15 +216,18 @@ def _advection_rows(g, coef, pos, neg):
 
 
 def step_temperature(s: State, dt: float, model: GasModel,
-                     c: StepControls) -> tuple[np.ndarray, float, int]:
+                     c: StepControls, theta_guess=None
+                     ) -> tuple[np.ndarray, float, int]:
     """Implicit Picard-linearized temperature update (Q-form).
 
     ``s`` carries the updated density and velocities and the old
     temperature.  Each sweep freezes kappa at faces and Q' from the
     current iterate and solves the linear tridiagonal system for the
     temperature increment; insulated walls.  Vacuum rows solve
-    0 = heat_flux_div + dissipation.  Returns (theta', clipped amount,
-    sweeps used).
+    0 = heat_flux_div + dissipation.  The first iterate is
+    ``theta_guess`` when it is given and finite, the old temperature
+    otherwise; the guess changes only how many sweeps reach
+    ``picard_tol``.  Returns (theta', clipped amount, sweeps used).
     """
     g = s.grid
     rho, u = s.rho, s.u
@@ -237,6 +244,10 @@ def step_temperature(s: State, dt: float, model: GasModel,
     jump_old = theta_old[1:] - theta_old[:-1]
 
     theta_k = theta_old
+    if theta_guess is not None:
+        theta_guess = g.require_field(theta_guess)
+        if np.isfinite(theta_guess).all():
+            theta_k = theta_guess
     delta_prev = math.inf
     grew = 0
     iters = 0
@@ -292,8 +303,10 @@ def step_temperature(s: State, dt: float, model: GasModel,
 
 
 def step_detailed(s: State, c: StepControls, model: GasModel, dt=None,
-                  force_u=None) -> tuple[State, StepInfo]:
-    """One full split step; dt chosen by :func:`cfl_dt` unless given."""
+                  force_u=None, theta_guess=None) -> tuple[State, StepInfo]:
+    """One full split step; dt chosen by :func:`cfl_dt` unless given.
+    ``theta_guess`` seeds the temperature solve (see
+    :func:`step_temperature`)."""
     if dt is None:
         dt = cfl_dt(s, c, model)
     rho_new, clip_rho = step_continuity(s, dt)
@@ -302,7 +315,8 @@ def step_detailed(s: State, c: StepControls, model: GasModel, dt=None,
     u_new, v_new, w_new = step_momentum(s_mom, dt, model, c, force_u=force_u)
     s_tem = State(grid=s.grid, t=s.t, rho=rho_new, u=u_new, v=v_new, w=w_new,
                   theta=s.theta)
-    theta_new, clip_theta, iters = step_temperature(s_tem, dt, model, c)
+    theta_new, clip_theta, iters = step_temperature(
+        s_tem, dt, model, c, theta_guess=theta_guess)
     out = State(grid=s.grid, t=s.t + dt, rho=rho_new, u=u_new, v=v_new,
                 w=w_new, theta=theta_new)
     return out, StepInfo(dt=dt, clip_rho=clip_rho, clip_theta=clip_theta,
@@ -337,6 +351,11 @@ def run(cfg, force: bool = False):
     error_msg = None
     clip_cum = 0.0
     nstep = 0
+    # Newton divided differences of theta over the last two accepted steps
+    # (d1 the newest slope, d2 its change) and the newest dt; they
+    # extrapolate each step's temperature to seed its Picard loop
+    d1 = d2 = None
+    h_last = 0.0
 
     # build_initial validates the initial state; every later one is checked
     # right after the step that made it (before it reaches record_step);
@@ -349,7 +368,13 @@ def run(cfg, force: bool = False):
         try:
             dt = cfl_dt(state, c, model)
             dt = min(dt, t_end - state.t)
-            state, info = step_detailed(state, c, model, dt=dt)
+            guess = None
+            if d1 is not None:
+                slope = d1 if d2 is None else d1 + (dt + h_last) * d2
+                guess = state.theta + dt * slope
+            theta_prev = state.theta
+            state, info = step_detailed(state, c, model, dt=dt,
+                                        theta_guess=guess)
         except DtUnderflow as exc:
             reason = "dt_underflow"
             error_msg = str(exc)
@@ -368,6 +393,10 @@ def run(cfg, force: bool = False):
         if not state.is_finite():
             reason = "nan_detected"
             break
+        slope = (state.theta - theta_prev) / dt
+        if d1 is not None:
+            d2 = (slope - d1) / (dt + h_last)
+        d1, h_last = slope, dt
         record_step(series, state, model, step=nstep, dt=info.dt, alpha=alpha,
                     clip_cum=clip_cum)
         if (cfg.output.snapshot_every > 0

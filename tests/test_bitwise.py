@@ -108,11 +108,11 @@ t_end = 0.05
 
 @pytest.mark.parametrize("make_config,expected", [
     (_bump_config,
-     "66e23cf7e55dfaa09283ff29324498ed7f809ea13e02184b133b15f6d56772c7"),
+     "433db25165d002f37021478ea742953aa0b7dd7fa98a59bd89f1ab74eb9d6ca2"),
     (_swirl_config,
-     "6d77311c96c885c0f8eef1e2cd0c7fdb4dc91d2be63d3c653da970586eb7781a"),
+     "cbb360a624c7a8c8da2b0d749df201e11b7104b747e0b6dd5b337284ac371d33"),
     (_restart_config,
-     "d0ccc17896bb05a99ed7a5c186795862e4d454cbac306a13e1ba0e99daac7071"),
+     "6bca2126acfc871f0b94f71814d293c754971a86f058a0ebfea4d0e4c0c4d7ca"),
 ], ids=["vacuum_bump_m2_n256", "swirl_m1_n64", "csv_restart_eps"])
 def test_run_is_bitwise_pinned(make_config, expected, tmp_path):
     traj = run(parse_config(make_config(tmp_path)))

@@ -207,6 +207,93 @@ def test_step_equilibrium_fixed_point_composition():
         assert np.array_equal(getattr(s, name), getattr(s0, name))
 
 
+def test_run_constant_state_is_bitwise_fixed_through_the_predictor(
+        monkeypatch):
+    # from the third step on, run seeds the temperature solve with the
+    # quadratic extrapolation, which must reproduce a constant exactly
+    guesses = []
+
+    def recording(*args, theta_guess=None, **kwargs):
+        guesses.append(theta_guess)
+        return step_temperature(*args, theta_guess=theta_guess, **kwargs)
+
+    monkeypatch.setattr(symns.stepper, "step_temperature", recording)
+    traj = run(parse_config("""
+[grid]
+n = 32
+[init]
+preset = "equilibrium"
+theta_bar = 2.5
+[controls]
+t_end = 0.05
+"""))
+    assert traj.reason == "completed" and traj.steps >= 3
+    s0, s = traj.states[0], traj.final_state
+    for name in ("rho", "u", "v", "w", "theta"):
+        assert np.array_equal(getattr(s, name), getattr(s0, name))
+    assert guesses[0] is None
+    for guess in guesses[1:]:
+        assert np.array_equal(guess, s0.theta)
+
+
+def _heated_state():
+    # nonuniform density, velocity and temperature with vacuum cells
+    g = make_grid(1, 2, 64, 2)
+    d = preset("vacuum_bump", g)
+    u = 0.3 * np.sin(np.pi * (g.centers - 1.0))
+    z = np.zeros(64)
+    return State(g, 0.0, d.rho, u, z, z, d.theta)
+
+
+def test_temperature_guess_at_the_solution_takes_one_sweep():
+    s = _heated_state()
+    c = StepControls()
+    theta, _, iters = step_temperature(s, 2e-3, MODEL, c)
+    assert iters > 1
+    again, _, iters = step_temperature(s, 2e-3, MODEL, c, theta_guess=theta)
+    assert iters == 1
+    assert np.abs(again - theta).max() <= c.picard_tol * np.abs(theta).max()
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_temperature_nonfinite_guess_is_ignored(bad):
+    s = _heated_state()
+    c = StepControls()
+    want = step_temperature(s, 2e-3, MODEL, c)
+    guess = 1.5 * s.theta
+    guess[10] = bad
+    got = step_temperature(s, 2e-3, MODEL, c, theta_guess=guess)
+    assert np.array_equal(got[0], want[0])
+    assert got[1:] == want[1:]
+
+
+def test_run_agrees_with_unseeded_steps():
+    # the swirl pin config of test_bitwise, stepped without any guess
+    cfg = parse_config("""
+[grid]
+n = 64
+m = 1
+[init]
+preset = "swirl_cylinder"
+swirl = 0.2
+[controls]
+t_end = 1.0
+""")
+    traj = run(cfg)
+    c, model = cfg.controls, cfg.model
+    s = traj.states[0]
+    steps = 0
+    while s.t < c.t_end - 1e-14 * max(1.0, c.t_end):
+        dt = min(cfl_dt(s, c, model), c.t_end - s.t)
+        s, _ = step_detailed(s, c, model, dt=dt)
+        steps += 1
+    assert steps == traj.steps
+    for name in ("rho", "u", "v", "w", "theta"):
+        want = getattr(s, name)
+        diff = np.abs(getattr(traj.final_state, name) - want).max()
+        assert diff <= 1e-10 * np.abs(want).max(), name
+
+
 def test_run_zero_time():
     cfg = parse_config("[controls]\nt_end = 0.0\n")
     traj = run(cfg)
