@@ -175,8 +175,8 @@ def dissipation(g: Grid, u, v, w, model: GasModel) -> np.ndarray:
     if m == 1:
         v = g.require_field(v)
         vx = ddx(g, v, "dirichlet0")
-        wx = ddx(g, g.require_field(w), "dirichlet0")
-        shear = wx ** 2 + shear + (vx - m * v / x) ** 2
+        wx = ddx(g, w, "dirichlet0")
+        shear = wx ** 2 + shear + (vx - v / x) ** 2
     shear = shear + 2.0 * m * (u / x) ** 2
     return model.lam * div_u ** 2 + model.mu * shear
 

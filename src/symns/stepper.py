@@ -244,10 +244,8 @@ def step_temperature(s: State, dt: float, model: GasModel,
     jump_old = theta_old[1:] - theta_old[:-1]
 
     theta_k = theta_old
-    if theta_guess is not None:
-        theta_guess = g.require_field(theta_guess)
-        if np.isfinite(theta_guess).all():
-            theta_k = theta_guess
+    if theta_guess is not None and np.isfinite(theta_guess).all():
+        theta_k = g.require_field(theta_guess)
     delta_prev = math.inf
     grew = 0
     iters = 0
