@@ -5,11 +5,13 @@ against an explicit fine-grid reference, across grids.
 Usage: python scripts/conduction_convergence.py [n ...]   (default 32 64 128)
 """
 
+import os
 import sys
 
 import numpy as np
 
-sys.path.insert(0, "src")
+sys.path.insert(0, os.path.join(os.path.dirname(os.path.abspath(__file__)),
+                                "..", "src"))
 
 from symns.constitutive import heat_capacity, ideal_gas
 from symns.grid import make_grid, weighted_lp_norm

@@ -4,9 +4,11 @@
 Usage: python scripts/vacuum_bump_study.py [n] [t_end]
 """
 
+import os
 import sys
 
-sys.path.insert(0, "src")
+sys.path.insert(0, os.path.join(os.path.dirname(os.path.abspath(__file__)),
+                                "..", "src"))
 
 from symns.config import parse_config
 from symns.diagnostics import (alt_criteria, blowup_indicator,

@@ -148,16 +148,11 @@ def _cmd_sweep(args) -> int:
 @dataclass
 class ConvergenceResult:
     ns: list
-    dxs: list
     diffs: list     # one dict per consecutive grid pair: field -> L2 diff
     orders: list    # one dict per consecutive diff pair: field -> fitted order
     reasons: list
 
     _FIELDS = ("rho", "u", "theta", "combined")
-
-
-def _restrict_pairs(f: np.ndarray) -> np.ndarray:
-    return 0.5 * (f[0::2] + f[1::2])
 
 
 def convergence_study(cfg: SimConfig, levels: int) -> ConvergenceResult:
@@ -179,7 +174,6 @@ def convergence_study(cfg: SimConfig, levels: int) -> ConvergenceResult:
     dt_fixed = 0.5 * cfl_dt(s0, fine.controls, fine.model)
 
     finals = []
-    grids = []
     reasons = []
     for n in ns:
         ci = override_config(cfg, "grid.n", str(n))
@@ -188,16 +182,15 @@ def convergence_study(cfg: SimConfig, levels: int) -> ConvergenceResult:
         traj = run(ci)
         reasons.append(traj.reason)
         finals.append(traj.final_state)
-        grids.append(build_grid(ci))
 
     diffs = []
     for lvl in range(levels - 1):
-        gc = grids[lvl]
         coarse, finer = finals[lvl], finals[lvl + 1]
         d = {}
         for name in ("rho", "u", "theta"):
-            delta = getattr(coarse, name) - _restrict_pairs(getattr(finer, name))
-            d[name] = weighted_lp_norm(gc, delta, 2.0)
+            ff = getattr(finer, name)
+            delta = getattr(coarse, name) - 0.5 * (ff[0::2] + ff[1::2])
+            d[name] = weighted_lp_norm(coarse.grid, delta, 2.0)
         d["combined"] = math.sqrt(sum(d[k] ** 2 for k in ("rho", "u", "theta")))
         diffs.append(d)
     orders = []
@@ -207,9 +200,8 @@ def convergence_study(cfg: SimConfig, levels: int) -> ConvergenceResult:
             hi, lo = diffs[lvl][name], diffs[lvl + 1][name]
             o[name] = math.log2(hi / lo) if lo > 0.0 and hi > 0.0 else math.nan
         orders.append(o)
-    return ConvergenceResult(ns=ns, dxs=[(cfg.grid.b - cfg.grid.a) / n
-                                         for n in ns],
-                             diffs=diffs, orders=orders, reasons=reasons)
+    return ConvergenceResult(ns=ns, diffs=diffs, orders=orders,
+                             reasons=reasons)
 
 
 def _cmd_convergence(args) -> int:

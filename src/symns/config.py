@@ -23,7 +23,7 @@ from .diagnostics import _check_alpha
 from .errors import ConfigError
 from .grid import make_grid
 from .initdata import (load_initial_csv, preset, radial_residual, regularize,
-                       solve_initial_velocity, validate_initial, PRESETS)
+                       solve_initial_velocity, validate_initial, PRESET_PARAMS)
 from .stepper import StepControls
 
 __all__ = [
@@ -46,14 +46,15 @@ class InitConfig:
     preset: str = "equilibrium"
     file: str = ""
     eps: float = 0.0
-    rho_bar: float = 1.0
-    theta_bar: float = 1.0
-    rho_max: float = 1.0
-    center: float | None = None   # None -> preset default
+    # preset parameters (initdata.PRESET_PARAMS); None keeps the default
+    rho_bar: float | None = None
+    theta_bar: float | None = None
+    rho_max: float | None = None
+    center: float | None = None
     halfwidth: float | None = None
-    floor_frac: float = 0.05
-    swirl: float = 0.1
-    amplitude: float = 0.05
+    floor_frac: float | None = None
+    swirl: float | None = None
+    amplitude: float | None = None
 
 
 @dataclass
@@ -80,6 +81,8 @@ _SECTIONS = {"grid": GridConfig, "model": GasModel, "init": InitConfig,
 _KEY_TYPES = {f"{sec}.{f.name}":
               float if f.default is None else type(f.default)
               for sec, cls in _SECTIONS.items() for f in fields(cls)}
+# the preset parameters: the InitConfig fields whose None default is "unset"
+_PRESET_FIELDS = tuple(f.name for f in fields(InitConfig) if f.default is None)
 
 
 def _parse_value(raw: str, key: str, lineno: int):
@@ -172,13 +175,17 @@ def _validate(cfg: SimConfig):
         raise ConfigError(f"grid: {exc}") from exc
     if not cfg.init.eps >= 0.0:
         raise ConfigError("init.eps must be >= 0")
-    for key in sorted(set().union(*_PRESET_KEYS.values())):
-        val = getattr(cfg.init, key)
-        if val is not None and not math.isfinite(val):
-            raise ConfigError(f"init.{key} must be a finite number, got {val}")
-    if not cfg.init.file and cfg.init.preset not in PRESETS:
+    if not cfg.init.file and cfg.init.preset not in PRESET_PARAMS:
         raise ConfigError(f"init.preset: unknown preset {cfg.init.preset!r}; "
-                          f"choose from {PRESETS}")
+                          f"choose from {tuple(PRESET_PARAMS)}")
+    taken = () if cfg.init.file else PRESET_PARAMS[cfg.init.preset]
+    for key, val in _preset_params(cfg.init).items():
+        if key not in taken:
+            raise ConfigError(f"init.{key} has no effect: " + (
+                "init.file is set" if cfg.init.file else
+                f"preset {cfg.init.preset!r} takes {', '.join(taken)}"))
+        if not math.isfinite(val):
+            raise ConfigError(f"init.{key} must be a finite number, got {val}")
     try:
         _check_alpha(cfg.model, cfg.output.diag_alpha)
     except ValueError as exc:
@@ -196,13 +203,10 @@ def build_model(cfg: SimConfig) -> GasModel:
     return cfg.model
 
 
-_PRESET_KEYS = {
-    "equilibrium": ("rho_bar", "theta_bar"),
-    "vacuum_bump": ("rho_max", "center", "halfwidth", "theta_bar",
-                    "floor_frac"),
-    "swirl_cylinder": ("rho_bar", "theta_bar", "swirl"),
-    "manufactured": ("rho_bar", "theta_bar", "amplitude"),
-}
+def _preset_params(ic: InitConfig) -> dict:
+    """The preset parameters that ic sets."""
+    return {key: getattr(ic, key) for key in _PRESET_FIELDS
+            if getattr(ic, key) is not None}
 
 
 def build_initial(cfg: SimConfig, g, model: GasModel):
@@ -213,9 +217,7 @@ def build_initial(cfg: SimConfig, g, model: GasModel):
         if ic.file:
             s = load_initial_csv(ic.file, g)
         else:
-            params = {key: getattr(ic, key) for key in _PRESET_KEYS[ic.preset]
-                      if getattr(ic, key) is not None}
-            s = preset(ic.preset, g, **params)
+            s = preset(ic.preset, g, **_preset_params(ic))
         if ic.eps > 0.0:
             g1 = np.nan_to_num(radial_residual(
                 s, model, rho_vac_tol=cfg.controls.rho_vac_tol), nan=0.0)

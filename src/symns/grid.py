@@ -10,6 +10,7 @@ constant fields are exact and the weights telescope to
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -121,15 +122,28 @@ def weighted_integral(g: Grid, f) -> float:
 
 
 def weighted_lp_norm(g: Grid, f, p: float) -> float:
-    """(int x^m |f|^p dx)^(1/p); p=inf gives the discrete max of |f|."""
+    """(int x^m |f|^p dx)^(1/p); p=inf gives the discrete max of |f|.  |f| is
+    scaled by its maximum only where the plain sum of w |f|^p is not finite
+    and normal, so a representable norm neither overflows nor underflows."""
     f = g.require_field(f)
     if math.isinf(p):
         return float(np.max(np.abs(f))) if g.n else 0.0
     p = float(p)
     if p < 1.0:
         raise ValueError(f"norm exponent must be >= 1, got p={p}")
-    s = math.fsum(memoryview(g.weights * np.abs(f) ** p))
-    return s ** (1.0 / p)
+    a = np.abs(f)
+    try:
+        with np.errstate(over="ignore"):
+            s = math.fsum(memoryview(g.weights * a ** p))
+    except OverflowError:   # finite terms whose sum overflows
+        s = math.inf
+    if sys.float_info.min <= s < math.inf:
+        return s ** (1.0 / p)
+    scale = float(a.max())
+    if not 0.0 < scale < math.inf:   # a zero, infinite or NaN field
+        return s ** (1.0 / p)
+    s = math.fsum(memoryview(g.weights * (a / scale) ** p))
+    return scale * s ** (1.0 / p)
 
 
 def radial_to_ambient_norm(g: Grid, f, p: float) -> float:

@@ -12,6 +12,7 @@ the right-hand side vanishes with rho).
 
 from __future__ import annotations
 
+import inspect
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -35,9 +36,8 @@ __all__ = [
     "preset",
     "load_initial_csv",
     "PRESETS",
+    "PRESET_PARAMS",
 ]
-
-PRESETS = ("equilibrium", "vacuum_bump", "swirl_cylinder", "manufactured")
 
 
 def validate_initial(s: State):
@@ -163,83 +163,74 @@ def compatibility_residuals(s: State, model: GasModel,
     return CompatibilityResiduals(*gs, vacuum_indices=idx, vacuum_raw=raw)
 
 
-def _bump(xi):
-    """C^2 raised-cosine-squared bump on |xi| <= 1, identically 0 outside."""
-    out = np.zeros_like(xi)
+def _equilibrium(g: Grid, rho_bar=1.0, theta_bar=1.0):
+    """rho_bar, theta_bar constants, zero velocities."""
+    return dict(rho=np.full(g.n, rho_bar), theta=np.full(g.n, theta_bar))
+
+
+def _vacuum_bump(g: Grid, rho_max=1.0, center=None, halfwidth=None,
+                 theta_bar=1.0, floor_frac=0.05):
+    """rho_max times a C^2 raised-cosine-squared bump about center (default
+    the middle of (a, b)) of halfwidth (default (b - a)/4), vacuum outside;
+    theta = theta_bar*(floor_frac + bump), zero velocities."""
+    center = 0.5 * (g.a + g.b) if center is None else center
+    halfwidth = 0.25 * (g.b - g.a) if halfwidth is None else halfwidth
+    if rho_max <= 0.0 or halfwidth <= 0.0 or floor_frac <= 0.0:
+        raise ValueError("vacuum_bump needs positive rho_max, halfwidth, "
+                         "floor_frac")
+    if center - halfwidth <= g.a or center + halfwidth >= g.b:
+        raise ValueError("bump support must lie strictly inside (a, b)")
+    xi = (g.centers - center) / halfwidth
     inside = np.abs(xi) < 1.0
-    out[inside] = ((1.0 + np.cos(np.pi * xi[inside])) / 2.0) ** 2
-    return out
+    shape = np.zeros(g.n)
+    shape[inside] = ((1.0 + np.cos(np.pi * xi[inside])) / 2.0) ** 2
+    return dict(rho=rho_max * shape, theta=theta_bar * (floor_frac + shape))
+
+
+def _swirl_cylinder(g: Grid, rho_bar=1.0, theta_bar=1.0, swirl=0.1):
+    """Constant rho/theta plus v = swirl*sin(pi*(x-a)/(b-a)); cylindrical
+    mode only (m = 1)."""
+    if g.m != 1:
+        raise ValueError("swirl_cylinder requires the cylindrical mode "
+                         f"(m = 1), grid has m = {g.m}")
+    return dict(rho=np.full(g.n, rho_bar), theta=np.full(g.n, theta_bar),
+                v=swirl * np.sin(np.pi * (g.centers - g.a) / (g.b - g.a)))
+
+
+def _manufactured(g: Grid, rho_bar=1.0, theta_bar=1.0, amplitude=0.05):
+    """Smooth closed forms for convergence studies, with k = pi/(b-a):
+    rho = rho_bar + amplitude*cos(k(x-a)), u = amplitude*sin(k(x-a)),
+    theta = theta_bar + amplitude*cos(k(x-a))."""
+    if not (abs(amplitude) < rho_bar and abs(amplitude) < theta_bar):
+        raise ValueError("manufactured amplitude must stay below the "
+                         "background values")
+    k = np.pi / (g.b - g.a)
+    c = np.cos(k * (g.centers - g.a))
+    return dict(rho=rho_bar + amplitude * c,
+                u=amplitude * np.sin(k * (g.centers - g.a)),
+                theta=theta_bar + amplitude * c)
+
+
+_BUILDERS = {"equilibrium": _equilibrium, "vacuum_bump": _vacuum_bump,
+             "swirl_cylinder": _swirl_cylinder, "manufactured": _manufactured}
+PRESETS = tuple(_BUILDERS)
+# preset -> the names of its parameters, read from its builder's signature
+PRESET_PARAMS = {name: tuple(inspect.signature(build).parameters)[1:]
+                 for name, build in _BUILDERS.items()}
 
 
 def preset(name: str, g: Grid, **params) -> State:
-    """Build one of the named initial profiles.
-
-    equilibrium      rho_bar, theta_bar constants, zero velocities.
-    vacuum_bump      compactly supported density bump (vacuum outside),
-                     theta = theta_bar*(floor_frac + bump), zero velocities.
-    swirl_cylinder   constant rho/theta plus v = swirl*sin(pi*(x-a)/(b-a));
-                     cylindrical mode only (m = 1).
-    manufactured     smooth closed forms for convergence studies:
-                     rho = rho_bar + amp*cos(k(x-a)), u = amp*sin(k(x-a)),
-                     theta = theta_bar + amp*cos(k(x-a)), k = pi/(b-a).
-    """
-    x = g.centers
-    zeros = np.zeros(g.n)
-
-    def take(key, default):
-        return float(params.pop(key, default))
-
-    if name == "equilibrium":
-        rho_bar = take("rho_bar", 1.0)
-        theta_bar = take("theta_bar", 1.0)
-        fields = dict(rho=np.full(g.n, rho_bar), u=zeros.copy(),
-                      v=zeros.copy(), w=zeros.copy(),
-                      theta=np.full(g.n, theta_bar))
-    elif name == "vacuum_bump":
-        rho_max = take("rho_max", 1.0)
-        center = take("center", 0.5 * (g.a + g.b))
-        halfwidth = take("halfwidth", 0.25 * (g.b - g.a))
-        theta_bar = take("theta_bar", 1.0)
-        floor_frac = take("floor_frac", 0.05)
-        if rho_max <= 0.0 or halfwidth <= 0.0 or floor_frac <= 0.0:
-            raise ValueError("vacuum_bump needs positive rho_max, halfwidth, "
-                             "floor_frac")
-        if center - halfwidth <= g.a or center + halfwidth >= g.b:
-            raise ValueError("bump support must lie strictly inside (a, b)")
-        shape = _bump((x - center) / halfwidth)
-        fields = dict(rho=rho_max * shape, u=zeros.copy(), v=zeros.copy(),
-                      w=zeros.copy(),
-                      theta=theta_bar * (floor_frac + shape))
-    elif name == "swirl_cylinder":
-        if g.m != 1:
-            raise ValueError("swirl_cylinder requires the cylindrical mode "
-                             f"(m = 1), grid has m = {g.m}")
-        rho_bar = take("rho_bar", 1.0)
-        theta_bar = take("theta_bar", 1.0)
-        swirl = take("swirl", 0.1)
-        v = swirl * np.sin(np.pi * (x - g.a) / (g.b - g.a))
-        fields = dict(rho=np.full(g.n, rho_bar), u=zeros.copy(), v=v,
-                      w=zeros.copy(), theta=np.full(g.n, theta_bar))
-    elif name == "manufactured":
-        rho_bar = take("rho_bar", 1.0)
-        theta_bar = take("theta_bar", 1.0)
-        amp = take("amplitude", 0.05)
-        if not (abs(amp) < rho_bar and abs(amp) < theta_bar):
-            raise ValueError("manufactured amplitude must stay below the "
-                             "background values")
-        k = np.pi / (g.b - g.a)
-        c = np.cos(k * (x - g.a))
-        fields = dict(rho=rho_bar + amp * c,
-                      u=amp * np.sin(k * (x - g.a)),
-                      v=zeros.copy(), w=zeros.copy(),
-                      theta=theta_bar + amp * c)
-    else:
+    """The named initial profile: params (read as floats) set parameters of
+    its builder above, whose keyword defaults are the preset's defaults;
+    the fields the builder leaves out are zero."""
+    if name not in _BUILDERS:
         raise ValueError(f"unknown preset {name!r}; choose from {PRESETS}")
-
-    if params:
-        raise ValueError(f"preset {name!r} got unknown parameters "
-                         f"{sorted(params)}")
-    s = State(grid=g, t=0.0, **fields)
+    unknown = sorted(set(params) - set(PRESET_PARAMS[name]))
+    if unknown:
+        raise ValueError(f"preset {name!r} got unknown parameters {unknown}")
+    fields = _BUILDERS[name](g, **{k: float(v) for k, v in params.items()})
+    s = State(grid=g, t=0.0, **{f: fields.get(f, np.zeros(g.n))
+                                for f in ("rho", "u", "v", "w", "theta")})
     validate_initial(s)
     return s
 

@@ -1,4 +1,5 @@
-"""Bitwise regression pins for three small runs and one momentum step.
+"""Bitwise regression pins for three small runs, one momentum step and the
+initial-data presets.
 
 Each run is reduced to one SHA-256 digest of its step count, termination
 reason, final state and full diagnostics series.  A change that alters any
@@ -7,7 +8,9 @@ a change that only removes repeated work must leave all three unchanged.
 The momentum pins hash the three velocities of one ``step_momentum`` call
 on a state with vacuum cells and a radial force: at m = 1 with all three
 components nonzero, so every source term and every frozen vacuum row is
-covered, and at m = 2, where only the radial component is advanced.
+covered, and at m = 2, where only the radial component is advanced.  The
+preset pins hash the five fields of each initial-data preset, at its
+defaults and at one set of other parameters.
 
 The digests were recorded with numpy 2.4.6 on x86-64 Linux (Python 3.11).
 Another numpy build or libm may round ``**``, ``sqrt`` or the summation
@@ -150,6 +153,45 @@ def test_step_momentum_is_bitwise_pinned(m, n, expected):
     force_u = 0.7 * d.rho * np.cos(3.0 * phase)
     h = hashlib.sha256()
     for f in step_momentum(s, 2e-3, model, c, force_u=force_u):
+        h.update(f.tobytes())
+    assert h.hexdigest() == expected, (
+        f"digest moved (recorded with numpy {RECORDED_WITH_NUMPY}, "
+        f"running {np.__version__})")
+
+
+# (preset, parameters, digest): each preset at its defaults and at one set
+# of other values (an int among them, which the preset reads as a float)
+_PRESET_PINS = [
+    ("equilibrium", {},
+     "044e55e777963c6589ff0fccd3e4501bfbb3ee5d50d261c47443807c8a5b830f"),
+    ("equilibrium", dict(rho_bar=2.5, theta_bar=3),
+     "2635d9189bc2263f3e028033fddff6ffe4aab8c3cbfd8096d0c6607e0d0c8c26"),
+    ("vacuum_bump", {},
+     "84dd55a169da40b24eccfa2945cd404011007c54b85935e29db2076c584b6891"),
+    ("vacuum_bump", dict(rho_max=3.0, center=1.9, halfwidth=0.45,
+                         theta_bar=2.0, floor_frac=0.1),
+     "c6fcb6c4c3a207a51ac880caffe3350564f7fc08575588ba54fd6dde20b52621"),
+    ("swirl_cylinder", {},
+     "071c6ddc9cd3243f71aa1787862508da3c1b29589970edda799c9cc1ad903a3d"),
+    ("swirl_cylinder", dict(rho_bar=1.5, theta_bar=2.0, swirl=0.35),
+     "a1d1ba514fb2a3b4d0c1739ec29ea1b8022122d50ce16559ba218d058c7e3d58"),
+    ("manufactured", {},
+     "bf1522ce55a64798d5d560963a82d182c388d7489aec4a5ea41483cf56c9e586"),
+    ("manufactured", dict(rho_bar=1.2, theta_bar=1.3, amplitude=0.1),
+     "2a52d7e7325f7d21885f5d2135ca300583daacba9a9218ea1d318c4e541fd931"),
+]
+
+
+@pytest.mark.parametrize("name,params,expected", _PRESET_PINS,
+                         ids=[f"{name}_{'set' if params else 'defaults'}"
+                              for name, params, _ in _PRESET_PINS])
+def test_preset_is_bitwise_pinned(name, params, expected):
+    # the five fields on [1, 2.5], so that b - a != 1 enters the
+    # manufactured wave number; swirl needs the cylindrical mode
+    g = make_grid(1.0, 2.5, 64, 1 if name == "swirl_cylinder" else 2)
+    s = preset(name, g, **params)
+    h = hashlib.sha256()
+    for f in (s.rho, s.u, s.v, s.w, s.theta):
         h.update(f.tobytes())
     assert h.hexdigest() == expected, (
         f"digest moved (recorded with numpy {RECORDED_WITH_NUMPY}, "

@@ -237,6 +237,16 @@ def test_sweep_records_solver_failure_row(tmp_path, monkeypatch):
                                                      "solver_failure"]
 
 
+def test_sweep_of_untaken_preset_key_exits_3_without_running(tmp_path,
+                                                           capsys):
+    out = tmp_path / "o"
+    cfgp = _write(tmp_path, EQ_CONFIG.format(out=out))
+    assert cli(["sweep", cfgp, "--vary", "init.swirl=0.1,0.2",
+                "--workers", "1"]) == 3
+    assert "config error: init.swirl has no effect" in capsys.readouterr().err
+    assert os.listdir(out) == []
+
+
 def test_sweep_rejects_bad_vary(tmp_path):
     cfgp = _write(tmp_path, EQ_CONFIG.format(out=tmp_path / "o"))
     assert cli(["sweep", cfgp, "--vary", "nonsense"]) == 3

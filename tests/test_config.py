@@ -7,12 +7,12 @@ import numpy as np
 import pytest
 
 import symns.cli
-from symns.config import (_KEY_TYPES, _PRESET_KEYS, build_initial,
+from symns.config import (_KEY_TYPES, InitConfig, build_initial,
                           build_grid, build_model, override_config,
                           parse_config, parse_config_file)
 from symns.constitutive import GasModel, check_admissible, ideal_gas
 from symns.errors import ConfigError
-from symns.initdata import preset
+from symns.initdata import PRESET_PARAMS, preset
 
 
 def test_minimal_config_defaults():
@@ -131,9 +131,9 @@ def test_negative_cold_pressure_rejected():
     ("[init]\neps = nan\n", "init.eps"),
     ("[output]\ndiag_alpha = nan\n", "output.diag_alpha"),
 ] + [(f"[init]\npreset = {preset}\n{key} = nan\n", f"init.{key}")
-     for preset, keys in _PRESET_KEYS.items() for key in keys]
+     for preset, keys in PRESET_PARAMS.items() for key in keys]
   + [(f"[init]\npreset = {preset}\n{key} = inf\n", f"init.{key}")
-     for preset, keys in _PRESET_KEYS.items() for key in keys])
+     for preset, keys in PRESET_PARAMS.items() for key in keys])
 def test_nan_values_rejected(text, match):
     with pytest.raises(ConfigError, match=match):
         parse_config(text)
@@ -157,7 +157,7 @@ def test_infinite_outer_radius_rejected():
         parse_config("[grid]\nb = inf\nn = 16\n")
 
 
-@pytest.mark.parametrize("name", sorted(_PRESET_KEYS))
+@pytest.mark.parametrize("name", sorted(PRESET_PARAMS))
 def test_omitted_preset_keys_keep_preset_defaults(name):
     cfg = parse_config(f"[grid]\nn = 16\nm = 1\n[init]\npreset = {name}\n")
     g = build_grid(cfg)
@@ -165,6 +165,32 @@ def test_omitted_preset_keys_keep_preset_defaults(name):
     ref = preset(name, g)
     for f in ("rho", "u", "v", "w", "theta"):
         assert np.array_equal(getattr(d, f), getattr(ref, f))
+
+
+PARAMS = sorted({key for keys in PRESET_PARAMS.values() for key in keys})
+
+
+def test_every_preset_parameter_is_an_unset_float_key():
+    defaults = {f.name: f.default for f in dataclasses.fields(InitConfig)}
+    for key in PARAMS:
+        assert defaults[key] is None
+        assert _KEY_TYPES[f"init.{key}"] is float
+
+
+@pytest.mark.parametrize("name,key", [(name, key) for name in PRESET_PARAMS
+                                      for key in PARAMS
+                                      if key not in PRESET_PARAMS[name]])
+def test_preset_key_the_preset_does_not_take_rejected(name, key):
+    with pytest.raises(ConfigError, match=f"init.{key} has no effect: "
+                                          f"preset '{name}' takes "):
+        parse_config(f"[init]\npreset = {name}\n{key} = 0.5\n")
+
+
+@pytest.mark.parametrize("key", PARAMS)
+def test_preset_key_next_to_file_rejected(key):
+    with pytest.raises(ConfigError, match=f"init.{key} has no effect: "
+                                          "init.file is set"):
+        parse_config(f'[init]\nfile = "x.csv"\n{key} = 2\n')
 
 
 def test_method_names_are_not_keys():

@@ -14,6 +14,7 @@ from hypothesis import given, settings, strategies as st
 
 from symns.config import parse_config
 from symns.errors import ConfigError
+from symns.initdata import PRESET_PARAMS
 from symns.stepper import run
 
 REASONS = {"completed", "dt_underflow", "solver_failure", "nan_detected"}
@@ -57,10 +58,25 @@ VALUES = {
     "output.snapshot_every": ([0, 1], [-1]),
 }
 
-# every key omitted or legal, then up to two keys moved to the edge or out
+# the preset parameters, as "init.<name>" keys
+PARAM_KEYS = {f"init.{name}" for names in PRESET_PARAMS.values()
+              for name in names}
+
+
+def _taken_only(draw: dict) -> dict:
+    """draw without the preset parameters its preset does not take (a
+    config error), so that most legal draws reach run."""
+    taken = PRESET_PARAMS.get(draw["init.preset"] or "equilibrium", ())
+    return {key: None if key in PARAM_KEYS and key[5:] not in taken
+            else value for key, value in draw.items()}
+
+
+# every key omitted or legal (preset parameters only where the preset takes
+# them), then up to two keys moved to the edge or out
 configs = st.tuples(
     st.fixed_dictionaries({key: st.sampled_from([None] + legal)
-                           for key, (legal, _) in VALUES.items()}),
+                           for key, (legal, _) in VALUES.items()}
+                          ).map(_taken_only),
     st.lists(st.sampled_from([(key, bad) for key, (_, edge) in VALUES.items()
                               for bad in edge]), max_size=2),
 ).map(lambda parts: {**parts[0], **dict(parts[1])})

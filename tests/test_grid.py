@@ -1,4 +1,6 @@
 import math
+import sys
+import warnings
 
 import numpy as np
 import pytest
@@ -79,6 +81,12 @@ def test_lp_norm_examples():
         math.sqrt(7 / 3), rel=1e-15)
     with pytest.raises(ValueError):
         weighted_lp_norm(g, np.ones(8), 0.5)
+    # an infinite or NaN field is its own norm
+    f = np.ones(8)
+    f[3] = -math.inf
+    assert weighted_lp_norm(g, f, 2) == math.inf
+    f[3] = math.nan
+    assert math.isnan(weighted_lp_norm(g, f, 2))
 
 
 def test_lp_norm_matches_extended_precision_oracle(rng):
@@ -146,10 +154,27 @@ def test_ambient_norm_unsupported_m():
         radial_to_ambient_norm(g, np.ones(16), 2)
 
 
-def _awkward_values(rng, n):
+# the plain sum of w |f|^p overflows at 1e100 (p = 3.5) and at 1e130
+# (p = 12/5, the blow-up indicator's ambient norm), and underflows at 1e-100
+@pytest.mark.parametrize("c,p,ambient", [(1e100, 3.5, False),
+                                         (1e-100, 3.5, False),
+                                         (1e130, 12 / 5, True)],
+                         ids=["1e100_p3.5", "1e-100_p3.5",
+                              "1e130_ambient_12_5"])
+def test_lp_norm_of_huge_and_tiny_constants(c, p, ambient):
+    g = make_grid(1, 2, 32, 2)
+    norm = radial_to_ambient_norm if ambient else weighted_lp_norm
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")   # no overflow RuntimeWarning
+        got = norm(g, np.full(32, c), p)
+    measure = 4 * math.pi * 7 / 3 if ambient else 7 / 3
+    assert got == pytest.approx(c * measure ** (1 / p), rel=1e-14, abs=0.0)
+
+
+def _awkward_values(rng, n, top=80):
     """Random values with exact zeros, -0.0, subnormals and magnitudes
-    from 1e-300 to 1e80, in both signs."""
-    f = rng.standard_normal(n) * 10.0 ** rng.integers(-300, 80, n)
+    from 1e-300 to 10^top, in both signs."""
+    f = rng.standard_normal(n) * 10.0 ** rng.integers(-300, top, n)
     f[::7] = 0.0
     f[3::7] = -0.0
     f[5::11] = 5e-324 * rng.integers(-9, 10, len(f[5::11]))
@@ -168,9 +193,6 @@ def test_fsum_reductions_match_list_fsum_bitwise(n, rng):
         f = _awkward_values(rng, n)
         assert same(weighted_integral(g, f),
                     math.fsum((g.weights * f).tolist()))
-        for p in (1.0, 2.0, 3.5):
-            want = math.fsum((g.weights * np.abs(f) ** p).tolist()) ** (1 / p)
-            assert same(weighted_lp_norm(g, f, p), want)
         rho = np.abs(_awkward_values(rng, n))
         rho[0] = 1.0      # positive total mass
         chk = weighted_supnorm_check(g, rho, f)
@@ -178,3 +200,36 @@ def test_fsum_reductions_match_list_fsum_bitwise(n, rng):
         avg_v = math.fsum((rho * (g.dx / mass) * f).tolist())
         assert same(chk.mass, mass)
         assert same(chk.rhs, float(np.sum(np.abs(np.diff(f)))) + abs(avg_v))
+        # magnitudes up to 1e80 and up to 1e308: the norm keeps the plain
+        # formula's bits where its sum is finite and normal; elsewhere it
+        # is scaled and agrees with an exactly scaled oracle
+        for vals in (f, _awkward_values(rng, n, top=308)):
+            for p in (1.0, 2.0, 3.5):
+                got = weighted_lp_norm(g, vals, p)
+                plain = _plain_lp_norm(g, vals, p)
+                if plain is None:
+                    assert got == pytest.approx(
+                        _lp_norm_oracle(g, vals, p), rel=1e-13, abs=0.0)
+                else:
+                    assert same(got, plain)
+
+
+def _plain_lp_norm(g, f, p):
+    """fsum(w |f|^p)^(1/p), or None where that sum is not finite and
+    normal."""
+    with np.errstate(over="ignore"):
+        terms = (g.weights * np.abs(f) ** p).tolist()
+    try:
+        s = math.fsum(terms)
+    except OverflowError:
+        return None
+    return s ** (1 / p) if sys.float_info.min <= s < math.inf else None
+
+
+def _lp_norm_oracle(g, f, p):
+    """The plain formula applied to |f| * 2^-e, with 2^e next to max |f|,
+    and scaled back: a power-of-two scaling is exact."""
+    a = np.abs(f)
+    e = math.frexp(float(a.max()))[1]
+    s = math.fsum((g.weights * np.ldexp(a, -e) ** p).tolist())
+    return math.ldexp(s ** (1 / p), e)
