@@ -20,7 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .config import (SimConfig, build_grid, build_initial, override_config,
+from .config import (SimConfig, build_initial, override_config,
                      parse_config_file)
 from .constitutive import check_admissible
 from .errors import ConfigError, SolverFailure
@@ -58,7 +58,7 @@ def _cmd_run(args) -> int:
 
 def _cmd_verify(args) -> int:
     cfg = parse_config_file(args.config)
-    g = build_grid(cfg)
+    g = cfg.grid
     model = cfg.model
     report = check_admissible(model, g.m)
     print("admissibility:")
@@ -169,8 +169,7 @@ def convergence_study(cfg: SimConfig, levels: int) -> ConvergenceResult:
         raise ConfigError("convergence needs at least 2 levels")
     ns = [cfg.grid.n * 2 ** i for i in range(levels)]
     fine = override_config(cfg, "grid.n", str(ns[-1]))
-    gf = build_grid(fine)
-    s0 = build_initial(fine, gf, fine.model)
+    s0 = build_initial(fine, fine.grid, fine.model)
     dt_fixed = 0.5 * cfl_dt(s0, fine.controls, fine.model)
 
     finals = []

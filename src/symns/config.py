@@ -3,9 +3,10 @@
 Accepted syntax: ``[section]`` headers, ``key = value`` lines (dotted keys
 work outside sections too), ``#`` comments, quoted or bare strings,
 integers, floats (``inf`` allowed for dt_max).  The keys of a section are
-the fields of its dataclass: ``[model]`` is ``constitutive.GasModel`` and
-``[controls]`` is ``stepper.StepControls``, which validate themselves when
-built.  Unknown and duplicate keys are errors carrying the line number;
+the init fields of its dataclass: ``[grid]`` is ``grid.Grid``, ``[model]``
+is ``constitutive.GasModel`` and ``[controls]`` is ``stepper.StepControls``,
+which validate themselves when built, so a parsed config holds its one
+grid.  Unknown and duplicate keys are errors carrying the line number;
 validation failures carry the section or key path.  The one model
 condition that depends on the grid, 2*mu + (m+1)*lam > 0, is not part of
 parsing: ``run`` and ``symns verify`` check it.
@@ -14,36 +15,28 @@ parsing: ``run`` and ``symns verify`` check it.
 from __future__ import annotations
 
 import math
-from dataclasses import asdict, dataclass, field, fields, replace
+from dataclasses import dataclass, field, fields, replace
 
 import numpy as np
 
 from .constitutive import GasModel
 from .diagnostics import _check_alpha
 from .errors import ConfigError
-from .grid import make_grid
+from .grid import Grid
 from .initdata import (load_initial_csv, preset, radial_residual, regularize,
                        solve_initial_velocity, validate_initial, PRESET_PARAMS)
 from .stepper import StepControls
 
 __all__ = [
-    "SimConfig", "GridConfig", "InitConfig", "OutputConfig",
+    "SimConfig", "InitConfig", "OutputConfig",
     "parse_config", "parse_config_file", "build_grid",
     "build_model", "build_initial", "override_config",
 ]
 
 
 @dataclass
-class GridConfig:
-    a: float = 1.0
-    b: float = 2.0
-    n: int = 128
-    m: int = 2
-
-
-@dataclass
 class InitConfig:
-    preset: str = "equilibrium"
+    preset: str = ""   # unset: equilibrium, unless file is set
     file: str = ""
     eps: float = 0.0
     # preset parameters (initdata.PRESET_PARAMS); None keeps the default
@@ -56,6 +49,10 @@ class InitConfig:
     swirl: float | None = None
     amplitude: float | None = None
 
+    @property
+    def preset_name(self) -> str:
+        return self.preset or "equilibrium"
+
 
 @dataclass
 class OutputConfig:
@@ -66,21 +63,21 @@ class OutputConfig:
 
 @dataclass
 class SimConfig:
-    grid: GridConfig = field(default_factory=GridConfig)
+    grid: Grid = field(default_factory=Grid)
     model: GasModel = field(default_factory=GasModel)
     init: InitConfig = field(default_factory=InitConfig)
     controls: StepControls = field(default_factory=StepControls)
     output: OutputConfig = field(default_factory=OutputConfig)
 
 
-_SECTIONS = {"grid": GridConfig, "model": GasModel, "init": InitConfig,
+_SECTIONS = {"grid": Grid, "model": GasModel, "init": InitConfig,
              "controls": StepControls, "output": OutputConfig}
 
-# "section.key" -> type of the field's default (int, float or str); a None
-# default stands for an unset float
+# "section.key" -> type of the init field's default (int, float or str); a
+# None default stands for an unset float
 _KEY_TYPES = {f"{sec}.{f.name}":
               float if f.default is None else type(f.default)
-              for sec, cls in _SECTIONS.items() for f in fields(cls)}
+              for sec, cls in _SECTIONS.items() for f in fields(cls) if f.init}
 # the preset parameters: the InitConfig fields whose None default is "unset"
 _PRESET_FIELDS = tuple(f.name for f in fields(InitConfig) if f.default is None)
 
@@ -155,8 +152,8 @@ def parse_config_file(path) -> SimConfig:
 
 def _build(values: dict) -> SimConfig:
     """The validated config whose sections are built from the field values
-    in values[section]; omitted fields take their defaults.  GasModel and
-    StepControls check themselves as they are constructed."""
+    in values[section]; omitted fields take their defaults.  Grid, GasModel
+    and StepControls check themselves as they are constructed."""
     sections = {}
     for sec, cls in _SECTIONS.items():
         try:
@@ -169,21 +166,20 @@ def _build(values: dict) -> SimConfig:
 
 
 def _validate(cfg: SimConfig):
-    try:
-        build_grid(cfg)
-    except ValueError as exc:
-        raise ConfigError(f"grid: {exc}") from exc
-    if not cfg.init.eps >= 0.0:
+    ic = cfg.init
+    if not ic.eps >= 0.0:
         raise ConfigError("init.eps must be >= 0")
-    if not cfg.init.file and cfg.init.preset not in PRESET_PARAMS:
-        raise ConfigError(f"init.preset: unknown preset {cfg.init.preset!r}; "
+    if ic.file and ic.preset:
+        raise ConfigError("init.preset has no effect: init.file is set")
+    if not ic.file and ic.preset_name not in PRESET_PARAMS:
+        raise ConfigError(f"init.preset: unknown preset {ic.preset!r}; "
                           f"choose from {tuple(PRESET_PARAMS)}")
-    taken = () if cfg.init.file else PRESET_PARAMS[cfg.init.preset]
-    for key, val in _preset_params(cfg.init).items():
+    taken = () if ic.file else PRESET_PARAMS[ic.preset_name]
+    for key, val in _preset_params(ic).items():
         if key not in taken:
             raise ConfigError(f"init.{key} has no effect: " + (
-                "init.file is set" if cfg.init.file else
-                f"preset {cfg.init.preset!r} takes {', '.join(taken)}"))
+                "init.file is set" if ic.file else
+                f"preset {ic.preset_name!r} takes {', '.join(taken)}"))
         if not math.isfinite(val):
             raise ConfigError(f"init.{key} must be a finite number, got {val}")
     try:
@@ -194,8 +190,9 @@ def _validate(cfg: SimConfig):
         raise ConfigError("output snapshot cadence must be >= 0")
 
 
-def build_grid(cfg: SimConfig):
-    return make_grid(cfg.grid.a, cfg.grid.b, cfg.grid.n, cfg.grid.m)
+def build_grid(cfg: SimConfig) -> Grid:
+    """The config's ``[grid]`` section, already a validated Grid."""
+    return cfg.grid
 
 
 def build_model(cfg: SimConfig) -> GasModel:
@@ -217,7 +214,7 @@ def build_initial(cfg: SimConfig, g, model: GasModel):
         if ic.file:
             s = load_initial_csv(ic.file, g)
         else:
-            s = preset(ic.preset, g, **_preset_params(ic))
+            s = preset(ic.preset_name, g, **_preset_params(ic))
         if ic.eps > 0.0:
             g1 = np.nan_to_num(radial_residual(
                 s, model, rho_vac_tol=cfg.controls.rho_vac_tol), nan=0.0)
@@ -236,7 +233,10 @@ def override_config(cfg: SimConfig, key: str, raw_value: str) -> SimConfig:
     itself is left unchanged."""
     if key not in _KEY_TYPES:
         raise ConfigError(f"unknown key {key!r}")
-    values = {sec: asdict(getattr(cfg, sec)) for sec in _SECTIONS}
+    values = {sec: {} for sec in _SECTIONS}
+    for full in _KEY_TYPES:
+        sec, name = full.split(".")
+        values[sec][name] = getattr(getattr(cfg, sec), name)
     sec_name, name = key.split(".")
     values[sec_name][name] = _parse_value(raw_value, key, 0)
     return _build(values)

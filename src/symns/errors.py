@@ -9,13 +9,11 @@ class ConfigError(ValueError):
 
 class SolverFailure(RuntimeError):
     """A time step could not be completed (tridiagonal breakdown, Picard
-    divergence, clip overrun).  ``cell`` and ``step`` identify where, when
-    known."""
+    divergence, clip overrun).  ``cell`` identifies where, when known."""
 
-    def __init__(self, message, cell=None, step=None):
+    def __init__(self, message, cell=None):
         super().__init__(message)
         self.cell = cell
-        self.step = step
 
 
 class DtUnderflow(SolverFailure):

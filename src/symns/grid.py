@@ -32,24 +32,48 @@ _SURFACE = {1: 2.0 * math.pi, 2: 4.0 * math.pi}
 
 @dataclass(frozen=True)
 class Grid:
-    """Immutable uniform mesh. Build through :func:`make_grid`."""
+    """Immutable uniform mesh of n cells on [a, b] with symmetry exponent m;
+    also the ``[grid]`` section of a config.  Requires 0 < a < b < inf (the
+    singular m/x terms are then bounded), n >= 8 and m >= 1."""
 
-    a: float
-    b: float
-    n: int
-    m: int
-    dx: float
-    centers: np.ndarray   # cell centers, length n
-    faces: np.ndarray     # cell faces, length n+1, faces[0]=a, faces[-1]=b
-    weights: np.ndarray   # exact int_{cell} x^m dx, length n
+    a: float = 1.0
+    b: float = 2.0
+    n: int = 128
+    m: int = 2
+    dx: float = field(init=False, compare=False)
+    centers: np.ndarray = field(init=False, compare=False)  # length n
+    faces: np.ndarray = field(init=False, compare=False)    # n+1, a to b
+    weights: np.ndarray = field(init=False, compare=False)  # int_cell x^m dx
     # arrays derived from the grid alone, see :meth:`cached`
     _cache: dict = field(default_factory=dict, init=False, repr=False,
                          compare=False)
 
     def __post_init__(self):
-        self.centers.flags.writeable = False
-        self.faces.flags.writeable = False
-        self.weights.flags.writeable = False
+        a, b, n, m = float(self.a), float(self.b), int(self.n), int(self.m)
+        if not a > 0.0:
+            raise ValueError(f"inner radius must be positive, got a={a}")
+        if not b > a:
+            raise ValueError(f"need b > a, got a={a}, b={b}")
+        if not math.isfinite(b):
+            raise ValueError(f"outer radius must be finite, got b={b}")
+        if n < 8:
+            raise ValueError(f"need at least 8 cells, got n={n}")
+        if m < 1:
+            raise ValueError(f"symmetry exponent must be >= 1, got m={m}")
+        dx = (b - a) / n
+        centers = a + (np.arange(n) + 0.5) * dx
+        faces = a + np.arange(n + 1) * dx
+        weights = np.diff(faces ** (m + 1)) / (m + 1)
+        for arr in (centers, faces, weights):
+            arr.flags.writeable = False
+        # frozen: set through object.__setattr__, since a write to __dict__
+        # would slow every later attribute read of the grid
+        for name, val in dict(a=a, b=b, n=n, m=m, dx=dx, centers=centers,
+                              faces=faces, weights=weights).items():
+            object.__setattr__(self, name, val)
+
+    def __reduce__(self):   # copies rebuild read-only arrays from a, b, n, m
+        return Grid, (self.a, self.b, self.n, self.m)
 
     def cached(self, key: str, build):
         """``build(self)``, an array or a tuple of arrays that depends on the
@@ -82,43 +106,23 @@ class Grid:
 
 
 def make_grid(a: float, b: float, n: int, m: int) -> Grid:
-    """Uniform mesh of n cells on [a, b] with symmetry exponent m.
-
-    Requires 0 < a < b < inf (the singular m/x terms are then bounded),
-    n >= 8 and m >= 1.
-    """
-    a = float(a)
-    b = float(b)
-    n = int(n)
-    m = int(m)
-    if not a > 0.0:
-        raise ValueError(f"inner radius must be positive, got a={a}")
-    if not b > a:
-        raise ValueError(f"need b > a, got a={a}, b={b}")
-    if not math.isfinite(b):
-        raise ValueError(f"outer radius must be finite, got b={b}")
-    if n < 8:
-        raise ValueError(f"need at least 8 cells, got n={n}")
-    if m < 1:
-        raise ValueError(f"symmetry exponent must be >= 1, got m={m}")
-
-    dx = (b - a) / n
-    centers = a + (np.arange(n) + 0.5) * dx
-    faces = a + np.arange(n + 1) * dx
-    face_pow = faces ** (m + 1)
-    weights = np.diff(face_pow) / (m + 1)
-    return Grid(a=a, b=b, n=n, m=m, dx=dx, centers=centers, faces=faces,
-                weights=weights)
+    """Uniform mesh of n cells on [a, b] with symmetry exponent m."""
+    return Grid(a, b, n, m)
 
 
 def weighted_integral(g: Grid, f) -> float:
     """int_a^b x^m f dx with the exact cell weights.
 
     Uses compensated summation so conservation diagnostics see the scheme,
-    not the accumulator.  Exact for cellwise constant f.
+    not the accumulator.  Exact for cellwise constant f.  Where finite
+    terms sum past the float range, returns their plain sum (+-inf).
     """
-    f = g.require_field(f)
-    return math.fsum(memoryview(g.weights * f))
+    terms = g.weights * g.require_field(f)
+    try:
+        return math.fsum(memoryview(terms))
+    except OverflowError:   # finite terms whose sum overflows
+        with np.errstate(over="ignore"):
+            return float(np.sum(terms))
 
 
 def weighted_lp_norm(g: Grid, f, p: float) -> float:

@@ -42,9 +42,9 @@ __all__ = [
 
 def validate_initial(s: State):
     """Reject initial data that is non-finite, negative in rho or theta, or
-    massless, or that has swirl or axial velocity off the cylindrical case
-    (m != 1 is spherical: the velocity is radial); each check guards
-    outside input."""
+    massless or of infinite total mass, or that has swirl or axial velocity
+    off the cylindrical case (m != 1 is spherical: the velocity is radial);
+    each check guards outside input."""
     for name in ("rho", "u", "v", "w", "theta"):
         if not np.isfinite(getattr(s, name)).all():
             raise ValueError(f"initial field {name} has non-finite values")
@@ -58,8 +58,10 @@ def validate_initial(s: State):
         raise ValueError("initial density must be nonnegative")
     if np.any(s.theta < 0.0):
         raise ValueError("initial temperature must be nonnegative")
-    if not weighted_integral(s.grid, s.rho) > 0.0:
-        raise ValueError("initial data must carry positive total mass")
+    mass = weighted_integral(s.grid, s.rho)   # inf where the sum overflows
+    if not 0.0 < mass < np.inf:
+        raise ValueError("initial total mass must be positive and finite, "
+                         f"got {mass}")
 
 
 def regularize(s: State, eps: float) -> State:

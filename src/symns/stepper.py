@@ -324,11 +324,11 @@ def step_detailed(s: State, c: StepControls, model: GasModel, dt=None,
 def run(cfg, force: bool = False):
     """Run a configured simulation to t_end; every failure becomes a
     termination reason on the returned trajectory."""
-    # deferred import: config builds models/grids, diagnostics builds series
-    from .config import build_grid, build_initial
+    # deferred import: config builds initial data, diagnostics builds series
+    from .config import build_initial
     from .diagnostics import DiagnosticsSeries, Trajectory, record_step
 
-    g = build_grid(cfg)
+    g = cfg.grid
     model = cfg.model
     report = check_admissible(model, g.m)
     if not report.ok and not force:

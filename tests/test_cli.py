@@ -304,3 +304,20 @@ def test_run_wrong_grid_init_file_exits_3(tmp_path):
     text = (f"[init]\nfile = \"{bad}\"\n"
             f"[output]\nout_dir = \"{tmp_path / 'o'}\"\n[grid]\nn = 32\n")
     assert cli(["run", _write(tmp_path, text)]) == 3
+
+
+def test_run_overflowing_total_mass_exits_3(tmp_path, capsys):
+    # finite rho whose weighted sum passes the float range
+    rows = np.column_stack([1.0 + (np.arange(16) + 0.5) / 16,
+                            np.full(16, 1e308), np.zeros((16, 3)),
+                            np.ones(16)])
+    path = tmp_path / "big.csv"
+    np.savetxt(path, rows, fmt="%.17g", delimiter=",",
+               header="x,rho,u,v,w,theta", comments="")
+    text = (f"[init]\nfile = \"{path}\"\n"
+            f"[output]\nout_dir = \"{tmp_path / 'o'}\"\n[grid]\nn = 16\n")
+    assert cli(["run", _write(tmp_path, text)]) == 3
+    err = capsys.readouterr().err
+    assert ("config error: init: initial total mass must be positive and "
+            "finite, got inf") in err
+    assert "Traceback" not in err

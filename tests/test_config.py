@@ -7,12 +7,14 @@ import numpy as np
 import pytest
 
 import symns.cli
-from symns.config import (_KEY_TYPES, InitConfig, build_initial,
-                          build_grid, build_model, override_config,
-                          parse_config, parse_config_file)
+from symns.config import (_KEY_TYPES, InitConfig, OutputConfig,
+                          build_initial, build_grid, build_model,
+                          override_config, parse_config, parse_config_file)
 from symns.constitutive import GasModel, check_admissible, ideal_gas
 from symns.errors import ConfigError
+from symns.grid import Grid, make_grid
 from symns.initdata import PRESET_PARAMS, preset
+from symns.stepper import StepControls, run
 
 
 def test_minimal_config_defaults():
@@ -186,7 +188,7 @@ def test_preset_key_the_preset_does_not_take_rejected(name, key):
         parse_config(f"[init]\npreset = {name}\n{key} = 0.5\n")
 
 
-@pytest.mark.parametrize("key", PARAMS)
+@pytest.mark.parametrize("key", ["preset"] + PARAMS)
 def test_preset_key_next_to_file_rejected(key):
     with pytest.raises(ConfigError, match=f"init.{key} has no effect: "
                                           "init.file is set"):
@@ -298,6 +300,46 @@ def test_spherical_restart_with_swirl_or_axial_rejected(column, tmp_path):
     with pytest.raises(ConfigError, match=f"init: initial field {column} "
                                           "must be zero when m = 2 != 1"):
         build_initial(cfg, g, build_model(cfg))
+
+
+def test_keys_are_the_init_fields_of_the_section_classes():
+    sections = {"grid": Grid, "model": GasModel, "init": InitConfig,
+                "controls": StepControls, "output": OutputConfig}
+    assert set(_KEY_TYPES) == {
+        f"{sec}.{f.name}" for sec, cls in sections.items()
+        for f in dataclasses.fields(cls) if f.init}
+    assert len(_KEY_TYPES) == 34
+    for name in ("dx", "centers", "faces", "weights", "_cache"):
+        assert f"grid.{name}" not in _KEY_TYPES
+
+
+def test_grid_section_is_the_grid():
+    cfg = parse_config("[grid]\na = 0.5\nb = 3\nn = 16\nm = 1\n")
+    assert build_grid(cfg) is cfg.grid
+    assert cfg.grid == make_grid(0.5, 3.0, 16, 1)
+    assert np.array_equal(cfg.grid.weights, make_grid(0.5, 3.0, 16, 1).weights)
+    assert parse_config("").grid == Grid()
+
+
+def test_a_parsed_config_builds_one_grid(tmp_path, monkeypatch):
+    built = []
+    post_init = Grid.__post_init__
+
+    def counting(self):
+        built.append(self)
+        post_init(self)
+
+    monkeypatch.setattr(Grid, "__post_init__", counting)
+    path = tmp_path / "run.toml"
+    path.write_text("[grid]\nn = 16\n[init]\npreset = vacuum_bump\n"
+                    "eps = 1e-3\n[controls]\nt_end = 1e-3\n")
+    cfg = parse_config_file(path)
+    assert len(built) == 1 and built[0] is cfg.grid
+    assert build_grid(cfg) is cfg.grid
+    assert run(cfg).reason == "completed"
+    assert len(built) == 1
+    assert symns.cli.cli(["verify", str(path)]) == 0
+    assert len(built) == 2   # the one grid of the config verify parses
 
 
 def test_override_config():

@@ -1,4 +1,7 @@
+import copy
+import dataclasses
 import math
+import pickle
 import sys
 import warnings
 
@@ -7,8 +10,8 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from symns.grid import (make_grid, radial_to_ambient_norm, weighted_integral,
-                        weighted_lp_norm)
+from symns.grid import (Grid, make_grid, radial_to_ambient_norm,
+                        weighted_integral, weighted_lp_norm)
 
 
 def test_make_grid_example_spherical():
@@ -45,6 +48,38 @@ def test_grid_is_immutable():
     g = make_grid(1, 2, 8, 2)
     with pytest.raises(ValueError):
         g.centers[0] = 0.0
+
+
+def test_grid_is_the_grid_section_and_checks_itself():
+    assert Grid() == make_grid(1.0, 2.0, 128, 2)
+    assert [f.name for f in dataclasses.fields(Grid) if f.init] == [
+        "a", "b", "n", "m"]
+    g = Grid(1, 2.5, 16.0, 1)
+    assert (g.a, g.b, g.n, g.m) == (1.0, 2.5, 16, 1)
+    assert type(g.a) is float and type(g.n) is int
+    with pytest.raises(ValueError, match="need at least 8 cells, got n=7"):
+        Grid(n=7)
+
+
+@pytest.mark.parametrize("clone", [lambda g: pickle.loads(pickle.dumps(g)),
+                                   copy.deepcopy], ids=["pickle", "deepcopy"])
+def test_grid_copies_are_equal_and_read_only(clone):
+    g = make_grid(1, 2, 16, 2)
+    h = clone(g)
+    assert h == g and h is not g
+    for name in ("centers", "faces", "weights"):
+        arr = getattr(h, name)
+        assert np.array_equal(arr, getattr(g, name))
+        with pytest.raises(ValueError):
+            arr[0] = 0.0
+    assert h.dx == g.dx
+
+
+@pytest.mark.parametrize("sign", [1.0, -1.0])
+def test_weighted_integral_overflow_is_infinite(sign):
+    # 16 finite terms of about 1.4e307 each: fsum raises, the plain sum is inf
+    g = make_grid(1, 2, 16, 2)
+    assert weighted_integral(g, np.full(16, sign * 1e308)) == sign * math.inf
 
 
 def test_weighted_integral_zero_and_length_check():
