@@ -1,9 +1,10 @@
 """Command-line driver: run, verify, sweep, and convergence subcommands.
 
-Exit codes: 0 success/completed, 1 failed verification, 2 solver failure
-(any of dt_underflow, solver_failure, nan_detected), 3 configuration
-error, which includes a missing input file and an output directory that
-cannot be made (found before any run starts).  Human-readable diagnostics
+Exit codes: 0 success/completed, 2 solver failure (any of dt_underflow,
+solver_failure, nan_detected, or a failed initial-velocity solve while the
+config is parsed), 3 configuration error, which includes an inadmissible
+model, a missing or bad initial-data file and an output directory that
+cannot be made (all found before any run starts).  Human-readable diagnostics
 go to stderr; results to stdout.
 The SYMNS_OUT_DIR environment variable overrides output.out_dir.
 """
@@ -20,8 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .config import (SimConfig, build_initial, override_config,
-                     parse_config_file)
+from .config import SimConfig, override_config, parse_config_file
 from .constitutive import check_admissible
 from .errors import ConfigError, SolverFailure
 from .grid import weighted_lp_norm
@@ -46,7 +46,7 @@ def _cmd_run(args) -> int:
     cfg = _apply_out_dir_env(parse_config_file(args.config))
     # an unwritable out_dir is a config error before the run, not after it
     os.makedirs(cfg.output.out_dir, exist_ok=True)
-    traj = run(cfg, force=args.force)
+    traj = run(cfg)
     paths = write_trajectory(cfg.output.out_dir, traj)
     if traj.error:
         print(f"terminated: {traj.error}", file=sys.stderr)
@@ -57,14 +57,10 @@ def _cmd_run(args) -> int:
 
 
 def _cmd_verify(args) -> int:
-    cfg = parse_config_file(args.config)
-    g = cfg.grid
-    model = cfg.model
-    report = check_admissible(model, g.m)
+    cfg = parse_config_file(args.config)   # inadmissible: a ConfigError
     print("admissibility:")
-    print(report)
-    s0 = build_initial(cfg, g, model)
-    res = compatibility_residuals(s0, model,
+    print(check_admissible(cfg.model, cfg.grid.m))
+    res = compatibility_residuals(cfg.initial, cfg.model,
                                   rho_vac_tol=cfg.controls.rho_vac_tol)
     print("compatibility residuals (max |g_i| on non-vacuum cells):")
     for name, val in zip(("g1", "g2", "g3", "g4"), res.max_abs()):
@@ -75,29 +71,21 @@ def _cmd_verify(args) -> int:
               f"{np.max(np.abs(res.vacuum_raw)):.6g}")
     else:
         print("vacuum cells: none")
-    return 0 if report.ok else 1
+    return 0
 
 
 def _sweep_worker(task):
-    cfg, key, value, out_dir = task
+    cfg, key, value = task
     t0 = time.perf_counter()
-    row = {"key": key, "value": value, "out_dir": out_dir}
-    try:
-        traj = run(cfg)
-        write_trajectory(out_dir, traj)
-        m = traj.series.column("mass")
-        drift = abs(m[-1] - m[0]) / abs(m[0]) if m[0] != 0.0 else 0.0
-        row.update(reason=traj.reason, steps=traj.steps,
-                   t_final=traj.final_state.t, mass_drift_rel=drift,
-                   max_theta=float(traj.series.column("max_theta").max()),
-                   seconds=time.perf_counter() - t0)
-    except (ConfigError, SolverFailure) as exc:
-        reason = ("config_error" if isinstance(exc, ConfigError)
-                  else "solver_failure")
-        row.update(reason=reason, steps=0, t_final=0.0,
-                   mass_drift_rel=math.nan, max_theta=math.nan,
-                   seconds=time.perf_counter() - t0, error=str(exc))
-    return row
+    traj = run(cfg)
+    write_trajectory(cfg.output.out_dir, traj)
+    m = traj.series.column("mass")
+    drift = abs(m[-1] - m[0]) / abs(m[0]) if m[0] != 0.0 else 0.0
+    return {"key": key, "value": value, "reason": traj.reason,
+            "steps": traj.steps, "t_final": traj.final_state.t,
+            "mass_drift_rel": drift,
+            "max_theta": float(traj.series.column("max_theta").max()),
+            "seconds": time.perf_counter() - t0}
 
 
 _SWEEP_COLS = ("value", "reason", "steps", "t_final", "mass_drift_rel",
@@ -113,14 +101,19 @@ def _cmd_sweep(args) -> int:
     values = [v.strip() for v in raw_values.split(",") if v.strip()]
     if not values:
         raise ConfigError("--vary lists no values")
+    repeated = sorted({v for v in values if values.count(v) > 1})
+    if repeated:
+        raise ConfigError(f"--vary repeats {', '.join(repeated)}: each value "
+                          "names one run directory")
     base_out = cfg.output.out_dir
     os.makedirs(base_out, exist_ok=True)
     tasks = []
     for v in values:
+        # every value's config and initial state are built before any run
         sub = override_config(cfg, key, v)
-        out_dir = os.path.join(base_out, f"{key.replace('.', '_')}_{v}")
-        sub.output.out_dir = out_dir
-        tasks.append((sub, key, v, out_dir))
+        sub.output.out_dir = os.path.join(base_out,
+                                          f"{key.replace('.', '_')}_{v}")
+        tasks.append((sub, key, v))
     workers = args.workers or min(len(tasks), os.cpu_count() or 1)
     if workers > 1:
         with ProcessPoolExecutor(max_workers=workers) as pool:
@@ -152,6 +145,7 @@ class ConvergenceResult:
     orders: list    # one dict per consecutive diff pair: field -> fitted order
     reasons: list
 
+    # the state fields compared, then their root sum of squares
     _FIELDS = ("rho", "u", "theta", "combined")
 
 
@@ -168,14 +162,13 @@ def convergence_study(cfg: SimConfig, levels: int) -> ConvergenceResult:
     if levels < 2:
         raise ConfigError("convergence needs at least 2 levels")
     ns = [cfg.grid.n * 2 ** i for i in range(levels)]
-    fine = override_config(cfg, "grid.n", str(ns[-1]))
-    s0 = build_initial(fine, fine.grid, fine.model)
-    dt_fixed = 0.5 * cfl_dt(s0, fine.controls, fine.model)
+    cfgs = [override_config(cfg, "grid.n", str(n)) for n in ns]
+    fine = cfgs[-1]
+    dt_fixed = 0.5 * cfl_dt(fine.initial, fine.controls, fine.model)
 
     finals = []
     reasons = []
-    for n in ns:
-        ci = override_config(cfg, "grid.n", str(n))
+    for ci in cfgs:
         ci.controls.dt_max = dt_fixed
         ci.output.snapshot_every = 0
         traj = run(ci)
@@ -186,11 +179,11 @@ def convergence_study(cfg: SimConfig, levels: int) -> ConvergenceResult:
     for lvl in range(levels - 1):
         coarse, finer = finals[lvl], finals[lvl + 1]
         d = {}
-        for name in ("rho", "u", "theta"):
+        for name in ConvergenceResult._FIELDS[:-1]:
             ff = getattr(finer, name)
             delta = getattr(coarse, name) - 0.5 * (ff[0::2] + ff[1::2])
             d[name] = weighted_lp_norm(coarse.grid, delta, 2.0)
-        d["combined"] = math.sqrt(sum(d[k] ** 2 for k in ("rho", "u", "theta")))
+        d["combined"] = math.sqrt(sum(v ** 2 for v in d.values()))
         diffs.append(d)
     orders = []
     for lvl in range(levels - 2):
@@ -206,21 +199,18 @@ def convergence_study(cfg: SimConfig, levels: int) -> ConvergenceResult:
 def _cmd_convergence(args) -> int:
     cfg = parse_config_file(args.config)
     res = convergence_study(cfg, args.levels)
+    names = ConvergenceResult._FIELDS
     print(f"self-convergence, {args.levels} levels, n = {res.ns}")
-    header = ("pair", "d_rho", "d_u", "d_theta", "d_combined")
-    print("  " + "  ".join(f"{h:>12s}" for h in header))
+    print("  " + "  ".join(f"{h:>12s}" for h in
+                           ("pair",) + tuple(f"d_{k}" for k in names)))
     for i, d in enumerate(res.diffs):
         print(f"  {res.ns[i]:>5d}/{res.ns[i + 1]:<5d} "
-              + "  ".join(f"{d[k]:>12.4e}" for k in
-                          ("rho", "u", "theta", "combined")))
+              + "  ".join(f"{d[k]:>12.4e}" for k in names))
     if res.orders:
         print("fitted spatial orders:")
-        print("  " + "  ".join(f"{h:>12s}"
-                               for h in ("pair", "rho", "u", "theta",
-                                         "combined")))
+        print("  " + "  ".join(f"{h:>12s}" for h in ("pair",) + names))
         for i, o in enumerate(res.orders):
-            print(f"  {i:>12d} " + "  ".join(
-                f"{o[k]:>12.3f}" for k in ("rho", "u", "theta", "combined")))
+            print(f"  {i:>12d} " + "  ".join(f"{o[k]:>12.3f}" for k in names))
     if any(r != "completed" for r in res.reasons):
         print(f"warning: some levels did not complete: {res.reasons}",
               file=sys.stderr)
@@ -237,8 +227,6 @@ def cli(argv=None) -> int:
 
     p_run = sub.add_parser("run", help="run a simulation to t_end")
     p_run.add_argument("config")
-    p_run.add_argument("--force", action="store_true",
-                       help="run even if the admissibility check fails")
     p_run.set_defaults(func=_cmd_run)
 
     p_ver = sub.add_parser("verify", help="admissibility and compatibility "

@@ -7,9 +7,11 @@ the init fields of its dataclass: ``[grid]`` is ``grid.Grid``, ``[model]``
 is ``constitutive.GasModel`` and ``[controls]`` is ``stepper.StepControls``,
 which validate themselves when built, so a parsed config holds its one
 grid.  Unknown and duplicate keys are errors carrying the line number;
-validation failures carry the section or key path.  The one model
-condition that depends on the grid, 2*mu + (m+1)*lam > 0, is not part of
-parsing: ``run`` and ``symns verify`` check it.
+validation failures carry the section or key path.  Validation includes
+the one model condition that depends on the grid, 2*mu + (m+1)*lam > 0.
+A validated config then builds its t = 0 State (``SimConfig.initial``)
+once, so every ``ConfigError`` a config can cause is raised by
+:func:`parse_config` or :func:`override_config`, and a parsed config runs.
 """
 
 from __future__ import annotations
@@ -19,12 +21,13 @@ from dataclasses import dataclass, field, fields, replace
 
 import numpy as np
 
-from .constitutive import GasModel
+from .constitutive import GasModel, check_admissible
 from .diagnostics import _check_alpha
 from .errors import ConfigError
 from .grid import Grid
 from .initdata import (load_initial_csv, preset, radial_residual, regularize,
                        solve_initial_velocity, validate_initial, PRESET_PARAMS)
+from .state import State
 from .stepper import StepControls
 
 __all__ = [
@@ -34,7 +37,7 @@ __all__ = [
 ]
 
 
-@dataclass
+@dataclass(frozen=True)
 class InitConfig:
     preset: str = ""   # unset: equilibrium, unless file is set
     file: str = ""
@@ -68,6 +71,12 @@ class SimConfig:
     init: InitConfig = field(default_factory=InitConfig)
     controls: StepControls = field(default_factory=StepControls)
     output: OutputConfig = field(default_factory=OutputConfig)
+    # the t = 0 State, built from the sections once they are validated
+    initial: State = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        _validate(self)
+        self.initial = _initial_state(self)
 
 
 _SECTIONS = {"grid": Grid, "model": GasModel, "init": InitConfig,
@@ -160,9 +169,7 @@ def _build(values: dict) -> SimConfig:
             sections[sec] = cls(**values[sec])
         except ValueError as exc:
             raise ConfigError(f"{sec}: {exc}") from exc
-    cfg = SimConfig(**sections)
-    _validate(cfg)
-    return cfg
+    return SimConfig(**sections)
 
 
 def _validate(cfg: SimConfig):
@@ -188,6 +195,10 @@ def _validate(cfg: SimConfig):
         raise ConfigError(f"output.diag_alpha: {exc}") from exc
     if cfg.output.snapshot_every < 0:
         raise ConfigError("output snapshot cadence must be >= 0")
+    report = check_admissible(cfg.model, cfg.grid.m)
+    if not report.ok:
+        raise ConfigError("inadmissible model/grid combination:\n"
+                          + str(report))
 
 
 def build_grid(cfg: SimConfig) -> Grid:
@@ -206,10 +217,16 @@ def _preset_params(ic: InitConfig) -> dict:
             if getattr(ic, key) is not None}
 
 
-def build_initial(cfg: SimConfig, g, model: GasModel):
+def build_initial(cfg: SimConfig, g, model: GasModel) -> State:
+    """The config's t = 0 State, built when the config was; g and model are
+    its grid and model."""
+    return cfg.initial
+
+
+def _initial_state(cfg: SimConfig) -> State:
     """The initial State from the config: preset or CSV file, then the
     optional epsilon-regularization with its re-solved radial velocity."""
-    ic = cfg.init
+    ic, g, model = cfg.init, cfg.grid, cfg.model
     try:
         if ic.file:
             s = load_initial_csv(ic.file, g)

@@ -171,10 +171,27 @@ def record_step(series: DiagnosticsSeries, s: State, model: GasModel, *,
     )
 
 
+def _trapz_terms(y: np.ndarray, t: np.ndarray) -> np.ndarray:
+    return 0.5 * (y[1:] + y[:-1]) * np.diff(t)
+
+
 def _trapz(y: np.ndarray, t: np.ndarray) -> float:
-    if len(t) < 2:
-        return 0.0
-    return float(np.sum(0.5 * (y[1:] + y[:-1]) * np.diff(t)))
+    return float(np.sum(_trapz_terms(y, t)))
+
+
+def _power_trapz(x: np.ndarray, p: float, t: np.ndarray, reduce=np.sum):
+    """reduce (np.sum or np.cumsum) of the trapezoid terms of x**p on t, for
+    x >= 0.  Where a plain term is not finite but every recorded x is, x is
+    scaled by its maximum, as in grid.weighted_lp_norm, so that the result
+    is inf only past the float range."""
+    with np.errstate(over="ignore"):
+        terms = _trapz_terms(x ** p, t)
+    scale = float(np.max(x)) if len(x) else 0.0
+    if np.all(np.isfinite(terms)) or not (0.0 < scale < math.inf and p > 0.0):
+        return reduce(terms)
+    scaled = reduce(_trapz_terms((x / scale) ** p, t))
+    with np.errstate(over="ignore"):
+        return (scaled ** (1.0 / p) * scale) ** p
 
 
 def entropy_dissipation(traj: Trajectory) -> float:
@@ -187,7 +204,8 @@ def entropy_dissipation(traj: Trajectory) -> float:
 
 def sup_theta_time_integral(traj: Trajectory, p: float) -> float:
     """int_0^T (max_x theta)^p dt by trapezoid on the step grid."""
-    return _trapz(traj.series.column("max_theta") ** float(p), traj.series.t)
+    return float(_power_trapz(traj.series.column("max_theta"), float(p),
+                              traj.series.t))
 
 
 def blowup_indicator_series(traj: Trajectory) -> np.ndarray:
@@ -195,10 +213,9 @@ def blowup_indicator_series(traj: Trajectory) -> np.ndarray:
     nondecreasing along the trajectory."""
     t = traj.series.t
     sup_rho = np.maximum.accumulate(traj.series.column("max_rho"))
-    y = traj.series.column("rho_theta_norm_12_5") ** 4
     cum = np.zeros_like(t)
-    if len(t) > 1:
-        cum[1:] = np.cumsum(0.5 * (y[1:] + y[:-1]) * np.diff(t))
+    cum[1:] = _power_trapz(traj.series.column("rho_theta_norm_12_5"), 4, t,
+                           np.cumsum)
     return sup_rho + cum
 
 

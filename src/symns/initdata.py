@@ -239,7 +239,7 @@ def preset(name: str, g: Grid, **params) -> State:
 
 def load_initial_csv(path, g: Grid) -> State:
     """Read initial fields from CSV with columns x,rho,u,v,w,theta
-    (the snapshot format; a trailing 0 on field names is accepted).
+    (the snapshot format).
 
     The x column must match the grid centers exactly -- this is a loader,
     not an interpolator.
@@ -248,12 +248,11 @@ def load_initial_csv(path, g: Grid) -> State:
         first = fh.readline()
         if not first:
             raise ValueError(f"{path}: empty file")
-        names = [h.strip() for h in first.split(",")]
-        header = [h.rstrip("0") or "0" for h in names]
-        if tuple(header) != SNAPSHOT_COLUMNS:
+        names = tuple(h.strip() for h in first.split(","))
+        if names != SNAPSHOT_COLUMNS:
             raise ValueError(f"{path}: expected columns "
-                             f"{','.join(SNAPSHOT_COLUMNS)} (optionally "
-                             f"0-suffixed), got {','.join(names)}")
+                             f"{','.join(SNAPSHOT_COLUMNS)}, "
+                             f"got {','.join(names)}")
         data = np.loadtxt(fh, delimiter=",", ndmin=2)
     if data.shape != (g.n, 6):
         raise ValueError(f"{path}: expected {g.n} data rows x 6 columns, "

@@ -30,9 +30,9 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .constitutive import (GasModel, check_admissible, heat_capacity,
-                           pressure, sound_speed)
-from .errors import ConfigError, DtUnderflow, PicardDivergence, SolverFailure
+from .constitutive import GasModel, heat_capacity, pressure, sound_speed
+from .diagnostics import DiagnosticsSeries, Trajectory, record_step
+from .errors import DtUnderflow, PicardDivergence, SolverFailure
 from .grid import Grid, weighted_integral
 from .operators import (apply_heat_flux, axial_stencil, ddx, dissipation,
                         face_kappa, heat_flux_coeffs, lame_stencil,
@@ -321,19 +321,12 @@ def step_detailed(s: State, c: StepControls, model: GasModel, dt=None,
                          picard_iters=iters)
 
 
-def run(cfg, force: bool = False):
-    """Run a configured simulation to t_end; every failure becomes a
-    termination reason on the returned trajectory."""
-    # deferred import: config builds initial data, diagnostics builds series
-    from .config import build_initial
-    from .diagnostics import DiagnosticsSeries, Trajectory, record_step
-
+def run(cfg):
+    """Run a parsed config from its initial state to t_end; every failure
+    becomes a termination reason on the returned trajectory."""
     g = cfg.grid
     model = cfg.model
-    report = check_admissible(model, g.m)
-    if not report.ok and not force:
-        raise ConfigError("inadmissible model/grid combination:\n" + str(report))
-    state = build_initial(cfg, g, model)
+    state = cfg.initial
     c = cfg.controls
     alpha = cfg.output.diag_alpha
     t_end = c.t_end
@@ -355,7 +348,7 @@ def run(cfg, force: bool = False):
     d1 = d2 = None
     h_last = 0.0
 
-    # build_initial validates the initial state; every later one is checked
+    # parsing validated the initial state; every later one is checked
     # right after the step that made it (before it reaches record_step);
     # cfl_dt keeps its own check for its other callers
     while state.t < t_end - 1e-14 * max(1.0, t_end):

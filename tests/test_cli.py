@@ -51,7 +51,6 @@ def test_run_inadmissible_exits_3_without_force(tmp_path):
             f"[output]\nout_dir = \"{tmp_path / 'o'}\"\n[grid]\nn = 32\n")
     cfgp = _write(tmp_path, text)
     assert cli(["run", cfgp]) == 3
-    assert cli(["run", cfgp, "--force"]) == 0
 
 
 def test_env_var_overrides_out_dir(tmp_path, monkeypatch):
@@ -111,10 +110,12 @@ def test_verify_vacuum_preset_reports_vacuum_cells(tmp_path, capsys):
     assert "vacuum cells:" in capsys.readouterr().out
 
 
-def test_verify_inadmissible_exits_1(tmp_path, capsys):
+def test_verify_inadmissible_exits_3(tmp_path, capsys):
     text = "[model]\nlam = -0.7\n[grid]\nn = 32\n"
-    assert cli(["verify", _write(tmp_path, text)]) == 1
-    assert "FAIL" in capsys.readouterr().out
+    assert cli(["verify", _write(tmp_path, text)]) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("config error: inadmissible model/grid")
+    assert "FAIL" in err
 
 
 # finite data whose eps re-solve overflows to a non-finite radial velocity
@@ -226,15 +227,32 @@ def test_run_initial_velocity_failure_exits_2(tmp_path, monkeypatch, capsys):
         capsys.readouterr().err
 
 
-def test_sweep_records_solver_failure_row(tmp_path, monkeypatch):
+def test_sweep_solver_failure_exits_2_before_running(tmp_path, monkeypatch,
+                                                     capsys):
+    # the failing value's initial state is built, and fails, before any run
     _break_initial_velocity_solve(monkeypatch)
     out = tmp_path / "sw"
-    cfgp = _write(tmp_path, BUMP_EPS_CONFIG.format(out=out))
+    text = BUMP_EPS_CONFIG.format(out=out).replace("eps = 0.001", "eps = 0.0")
+    cfgp = _write(tmp_path, text)
     assert cli(["sweep", cfgp, "--vary", "init.eps=0.0,0.001",
                 "--workers", "1"]) == 2
-    lines = (out / "sweep_summary.csv").read_text().strip().splitlines()
-    assert [ln.split(",")[2] for ln in lines[1:]] == ["completed",
-                                                     "solver_failure"]
+    assert "solver failure: initial velocity solve residual" in \
+        capsys.readouterr().err
+    assert os.listdir(out) == []
+
+
+def test_sweep_repeated_value_exits_3_without_running(tmp_path, monkeypatch,
+                                                      capsys):
+    def no_run(*args, **kwargs):
+        raise AssertionError("run started")
+
+    monkeypatch.setattr(symns.cli, "run", no_run)
+    out = tmp_path / "o"
+    cfgp = _write(tmp_path, EQ_CONFIG.format(out=out))
+    assert cli(["sweep", cfgp, "--vary", "model.q=2.0,3.0,2.0",
+                "--workers", "1"]) == 3
+    assert "config error: --vary repeats 2.0" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_sweep_of_untaken_preset_key_exits_3_without_running(tmp_path,

@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 import symns.cli
+import symns.config
 from symns.config import (_KEY_TYPES, InitConfig, OutputConfig,
                           build_initial, build_grid, build_model,
                           override_config, parse_config, parse_config_file)
@@ -274,8 +275,7 @@ eps = 1e-4
 ])
 def test_non_finite_restart_field_rejected(column, value, tmp_path):
     path = tmp_path / "restart.csv"
-    cfg = parse_config(f'[grid]\nn = 16\n[init]\nfile = "{path}"\n')
-    g = build_grid(cfg)
+    g = Grid(n=16)   # the grid of the configs below
     table = {"x": g.centers, "rho": np.ones(16), "u": np.zeros(16),
              "v": np.zeros(16), "w": np.zeros(16), "theta": np.ones(16)}
     table[column][5] = value
@@ -283,15 +283,14 @@ def test_non_finite_restart_field_rejected(column, value, tmp_path):
                delimiter=",", header=",".join(table), comments="")
     with pytest.raises(ConfigError,
                        match=f"init: initial field {column} has non-finite"):
-        build_initial(cfg, g, build_model(cfg))
+        parse_config(f'[grid]\nn = 16\n[init]\nfile = "{path}"\n')
 
 
 @pytest.mark.parametrize("column", ["v", "w"])
 def test_spherical_restart_with_swirl_or_axial_rejected(column, tmp_path):
     # m = 2 is spherical: the velocity is radial, so v and w must be zero
     path = tmp_path / "restart.csv"
-    cfg = parse_config(f'[grid]\nn = 16\nm = 2\n[init]\nfile = "{path}"\n')
-    g = build_grid(cfg)
+    g = Grid(n=16)   # the grid of the configs below
     table = {"x": g.centers, "rho": np.ones(16), "u": np.zeros(16),
              "v": np.zeros(16), "w": np.zeros(16), "theta": np.ones(16)}
     table[column][5] = 0.1
@@ -299,7 +298,7 @@ def test_spherical_restart_with_swirl_or_axial_rejected(column, tmp_path):
                delimiter=",", header=",".join(table), comments="")
     with pytest.raises(ConfigError, match=f"init: initial field {column} "
                                           "must be zero when m = 2 != 1"):
-        build_initial(cfg, g, build_model(cfg))
+        parse_config(f'[grid]\nn = 16\nm = 2\n[init]\nfile = "{path}"\n')
 
 
 def test_keys_are_the_init_fields_of_the_section_classes():
@@ -340,6 +339,34 @@ def test_a_parsed_config_builds_one_grid(tmp_path, monkeypatch):
     assert len(built) == 1
     assert symns.cli.cli(["verify", str(path)]) == 0
     assert len(built) == 2   # the one grid of the config verify parses
+
+
+def test_a_parsed_config_builds_one_initial_state(tmp_path, monkeypatch):
+    built = []
+    initial_state = symns.config._initial_state
+
+    def counting(cfg):
+        built.append(cfg)
+        return initial_state(cfg)
+
+    monkeypatch.setattr(symns.config, "_initial_state", counting)
+    path = tmp_path / "run.toml"
+    path.write_text("[grid]\nn = 16\n[init]\npreset = vacuum_bump\n"
+                    "eps = 1e-3\n[controls]\nt_end = 1e-3\n")
+    cfg = parse_config_file(path)
+    assert len(built) == 1 and built[0] is cfg
+    assert build_initial(cfg, cfg.grid, cfg.model) is cfg.initial
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        cfg.init.eps = 0.0
+    s0 = cfg.initial.copy()
+    assert run(cfg).reason == "completed"
+    assert len(built) == 1
+    for name in ("rho", "u", "v", "w", "theta"):   # run leaves it unchanged
+        assert np.array_equal(getattr(cfg.initial, name), getattr(s0, name))
+    assert symns.cli.cli(["verify", str(path)]) == 0
+    assert len(built) == 2   # the initial state of the config verify parses
+    assert symns.cli.convergence_study(cfg, 2).ns == [16, 32]
+    assert len(built) == 4   # one per level
 
 
 def test_override_config():

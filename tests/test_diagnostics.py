@@ -11,7 +11,8 @@ from symns.diagnostics import (DiagnosticsSeries, Trajectory, alt_criteria,
                                blowup_indicator, blowup_indicator_series,
                                entropy_dissipation, kinetic_energy, mass,
                                record_step, sup_theta_time_integral,
-                               total_energy, weighted_supnorm_check)
+                               total_energy, weighted_supnorm_check,
+                               SERIES_COLUMNS)
 from symns.grid import make_grid, weighted_integral
 from symns.initdata import preset
 from symns.state import State
@@ -129,6 +130,41 @@ def test_blowup_indicator_t0_is_max_rho():
     rho = np.linspace(0.5, 2.0, 64)
     traj = _frozen_trajectory(g, rho, np.ones(64), [0.0])
     assert blowup_indicator(traj) == pytest.approx(2.0)
+
+
+def _series_trajectory(t, **columns):
+    """Trajectory whose series has the given columns (others zero) at the
+    times t; its one state is never read."""
+    ser = DiagnosticsSeries()
+    for i, ti in enumerate(t):
+        row = dict.fromkeys(SERIES_COLUMNS, 0.0)
+        row.update(t=ti, **{k: v[i] for k, v in columns.items()})
+        ser.append(**row)
+    return Trajectory(states=[None], snapshot_steps=[0], series=ser,
+                      reason="completed", steps=len(t) - 1, diag_alpha=0.5)
+
+
+@pytest.mark.filterwarnings("error")
+def test_time_functionals_do_not_overflow_on_finite_data():
+    # the integrands 1e320 and 1e312 pass the float range; the integrals do not
+    traj = _series_trajectory([0.0, 1e-100], max_rho=[1.0, 1.0],
+                              rho_theta_norm_12_5=[1e80, 1e80],
+                              max_theta=[1e52, 1e52])
+    assert blowup_indicator(traj) == pytest.approx(1e220, rel=1e-13)
+    assert sup_theta_time_integral(traj, 6) == pytest.approx(1e212, rel=1e-13)
+
+
+@pytest.mark.filterwarnings("error")
+def test_time_functionals_are_inf_only_past_the_float_range():
+    past = _series_trajectory([0.0, 1.0], rho_theta_norm_12_5=[1e80, 1e80],
+                              max_theta=[1e52, 1e52])
+    assert blowup_indicator(past) == math.inf
+    assert sup_theta_time_integral(past, 6) == math.inf
+    recorded = _series_trajectory([0.0, 1e-300],
+                                  rho_theta_norm_12_5=[1.0, math.inf],
+                                  max_theta=[1.0, math.inf])
+    assert blowup_indicator(recorded) == math.inf
+    assert sup_theta_time_integral(recorded, 6) == math.inf
 
 
 def test_blowup_series_monotone_on_run():

@@ -232,14 +232,17 @@ def test_initial_csv_roundtrip(tmp_path):
 
 
 def test_initial_csv_zero_suffixed_header(tmp_path):
+    # only the snapshot header x,rho,u,v,w,theta is accepted
     g = make_grid(1, 2, 8, 2)
     path = tmp_path / "init.csv"
-    rows = ["x,rho0,u0,v0,w0,theta0"]
-    for i in range(8):
-        rows.append("%.17g,1.0,0.0,0.0,0.0,1.0" % g.centers[i])
-    path.write_text("\n".join(rows) + "\n")
-    d = load_initial_csv(path, g)
-    assert np.all(d.rho == 1.0)
+    for header in ("x,rho0,u0,v0,w0,theta0", "x00,rho000,u,v,w,theta"):
+        rows = [header]
+        for i in range(8):
+            rows.append("%.17g,1.0,0.0,0.0,0.0,1.0" % g.centers[i])
+        path.write_text("\n".join(rows) + "\n")
+        with pytest.raises(ValueError, match="expected columns x,rho,u,v,w,"
+                                             f"theta, got {header}$"):
+            load_initial_csv(path, g)
 
 
 def test_initial_csv_rejects_mismatched_grid(tmp_path):

@@ -303,12 +303,10 @@ def test_run_zero_time():
     assert len(traj.series) == 1
 
 
-def test_run_refuses_inadmissible_without_force():
-    cfg = parse_config("[model]\nlam = -0.7\n[controls]\nt_end = 0.001\n")
-    with pytest.raises(ConfigError):
-        run(cfg)
-    traj = run(cfg, force=True)
-    assert traj.reason == "completed"
+def test_parse_refuses_inadmissible():
+    # 2*mu + (m+1)*lam > 0 fails at m = 2, so no config reaches run
+    with pytest.raises(ConfigError, match="inadmissible model/grid"):
+        parse_config("[model]\nlam = -0.7\n[controls]\nt_end = 0.001\n")
 
 
 def test_run_vacuum_bump_short():
