@@ -17,7 +17,7 @@ import os
 import sys
 import time
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -38,7 +38,7 @@ _REASON_EXIT = {"completed": 0, "dt_underflow": 2, "solver_failure": 2,
 def _apply_out_dir_env(cfg: SimConfig):
     env = os.environ.get("SYMNS_OUT_DIR")
     if env:
-        cfg.output.out_dir = env
+        cfg = replace(cfg, output=replace(cfg.output, out_dir=env))
     return cfg
 
 
@@ -111,8 +111,8 @@ def _cmd_sweep(args) -> int:
     for v in values:
         # every value's config and initial state are built before any run
         sub = override_config(cfg, key, v)
-        sub.output.out_dir = os.path.join(base_out,
-                                          f"{key.replace('.', '_')}_{v}")
+        out_dir = os.path.join(base_out, f"{key.replace('.', '_')}_{v}")
+        sub = replace(sub, output=replace(sub.output, out_dir=out_dir))
         tasks.append((sub, key, v))
     workers = args.workers or min(len(tasks), os.cpu_count() or 1)
     if workers > 1:
@@ -169,9 +169,8 @@ def convergence_study(cfg: SimConfig, levels: int) -> ConvergenceResult:
     finals = []
     reasons = []
     for ci in cfgs:
-        ci.controls.dt_max = dt_fixed
-        ci.output.snapshot_every = 0
-        traj = run(ci)
+        traj = run(replace(ci, controls=replace(ci.controls, dt_max=dt_fixed),
+                           output=replace(ci.output, snapshot_every=0)))
         reasons.append(traj.reason)
         finals.append(traj.final_state)
 

@@ -12,6 +12,7 @@ the one model condition that depends on the grid, 2*mu + (m+1)*lam > 0.
 A validated config then builds its t = 0 State (``SimConfig.initial``)
 once, so every ``ConfigError`` a config can cause is raised by
 :func:`parse_config` or :func:`override_config`, and a parsed config runs.
+Configs and their sections are frozen, so that State cannot go stale.
 """
 
 from __future__ import annotations
@@ -51,21 +52,31 @@ class InitConfig:
     floor_frac: float | None = None
     swirl: float | None = None
     amplitude: float | None = None
+    # [(grid, model, rho_vac_tol), State] of the last state built from this
+    # section, which a config derived by dataclasses.replace reuses
+    _last: list = field(default_factory=list, init=False, repr=False,
+                        compare=False)
 
     @property
     def preset_name(self) -> str:
         return self.preset or "equilibrium"
 
 
-@dataclass
+@dataclass(frozen=True)
 class OutputConfig:
     out_dir: str = "out"
     snapshot_every: int = 0   # every k steps; 0 keeps initial/final only
     diag_alpha: float = 0.5
 
 
-@dataclass
+@dataclass(frozen=True)
 class SimConfig:
+    """A validated run config.  It is immutable, so its t = 0 State cannot
+    go stale: derive a changed config with :func:`override_config` or
+    ``dataclasses.replace``, which validate it and rebuild that State
+    unless the grid, model and ``rho_vac_tol`` are those of the last State
+    built from the same ``[init]`` section."""
+
     grid: Grid = field(default_factory=Grid)
     model: GasModel = field(default_factory=GasModel)
     init: InitConfig = field(default_factory=InitConfig)
@@ -76,7 +87,11 @@ class SimConfig:
 
     def __post_init__(self):
         _validate(self)
-        self.initial = _initial_state(self)
+        key = (self.grid, self.model, self.controls.rho_vac_tol)
+        last = self.init._last
+        if not last or last[0] != key:
+            last[:] = key, _initial_state(self)
+        object.__setattr__(self, "initial", last[1])
 
 
 _SECTIONS = {"grid": Grid, "model": GasModel, "init": InitConfig,

@@ -202,14 +202,39 @@ def thermo_consistency_residual(model: GasModel, rho: float, theta: float) -> fl
 
 @dataclass
 class AdmissibilityReport:
-    """Outcome of :func:`check_admissible`: one (name, passed, detail) row
-    per condition; failures carry the witness value."""
+    """Outcome of :func:`check_admissible` for a model and symmetry exponent
+    m: one (name, passed, detail) row per condition; failures carry the
+    witness value.  The rows are formatted only when they are read."""
 
-    checks: list
+    model: GasModel
+    m: int
+
+    @property
+    def lame_combination(self) -> float:
+        return 2.0 * self.model.mu + (self.m + 1) * self.model.lam
 
     @property
     def ok(self) -> bool:
-        return all(passed for _, passed, _ in self.checks)
+        # the only condition that can fail: GasModel enforces the rest
+        return self.lame_combination > 0.0
+
+    @property
+    def checks(self) -> list:
+        """The rows.  The second carries the exact constants: q > r,
+        C1 = gamma - 1 in rho*|e_c'| <= C1*e_c (or e_c = 0), and C4 = C5 in
+        C4*(1+theta^r) <= Q' <= C5*(1+theta^r), which is 1/2 for Q = theta
+        and 1 for the power family."""
+        model, m = self.model, self.m
+        c1 = (f"C1 = gamma - 1 = {model.gamma - 1.0}"
+              if model.pc_family == "barotropic" else "e_c = 0")
+        c45 = 1.0 if model.family == "power" else 0.5
+        return [
+            (f"2*mu + (m+1)*lam > 0 (m={m})", self.ok,
+             f"2*{model.mu} + {m + 1}*{model.lam} = {self.lame_combination}"),
+            ("mu > 0, q > r, e_c and Q' bounds (enforced by GasModel)", True,
+             f"mu = {model.mu}, q = {model.q} > r = {model.r}, {c1}, "
+             f"C4 = C5 = {c45}"),
+        ]
 
     def failures(self):
         return [(name, detail) for name, passed, detail in self.checks if not passed]
@@ -226,19 +251,7 @@ def check_admissible(model: GasModel, m: int) -> AdmissibilityReport:
     """The admissibility conditions of the model for symmetry exponent m.
 
     Only 2*mu + (m+1)*lam > 0 can fail: it depends on m, while GasModel's
-    constructor has enforced the rest.  Their row carries the exact
-    constants: q > r, C1 = gamma - 1 in rho*|e_c'| <= C1*e_c (or e_c = 0),
-    and C4 = C5 in C4*(1+theta^r) <= Q' <= C5*(1+theta^r), which is 1/2 for
-    Q = theta and 1 for the power family.
+    constructor has enforced the rest (see :attr:`AdmissibilityReport.checks`
+    for the constants its row reports).
     """
-    lame_comb = 2.0 * model.mu + (m + 1) * model.lam
-    c1 = (f"C1 = gamma - 1 = {model.gamma - 1.0}"
-          if model.pc_family == "barotropic" else "e_c = 0")
-    c45 = 1.0 if model.family == "power" else 0.5
-    return AdmissibilityReport([
-        (f"2*mu + (m+1)*lam > 0 (m={m})", lame_comb > 0.0,
-         f"2*{model.mu} + {m + 1}*{model.lam} = {lame_comb}"),
-        ("mu > 0, q > r, e_c and Q' bounds (enforced by GasModel)", True,
-         f"mu = {model.mu}, q = {model.q} > r = {model.r}, {c1}, "
-         f"C4 = C5 = {c45}"),
-    ])
+    return AdmissibilityReport(model, m)

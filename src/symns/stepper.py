@@ -54,7 +54,7 @@ __all__ = [
 _CLIP_WINDOW = 1e-10   # anything more negative is a scheme failure
 
 
-@dataclass
+@dataclass(frozen=True)
 class StepControls:
     """Time-stepping controls; the ``[controls]`` section of a run config."""
     cfl: float = 0.4

@@ -369,6 +369,37 @@ def test_a_parsed_config_builds_one_initial_state(tmp_path, monkeypatch):
     assert len(built) == 4   # one per level
 
 
+
+_BUMP_EPS = """
+[grid]
+n = 64
+[init]
+preset = "vacuum_bump"
+eps = 1e-4
+"""
+
+
+def test_a_parsed_config_cannot_go_stale():
+    # rho_vac_tol feeds the eps re-solve of the initial velocity
+    cfg = parse_config(_BUMP_EPS)
+    for section, key in (("controls", "rho_vac_tol"), ("output", "out_dir")):
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            setattr(getattr(cfg, section), key, 0.5)
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        cfg.initial = None
+    # a change that the initial state does not depend on reuses it
+    moved = dataclasses.replace(
+        cfg, output=dataclasses.replace(cfg.output, out_dir="elsewhere"))
+    assert moved.initial is cfg.initial and moved.output.out_dir == "elsewhere"
+    assert cfg.output.out_dir == "out"
+    derived = dataclasses.replace(
+        cfg, controls=dataclasses.replace(cfg.controls, rho_vac_tol=0.5))
+    parsed = parse_config(_BUMP_EPS + "[controls]\nrho_vac_tol = 0.5\n")
+    assert not np.array_equal(derived.initial.u, cfg.initial.u)
+    for name in ("rho", "u", "v", "w", "theta"):
+        assert (getattr(derived.initial, name).tobytes()
+                == getattr(parsed.initial, name).tobytes())
+
 def test_override_config():
     cfg = parse_config("[grid]\nn = 64\n")
     cfg2 = override_config(cfg, "grid.n", "128")

@@ -1,12 +1,18 @@
+import copy
 import math
+import os
+import tempfile
 
 import numpy as np
+import pytest
+from hypothesis import given, settings, strategies as st
 
+import symns.io
 from symns.config import parse_config
 from symns.diagnostics import SERIES_COLUMNS, DiagnosticsSeries
-from symns.grid import make_grid
-from symns.io import (SNAPSHOT_COLUMNS, write_diagnostics_csv, write_snapshot,
-                      write_trajectory)
+from symns.grid import Grid, make_grid
+from symns.io import (SNAPSHOT_COLUMNS, snapshot_filename,
+                      write_diagnostics_csv, write_snapshot, write_trajectory)
 from symns.state import State
 from symns.stepper import run
 
@@ -77,3 +83,87 @@ def test_diagnostics_one_int_step_row_and_empty_series(tmp_path):
     assert path.read_bytes() == _reference_csv(SERIES_COLUMNS,
                                                [list(row.values())])
     assert path.read_bytes().split(b"\n")[1].startswith(b"7,-0,nan,")
+
+
+# one column of a drawn table: how its entries are chosen
+_COLUMN_KINDS = {
+    "finite": st.floats(allow_nan=False, allow_infinity=False),
+    "any": st.floats(),
+    "+0": st.just(0.0),
+    "-0": st.just(-0.0),
+    "±0": st.sampled_from([0.0, -0.0]),
+    "nan": st.just(math.nan),
+    "±inf": st.sampled_from([math.inf, -math.inf]),
+}
+
+
+@st.composite
+def _tables(draw):
+    """(rows, columns): each column drawn from one kind, rows from 0 up."""
+    rows = draw(st.integers(0, 12))
+    kinds = draw(st.lists(st.sampled_from(sorted(_COLUMN_KINDS)),
+                          min_size=1, max_size=7))
+    columns = [draw(st.lists(_COLUMN_KINDS[kind], min_size=rows,
+                             max_size=rows)) for kind in kinds]
+    return rows, columns
+
+
+@settings(max_examples=300, database=None)
+@given(_tables(), st.booleans())
+def test_write_csv_matches_reference_on_drawn_tables(table, first_as_text):
+    rows, columns = table
+    header = [f"c{j}" for j in range(len(columns))]
+    arrays = [np.array(col, dtype=float) for col in columns]
+    if first_as_text:   # a preformatted column, as the snapshot x column
+        arrays[0] = np.array(["%.17g" % v for v in columns[0]], dtype=object)
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "table.csv")
+        symns.io._write_csv(path, header, arrays)
+        with open(path, "rb") as fh:
+            written = fh.read()
+    assert written == _reference_csv(header, zip(*columns))
+    assert written.count(b"\n") == rows + 1
+
+
+def test_write_snapshot_alone_matches_trajectory_file(tmp_path):
+    # m = 2: v and w are all +0.0 and take the literal-zero path
+    cfg = parse_config("""
+[grid]
+n = 24
+[init]
+preset = "vacuum_bump"
+eps = 1e-3
+[controls]
+t_end = 0.05
+[output]
+snapshot_every = 1
+""")
+    traj = run(cfg)
+    assert len(traj.states) > 2
+    assert not traj.states[-1].v.any() and not traj.states[-1].w.any()
+    paths = write_trajectory(tmp_path / "traj", traj)
+    for state, step in zip(traj.states, traj.snapshot_steps):
+        # a copy's grid is rebuilt, so it formats its x column afresh
+        alone = tmp_path / "alone.csv"
+        write_snapshot(alone, copy.deepcopy(state))
+        from_traj = tmp_path / "traj" / snapshot_filename(step)
+        assert str(from_traj) in paths
+        assert alone.read_bytes() == from_traj.read_bytes()
+    rows = zip(state.grid.centers, state.rho, state.u, state.v, state.w,
+               state.theta)
+    assert alone.read_bytes() == _reference_csv(SNAPSHOT_COLUMNS, rows)
+
+
+def test_cached_x_text_is_read_only_and_per_grid():
+    # dx = 1/24 and 1.7/24 are not dyadic, so the centers need 17 digits
+    grids = [Grid(n=24), Grid(n=48), Grid(a=0.3, n=24), Grid(n=24)]
+    texts = [symns.io._x_text(g) for g in grids]
+    assert symns.io._x_text(grids[0]) is texts[0]   # formatted once per grid
+    with pytest.raises(ValueError, match="read-only"):
+        texts[0][0] = "0"
+    for g, text in zip(grids, texts):
+        assert text.tolist() == ["%.17g" % x for x in g.centers]
+    assert texts[0].tolist() != texts[2].tolist()   # same n, other a
+    assert len(texts[1]) == 48
+    # an equal grid built separately formats its own copy
+    assert grids[3] == grids[0] and texts[3] is not texts[0]

@@ -1,6 +1,11 @@
+import importlib.util
+import json
+import math
 import os
 import subprocess
 import sys
+
+import pytest
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 
@@ -28,3 +33,49 @@ def test_conduction_convergence_difference_falls(tmp_path):
     assert [int(n) for n, _ in rows] == [16, 32]
     diffs = [float(d) for _, d in rows]
     assert diffs[1] < diffs[0]
+
+
+def _load_script(name):
+    spec = importlib.util.spec_from_file_location(
+        name, os.path.join(ROOT, "scripts", f"{name}.py"))
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def _bench_output(run_s, rss, failed=0):
+    """Canned bench/run.py standard output: report lines, then the result."""
+    result = {"correct": failed == 0, "attempted": 20, "failed": failed,
+              "metrics": {"run_s": {"value": run_s, "unit": "s"},
+                          "peak_rss_mb": {"value": rss, "unit": "MB"}}}
+    return "# provenance {}\n# run_s: median ...\n" + json.dumps(result) + "\n"
+
+
+def test_bench_pairs_summary_from_canned_results():
+    bench_pairs = _load_script("bench_pairs")
+    parent = [1.0, 2.0, 3.0, 4.0, 5.0]
+    change = [0.9, 2.1, 2.5, 3.0, 4.0]
+    runs = []
+    for i, (p, c) in enumerate(zip(parent, change)):
+        order = ("parent", "change") if i % 2 == 0 else ("change", "parent")
+        for side in order:
+            value = p if side == "parent" else c
+            out = _bench_output(value, 40.0 + value,
+                                failed=int(side == "change" and i == 3))
+            runs.append({"workload": "bump_restart", "pair": i,
+                         "seed": 100 + i, "side": side,
+                         "result": bench_pairs.parse_result(out)})
+    summary = bench_pairs.summarize(runs)["bump_restart"]
+    assert summary["pairs"] == 5 and summary["seeds"] == [100, 101, 102,
+                                                          103, 104]
+    assert summary["correct_all"] is False and summary["failed"] == 1
+    run_s = summary["run_s"]
+    assert run_s["parent"] == {"q1": 2.0, "median": 3.0, "q3": 4.0}
+    assert run_s["change"] == {"q1": 2.1, "median": 2.5, "q3": 3.0}
+    assert run_s["change_lower_in_pairs"] == 4
+    assert math.isclose(run_s["median_change_rel"], 2.5 / 3.0 - 1.0)
+    assert summary["peak_rss_mb"]["parent"]["median"] == 43.0
+    assert list(summary) == ["pairs", "seeds", "correct_all", "failed",
+                             "run_s", "peak_rss_mb"]
+    with pytest.raises(ValueError, match="lacks one of its two sides"):
+        bench_pairs.summarize(runs[:-1])
