@@ -5,15 +5,15 @@ Usage, from the repository root:
 
     python3 scripts/bench_pairs.py PARENT_TREE CHANGE_TREE --label LABEL \
         [--workloads bump_restart,swirl_long,bump_fine] [--pairs 10] \
-        [--seed0 1401] [--seconds 15] [--trace-seed 3] [--trace-seconds 10] \
-        [--claim TEXT] [--out DIR]
+        [--seed0 1401] [--seconds 15] [--claim TEXT] [--out DIR]
 
 PARENT_TREE and CHANGE_TREE are two checkouts, each with its own ``bench/``
 and ``src/``.  For every workload, pair i runs ``bench/run.py --trace 0``
 with seed ``seed0 + k * pairs + i`` (k the workload's index) once in each
 tree; the tree that runs first alternates from pair to pair, so a drift of
 the host's speed does not favour one side.  Then each tree runs one
-``--trace 1`` run per workload.  Runs go one at a time.
+``--trace 1`` run per workload (seed ``TRACE_SEED``, ``--seconds
+TRACE_SECONDS``).  Runs go one at a time.
 
 The result is ``DIR/BENCH_<LABEL>.json`` with the keys ``what``, ``claim``,
 ``summary``, ``runs`` and ``traced``.  ``summary[workload][metric]`` holds
@@ -33,6 +33,8 @@ import subprocess
 import sys
 
 SIDES = ("parent", "change")
+TRACE_SEED = 3
+TRACE_SECONDS = 10
 
 
 def parse_result(stdout: str) -> dict:
@@ -100,8 +102,6 @@ def main(argv=None) -> int:
     ap.add_argument("--pairs", type=int, default=10)
     ap.add_argument("--seed0", type=int, default=1401)
     ap.add_argument("--seconds", type=float, default=15.0)
-    ap.add_argument("--trace-seed", type=int, default=3)
-    ap.add_argument("--trace-seconds", type=float, default=10.0)
     ap.add_argument("--claim", default="none")
     ap.add_argument("--out", default=".")
     args = ap.parse_args(argv)
@@ -119,9 +119,9 @@ def main(argv=None) -> int:
                 print(f"{wl} pair {i} seed {seed} {side}: "
                       + json.dumps({m: v["value"] for m, v
                                     in res["metrics"].items()}), flush=True)
-    traced = [{"workload": wl, "seed": args.trace_seed, "side": side,
-               "result": run_bench(trees[side], wl, args.trace_seed,
-                                   args.trace_seconds, 1)}
+    traced = [{"workload": wl, "seed": TRACE_SEED, "side": side,
+               "result": run_bench(trees[side], wl, TRACE_SEED,
+                                   TRACE_SECONDS, 1)}
               for wl in workloads for side in SIDES]
 
     seeds = (f"{args.seed0}-{args.seed0 + len(workloads) * args.pairs - 1}")
@@ -132,8 +132,8 @@ def main(argv=None) -> int:
             f"runs first alternating from pair to pair; "
             f"{len(os.sched_getaffinity(0))} CPUs, Python "
             f"{platform.python_version()}. 'traced' holds one --trace 1 run "
-            f"per side and workload (seed {args.trace_seed}, --seconds "
-            f"{args.trace_seconds:g}). Written by scripts/bench_pairs.py.")
+            f"per side and workload (seed {TRACE_SEED}, --seconds "
+            f"{TRACE_SECONDS}). Written by scripts/bench_pairs.py.")
     doc = {"what": what, "claim": args.claim, "summary": summarize(runs),
            "runs": runs, "traced": traced}
     path = os.path.join(args.out, f"BENCH_{args.label}.json")

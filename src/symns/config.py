@@ -52,7 +52,7 @@ class InitConfig:
     floor_frac: float | None = None
     swirl: float | None = None
     amplitude: float | None = None
-    # [(grid, model, rho_vac_tol), State] of the last state built from this
+    # [grid, (model, rho_vac_tol), State] of the last state built from this
     # section, which a config derived by dataclasses.replace reuses
     _last: list = field(default_factory=list, init=False, repr=False,
                         compare=False)
@@ -74,8 +74,8 @@ class SimConfig:
     """A validated run config.  It is immutable, so its t = 0 State cannot
     go stale: derive a changed config with :func:`override_config` or
     ``dataclasses.replace``, which validate it and rebuild that State
-    unless the grid, model and ``rho_vac_tol`` are those of the last State
-    built from the same ``[init]`` section."""
+    unless the grid (the same object), model and ``rho_vac_tol`` are those
+    of the last State built from the same ``[init]`` section."""
 
     grid: Grid = field(default_factory=Grid)
     model: GasModel = field(default_factory=GasModel)
@@ -87,11 +87,12 @@ class SimConfig:
 
     def __post_init__(self):
         _validate(self)
-        key = (self.grid, self.model, self.controls.rho_vac_tol)
+        key = (self.model, self.controls.rho_vac_tol)
         last = self.init._last
-        if not last or last[0] != key:
-            last[:] = key, _initial_state(self)
-        object.__setattr__(self, "initial", last[1])
+        # the grid by identity, so that initial.grid is self.grid
+        if not last or last[0] is not self.grid or last[1] != key:
+            last[:] = self.grid, key, _initial_state(self)
+        object.__setattr__(self, "initial", last[2])
 
 
 _SECTIONS = {"grid": Grid, "model": GasModel, "init": InitConfig,

@@ -369,7 +369,6 @@ def test_a_parsed_config_builds_one_initial_state(tmp_path, monkeypatch):
     assert len(built) == 4   # one per level
 
 
-
 _BUMP_EPS = """
 [grid]
 n = 64
@@ -399,6 +398,13 @@ def test_a_parsed_config_cannot_go_stale():
     for name in ("rho", "u", "v", "w", "theta"):
         assert (getattr(derived.initial, name).tobytes()
                 == getattr(parsed.initial, name).tobytes())
+    # an equal grid that is another object gets its own state
+    regridded = dataclasses.replace(cfg, grid=Grid(cfg.grid.a, cfg.grid.b,
+                                                   cfg.grid.n, cfg.grid.m))
+    assert regridded.grid == cfg.grid and regridded.initial is not cfg.initial
+    assert regridded.initial.grid is regridded.grid
+    assert np.array_equal(regridded.initial.u, cfg.initial.u)
+
 
 def test_override_config():
     cfg = parse_config("[grid]\nn = 64\n")
