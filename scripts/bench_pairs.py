@@ -11,15 +11,18 @@ PARENT_TREE and CHANGE_TREE are two checkouts, each with its own ``bench/``
 and ``src/``.  For every workload, pair i runs ``bench/run.py --trace 0``
 with seed ``seed0 + k * pairs + i`` (k the workload's index) once in each
 tree; the tree that runs first alternates from pair to pair, so a drift of
-the host's speed does not favour one side.  Then each tree runs one
-``--trace 1`` run per workload (seed ``TRACE_SEED``, ``--seconds
-TRACE_SECONDS``).  Runs go one at a time.
+the host's speed does not favour one side.  Then the first
+``TRACE_PAIRS`` of those pairs run again, in the same way, with
+``--trace 1 --seconds TRACE_SECONDS``.  Runs go one at a time.
 
 The result is ``DIR/BENCH_<LABEL>.json`` with the keys ``what``, ``claim``,
-``summary``, ``runs`` and ``traced``.  ``summary[workload][metric]`` holds
-q1, median and q3 of each side, ``change_lower_in_pairs`` (the pairs in
-which the change reads lower) and ``median_change_rel`` (change median over
-parent median, minus 1).
+``provenance``, ``summary``, ``traced_summary``, ``runs`` and ``traced``.
+``summary[workload][metric]`` holds q1, median and q3 of each side,
+``change_lower_in_pairs`` (the pairs in which the change reads lower) and
+``median_change_rel`` (change median over parent median, minus 1);
+``traced_summary`` is the same for the traced pairs.  ``provenance`` holds
+the ``# provenance`` line that bench/run.py prints in each tree, less its
+seed; the script stops if a tree's ``src_sha256`` changes between runs.
 """
 
 from __future__ import annotations
@@ -33,8 +36,9 @@ import subprocess
 import sys
 
 SIDES = ("parent", "change")
-TRACE_SEED = 3
+TRACE_PAIRS = 5
 TRACE_SECONDS = 10
+PROVENANCE = "# provenance "
 
 
 def parse_result(stdout: str) -> dict:
@@ -45,8 +49,27 @@ def parse_result(stdout: str) -> dict:
     return json.loads(lines[-1])
 
 
-def run_bench(tree, workload, seed, seconds, trace) -> dict:
-    """One bench/run.py run in tree; its result object."""
+def parse_provenance(stdout: str) -> dict:
+    """The ``# provenance`` object of a bench/run.py output, less its seed."""
+    for line in stdout.splitlines():
+        if line.startswith(PROVENANCE):
+            prov = json.loads(line[len(PROVENANCE):])
+            del prov["seed"]
+            return prov
+    raise ValueError("bench/run.py printed no provenance line")
+
+
+def keep_provenance(kept: dict, side: str, prov: dict):
+    """Record side's provenance in kept on its first run; later runs must
+    come from the same source tree."""
+    was, now = kept.setdefault(side, prov)["src_sha256"], prov["src_sha256"]
+    if now != was:
+        raise ValueError(f"{side}: src_sha256 changed between runs, from "
+                         f"{was} to {now}")
+
+
+def run_bench(tree, workload, seed, seconds, trace) -> str:
+    """One bench/run.py run in tree; its standard output."""
     cmd = [sys.executable, os.path.join("bench", "run.py"),
            "--workload", workload, "--seed", str(seed),
            "--seconds", str(seconds), "--trace", str(trace)]
@@ -54,7 +77,7 @@ def run_bench(tree, workload, seed, seconds, trace) -> dict:
     if proc.returncode not in (0, 1):   # 1: a rep failed the output gate
         raise RuntimeError(f"{' '.join(cmd)} in {tree} exited "
                            f"{proc.returncode}:\n{proc.stderr}")
-    return parse_result(proc.stdout)
+    return proc.stdout
 
 
 def _quartiles(values) -> dict:
@@ -105,24 +128,34 @@ def main(argv=None) -> int:
     ap.add_argument("--claim", default="none")
     ap.add_argument("--out", default=".")
     args = ap.parse_args(argv)
+    if args.pairs < 2:   # quartiles need two runs per side
+        ap.error("--pairs must be at least 2")
     trees = {"parent": args.parent_tree, "change": args.change_tree}
     workloads = [w.strip() for w in args.workloads.split(",") if w.strip()]
 
-    runs = []
-    for k, wl in enumerate(workloads):
-        for i in range(args.pairs):
-            seed = args.seed0 + k * args.pairs + i
-            for side in SIDES if i % 2 == 0 else SIDES[::-1]:
-                res = run_bench(trees[side], wl, seed, args.seconds, 0)
-                runs.append({"workload": wl, "pair": i, "seed": seed,
-                             "side": side, "result": res})
-                print(f"{wl} pair {i} seed {seed} {side}: "
-                      + json.dumps({m: v["value"] for m, v
-                                    in res["metrics"].items()}), flush=True)
-    traced = [{"workload": wl, "seed": TRACE_SEED, "side": side,
-               "result": run_bench(trees[side], wl, TRACE_SEED,
-                                   TRACE_SECONDS, 1)}
-              for wl in workloads for side in SIDES]
+    provenance = {}
+
+    def run_pairs(count, seconds, trace):
+        """The first count pairs of every workload, as summarize takes them."""
+        runs = []
+        for k, wl in enumerate(workloads):
+            for i in range(count):
+                seed = args.seed0 + k * args.pairs + i
+                for side in SIDES if i % 2 == 0 else SIDES[::-1]:
+                    out = run_bench(trees[side], wl, seed, seconds, trace)
+                    keep_provenance(provenance, side, parse_provenance(out))
+                    res = parse_result(out)
+                    runs.append({"workload": wl, "pair": i, "seed": seed,
+                                 "side": side, "result": res})
+                    print(f"{wl} pair {i} seed {seed} {side} trace {trace}: "
+                          + json.dumps({m: v["value"] for m, v
+                                        in res["metrics"].items()}),
+                          flush=True)
+        return runs
+
+    runs = run_pairs(args.pairs, args.seconds, 0)
+    trace_pairs = min(TRACE_PAIRS, args.pairs)
+    traced = run_pairs(trace_pairs, TRACE_SECONDS, 1)
 
     seeds = (f"{args.seed0}-{args.seed0 + len(workloads) * args.pairs - 1}")
     what = (f"python3 bench/run.py --workload W --seed S --seconds "
@@ -131,10 +164,13 @@ def main(argv=None) -> int:
             f"{args.pairs} pairs per workload (seeds {seeds}), the side that "
             f"runs first alternating from pair to pair; "
             f"{len(os.sched_getaffinity(0))} CPUs, Python "
-            f"{platform.python_version()}. 'traced' holds one --trace 1 run "
-            f"per side and workload (seed {TRACE_SEED}, --seconds "
-            f"{TRACE_SECONDS}). Written by scripts/bench_pairs.py.")
-    doc = {"what": what, "claim": args.claim, "summary": summarize(runs),
+            f"{platform.python_version()}. 'traced' holds the first "
+            f"{trace_pairs} pairs of each workload run again "
+            f"with --trace 1 --seconds {TRACE_SECONDS:g}, summarized in "
+            f"'traced_summary'. 'provenance' is each tree's bench/run.py "
+            f"provenance line. Written by scripts/bench_pairs.py.")
+    doc = {"what": what, "claim": args.claim, "provenance": provenance,
+           "summary": summarize(runs), "traced_summary": summarize(traced),
            "runs": runs, "traced": traced}
     path = os.path.join(args.out, f"BENCH_{args.label}.json")
     with open(path, "w", encoding="utf-8") as fh:

@@ -6,7 +6,7 @@ config is parsed), 3 configuration error, which includes an inadmissible
 model, a missing or bad initial-data file and an output directory that
 cannot be made (all found before any run starts).  Human-readable diagnostics
 go to stderr; results to stdout.
-The SYMNS_OUT_DIR environment variable overrides output.out_dir.
+SYMNS_OUT_DIR, when set, replaces output.out_dir as where files are written.
 """
 
 from __future__ import annotations
@@ -35,24 +35,23 @@ _REASON_EXIT = {"completed": 0, "dt_underflow": 2, "solver_failure": 2,
                 "nan_detected": 2}
 
 
-def _apply_out_dir_env(cfg: SimConfig):
-    env = os.environ.get("SYMNS_OUT_DIR")
-    if env:
-        cfg = replace(cfg, output=replace(cfg.output, out_dir=env))
-    return cfg
+def _out_dir(cfg: SimConfig) -> str:
+    """Where run and sweep write: SYMNS_OUT_DIR if set, else out_dir."""
+    return os.environ.get("SYMNS_OUT_DIR") or cfg.output.out_dir
 
 
 def _cmd_run(args) -> int:
-    cfg = _apply_out_dir_env(parse_config_file(args.config))
+    cfg = parse_config_file(args.config)
+    out_dir = _out_dir(cfg)
     # an unwritable out_dir is a config error before the run, not after it
-    os.makedirs(cfg.output.out_dir, exist_ok=True)
+    os.makedirs(out_dir, exist_ok=True)
     traj = run(cfg)
-    paths = write_trajectory(cfg.output.out_dir, traj)
+    write_trajectory(out_dir, traj)
     if traj.error:
         print(f"terminated: {traj.error}", file=sys.stderr)
     print(f"{traj.reason}: steps={traj.steps} "
           f"t={traj.final_state.t:.6g} snapshots={len(traj.states)} "
-          f"out={cfg.output.out_dir}")
+          f"out={out_dir}")
     return _REASON_EXIT[traj.reason]
 
 
@@ -75,10 +74,10 @@ def _cmd_verify(args) -> int:
 
 
 def _sweep_worker(task):
-    cfg, key, value = task
+    cfg, key, value, out_dir = task
     t0 = time.perf_counter()
     traj = run(cfg)
-    write_trajectory(cfg.output.out_dir, traj)
+    write_trajectory(out_dir, traj)
     m = traj.series.column("mass")
     drift = abs(m[-1] - m[0]) / abs(m[0]) if m[0] != 0.0 else 0.0
     return {"key": key, "value": value, "reason": traj.reason,
@@ -93,7 +92,7 @@ _SWEEP_COLS = ("value", "reason", "steps", "t_final", "mass_drift_rel",
 
 
 def _cmd_sweep(args) -> int:
-    cfg = _apply_out_dir_env(parse_config_file(args.config))
+    cfg = parse_config_file(args.config)
     if "=" not in args.vary:
         raise ConfigError("--vary expects key=v1,v2,...")
     key, _, raw_values = args.vary.partition("=")
@@ -105,15 +104,12 @@ def _cmd_sweep(args) -> int:
     if repeated:
         raise ConfigError(f"--vary repeats {', '.join(repeated)}: each value "
                           "names one run directory")
-    base_out = cfg.output.out_dir
+    base_out = _out_dir(cfg)
     os.makedirs(base_out, exist_ok=True)
-    tasks = []
-    for v in values:
-        # every value's config and initial state are built before any run
-        sub = override_config(cfg, key, v)
-        out_dir = os.path.join(base_out, f"{key.replace('.', '_')}_{v}")
-        sub = replace(sub, output=replace(sub.output, out_dir=out_dir))
-        tasks.append((sub, key, v))
+    # every value's config and initial state are built before any run
+    tasks = [(override_config(cfg, key, v), key, v,
+              os.path.join(base_out, f"{key.replace('.', '_')}_{v}"))
+             for v in values]
     workers = args.workers or min(len(tasks), os.cpu_count() or 1)
     if workers > 1:
         with ProcessPoolExecutor(max_workers=workers) as pool:
@@ -162,15 +158,17 @@ def convergence_study(cfg: SimConfig, levels: int) -> ConvergenceResult:
     if levels < 2:
         raise ConfigError("convergence needs at least 2 levels")
     ns = [cfg.grid.n * 2 ** i for i in range(levels)]
-    cfgs = [override_config(cfg, "grid.n", str(n)) for n in ns]
-    fine = cfgs[-1]
+    fine = override_config(cfg, "grid.n", str(ns[-1]))
     dt_fixed = 0.5 * cfl_dt(fine.initial, fine.controls, fine.model)
+    # each level, built before any runs, keeps its initial and final states
+    base = replace(cfg, controls=replace(cfg.controls, dt_max=dt_fixed),
+                   output=replace(cfg.output, snapshot_every=0))
+    cfgs = [base] + [override_config(base, "grid.n", str(n)) for n in ns[1:]]
 
     finals = []
     reasons = []
     for ci in cfgs:
-        traj = run(replace(ci, controls=replace(ci.controls, dt_max=dt_fixed),
-                           output=replace(ci.output, snapshot_every=0)))
+        traj = run(ci)
         reasons.append(traj.reason)
         finals.append(traj.final_state)
 

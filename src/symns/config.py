@@ -25,7 +25,7 @@ import numpy as np
 from .constitutive import GasModel, check_admissible
 from .diagnostics import _check_alpha
 from .errors import ConfigError
-from .grid import Grid
+from .grid import Grid, _integer
 from .initdata import (load_initial_csv, preset, radial_residual, regularize,
                        solve_initial_velocity, validate_initial, PRESET_PARAMS)
 from .state import State
@@ -52,10 +52,6 @@ class InitConfig:
     floor_frac: float | None = None
     swirl: float | None = None
     amplitude: float | None = None
-    # [grid, (model, rho_vac_tol), State] of the last state built from this
-    # section, which a config derived by dataclasses.replace reuses
-    _last: list = field(default_factory=list, init=False, repr=False,
-                        compare=False)
 
     @property
     def preset_name(self) -> str:
@@ -68,14 +64,17 @@ class OutputConfig:
     snapshot_every: int = 0   # every k steps; 0 keeps initial/final only
     diag_alpha: float = 0.5
 
+    def __post_init__(self):
+        object.__setattr__(self, "snapshot_every",
+                           _integer("snapshot_every", self.snapshot_every))
+
 
 @dataclass(frozen=True)
 class SimConfig:
     """A validated run config.  It is immutable, so its t = 0 State cannot
     go stale: derive a changed config with :func:`override_config` or
-    ``dataclasses.replace``, which validate it and rebuild that State
-    unless the grid (the same object), model and ``rho_vac_tol`` are those
-    of the last State built from the same ``[init]`` section."""
+    ``dataclasses.replace``.  Every constructed config, derived or not,
+    validates itself and builds its own State once, on its own grid."""
 
     grid: Grid = field(default_factory=Grid)
     model: GasModel = field(default_factory=GasModel)
@@ -87,12 +86,7 @@ class SimConfig:
 
     def __post_init__(self):
         _validate(self)
-        key = (self.model, self.controls.rho_vac_tol)
-        last = self.init._last
-        # the grid by identity, so that initial.grid is self.grid
-        if not last or last[0] is not self.grid or last[1] != key:
-            last[:] = self.grid, key, _initial_state(self)
-        object.__setattr__(self, "initial", last[2])
+        object.__setattr__(self, "initial", _initial_state(self))
 
 
 _SECTIONS = {"grid": Grid, "model": GasModel, "init": InitConfig,
@@ -209,8 +203,6 @@ def _validate(cfg: SimConfig):
         _check_alpha(cfg.model, cfg.output.diag_alpha)
     except ValueError as exc:
         raise ConfigError(f"output.diag_alpha: {exc}") from exc
-    if cfg.output.snapshot_every < 0:
-        raise ConfigError("output snapshot cadence must be >= 0")
     report = check_admissible(cfg.model, cfg.grid.m)
     if not report.ok:
         raise ConfigError("inadmissible model/grid combination:\n"

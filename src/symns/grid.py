@@ -30,11 +30,19 @@ __all__ = [
 _SURFACE = {1: 2.0 * math.pi, 2: 4.0 * math.pi}
 
 
+def _integer(name: str, value, least: int = 0) -> int:
+    """value as an int; ValueError unless it is a whole number >= least."""
+    if not (float(value).is_integer() and value >= least):
+        raise ValueError(f"{name} must be an integer >= {least}, "
+                         f"got {value!r}")
+    return int(value)
+
+
 @dataclass(frozen=True)
 class Grid:
     """Immutable uniform mesh of n cells on [a, b] with symmetry exponent m;
     also the ``[grid]`` section of a config.  Requires 0 < a < b < inf (the
-    singular m/x terms are then bounded), n >= 8 and m >= 1."""
+    singular m/x terms are then bounded) and whole numbers n >= 8, m >= 1."""
 
     a: float = 1.0
     b: float = 2.0
@@ -49,7 +57,8 @@ class Grid:
                          compare=False)
 
     def __post_init__(self):
-        a, b, n, m = float(self.a), float(self.b), int(self.n), int(self.m)
+        a, b = float(self.a), float(self.b)
+        n, m = _integer("n", self.n), _integer("m", self.m, 1)
         if not a > 0.0:
             raise ValueError(f"inner radius must be positive, got a={a}")
         if not b > a:
@@ -58,8 +67,6 @@ class Grid:
             raise ValueError(f"outer radius must be finite, got b={b}")
         if n < 8:
             raise ValueError(f"need at least 8 cells, got n={n}")
-        if m < 1:
-            raise ValueError(f"symmetry exponent must be >= 1, got m={m}")
         dx = (b - a) / n
         centers = a + (np.arange(n) + 0.5) * dx
         faces = a + np.arange(n + 1) * dx

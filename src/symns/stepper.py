@@ -33,7 +33,7 @@ import numpy as np
 from .constitutive import GasModel, heat_capacity, pressure, sound_speed
 from .diagnostics import DiagnosticsSeries, Trajectory, record_step
 from .errors import DtUnderflow, PicardDivergence, SolverFailure
-from .grid import Grid, weighted_integral
+from .grid import Grid, _integer, weighted_integral
 from .operators import (apply_heat_flux, axial_stencil, ddx, dissipation,
                         face_kappa, heat_flux_coeffs, lame_stencil,
                         radial_div, upwind_derivative)
@@ -75,8 +75,8 @@ class StepControls:
             if not getattr(self, name) > 0.0:
                 raise ValueError(f"{name} must be positive")
         for name in ("picard_max", "max_steps"):
-            if not getattr(self, name) >= 1:
-                raise ValueError(f"{name} must be >= 1")
+            count = _integer(name, getattr(self, name), 1)
+            object.__setattr__(self, name, count)
         if not self.t_end >= 0.0:
             raise ValueError("t_end must be >= 0")
 

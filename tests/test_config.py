@@ -366,7 +366,18 @@ def test_a_parsed_config_builds_one_initial_state(tmp_path, monkeypatch):
     assert symns.cli.cli(["verify", str(path)]) == 0
     assert len(built) == 2   # the initial state of the config verify parses
     assert symns.cli.convergence_study(cfg, 2).ns == [16, 32]
-    assert len(built) == 4   # one per level
+    # one per level, plus the finest level built first for its CFL step
+    assert len(built) == 5
+    # SYMNS_OUT_DIR moves the files of run and sweep and derives no config
+    monkeypatch.setenv("SYMNS_OUT_DIR", str(tmp_path / "env"))
+    assert symns.cli.cli(["run", str(path)]) == 0
+    assert len(built) == 6   # the parse
+    assert (tmp_path / "env" / "diagnostics.csv").exists()
+    assert symns.cli.cli(["sweep", str(path), "--vary",
+                          "controls.t_end=1e-3,2e-3", "--workers", "1"]) == 0
+    assert len(built) == 9   # the parse and one per value
+    assert (tmp_path / "env" / "controls_t_end_2e-3"
+            / "diagnostics.csv").exists()
 
 
 _BUMP_EPS = """
@@ -386,10 +397,14 @@ def test_a_parsed_config_cannot_go_stale():
             setattr(getattr(cfg, section), key, 0.5)
     with pytest.raises(dataclasses.FrozenInstanceError):
         cfg.initial = None
-    # a change that the initial state does not depend on reuses it
+    # a change that the initial state does not depend on builds an equal one
     moved = dataclasses.replace(
         cfg, output=dataclasses.replace(cfg.output, out_dir="elsewhere"))
-    assert moved.initial is cfg.initial and moved.output.out_dir == "elsewhere"
+    for name in ("rho", "u", "v", "w", "theta"):
+        assert (getattr(moved.initial, name).tobytes()
+                == getattr(cfg.initial, name).tobytes())
+    assert moved.initial.grid is moved.grid
+    assert moved.output.out_dir == "elsewhere"
     assert cfg.output.out_dir == "out"
     # an equal grid that is another object gets its own state
     regridded = dataclasses.replace(cfg, grid=Grid(cfg.grid.a, cfg.grid.b,
@@ -404,6 +419,25 @@ def test_a_parsed_config_cannot_go_stale():
     for name in ("rho", "u", "v", "w", "theta"):
         assert (getattr(derived.initial, name).tobytes()
                 == getattr(parsed.initial, name).tobytes())
+
+
+def test_integer_fields_reject_fractions_when_built():
+    # the parser rejects these values too; here they come from Python
+    builders = {"n": lambda v: Grid(n=v), "m": lambda v: Grid(m=v),
+                "picard_max": lambda v: StepControls(picard_max=v),
+                "max_steps": lambda v: StepControls(max_steps=v),
+                "snapshot_every": lambda v: OutputConfig(snapshot_every=v)}
+    for name, build in builders.items():
+        for bad in (16.7, 2.5, math.nan, math.inf):
+            with pytest.raises(ValueError, match=f"{name} must be an integer"):
+                build(bad)
+        whole = getattr(build(16.0), name)   # an integral float is kept
+        assert whole == 16 and type(whole) is int
+    with pytest.raises(ValueError, match="n must be an integer"):
+        Grid(1.0, 2.0, 16.7, 2.9)
+    cfg = symns.config.SimConfig(grid=Grid(n=16), controls=StepControls(
+        picard_max=30.0, t_end=1e-3))
+    assert run(cfg).reason == "completed"
 
 
 def test_override_config():

@@ -43,12 +43,15 @@ def _load_script(name):
     return module
 
 
-def _bench_output(run_s, rss, failed=0):
+def _bench_output(run_s, rss, failed=0, sha="0123abcd", seed=1):
     """Canned bench/run.py standard output: report lines, then the result."""
+    prov = {"git_rev": "unavailable", "src_sha256": sha,
+            "src_symns_lines": 2478, "seed": seed}
     result = {"correct": failed == 0, "attempted": 20, "failed": failed,
               "metrics": {"run_s": {"value": run_s, "unit": "s"},
                           "peak_rss_mb": {"value": rss, "unit": "MB"}}}
-    return "# provenance {}\n# run_s: median ...\n" + json.dumps(result) + "\n"
+    return (f"# provenance {json.dumps(prov)}\n# run_s: median ...\n"
+            + json.dumps(result) + "\n")
 
 
 def test_bench_pairs_summary_from_canned_results():
@@ -79,3 +82,56 @@ def test_bench_pairs_summary_from_canned_results():
                              "run_s", "peak_rss_mb"]
     with pytest.raises(ValueError, match="lacks one of its two sides"):
         bench_pairs.summarize(runs[:-1])
+    assert bench_pairs.parse_provenance(_bench_output(1.0, 40.0)) == {
+        "git_rev": "unavailable", "src_sha256": "0123abcd",
+        "src_symns_lines": 2478}
+
+
+def test_bench_pairs_traces_pairs_and_keeps_provenance(tmp_path,
+                                                        monkeypatch):
+    bench_pairs = _load_script("bench_pairs")
+    calls = []
+    sha = {"P": "aaaa", "C": "bbbb"}
+
+    def canned(tree, workload, seed, seconds, trace):
+        calls.append((tree, workload, seed, seconds, trace))
+        return _bench_output(seed / (2.0 if tree == "C" else 1.0), 40.0,
+                             sha=sha[tree], seed=seed)
+
+    monkeypatch.setattr(bench_pairs, "run_bench", canned)
+    argv = ["P", "C", "--label", "canned", "--workloads", "w1,w2",
+            "--pairs", "6", "--seed0", "10", "--out", str(tmp_path)]
+    assert bench_pairs.main(argv) == 0
+    doc = json.loads((tmp_path / "BENCH_canned.json").read_text())
+    assert list(doc) == ["what", "claim", "provenance", "summary",
+                         "traced_summary", "runs", "traced"]
+    assert doc["provenance"] == {
+        side: {"git_rev": "unavailable", "src_sha256": sha[tree],
+               "src_symns_lines": 2478}
+        for side, tree in (("parent", "P"), ("change", "C"))}
+    traced = [c for c in calls if c[4] == 1]
+    assert len(calls) == 2 * 2 * (6 + 5) and len(traced) == 2 * 2 * 5
+    assert {c[3] for c in traced} == {bench_pairs.TRACE_SECONDS}
+    # the first five seeds of each workload's pairs, the first side
+    # alternating as in the untraced pairs
+    assert [c[:3] for c in traced[:4]] == [("P", "w1", 10), ("C", "w1", 10),
+                                          ("C", "w1", 11), ("P", "w1", 11)]
+    assert [r["seed"] for r in doc["traced"] if r["side"] == "parent"] == [
+        10, 11, 12, 13, 14, 16, 17, 18, 19, 20]
+    assert [r["pair"] for r in doc["traced"][:4]] == [0, 0, 1, 1]
+    summary = doc["traced_summary"]["w2"]
+    assert summary["pairs"] == 5 and summary["seeds"] == [16, 17, 18, 19, 20]
+    assert summary["run_s"]["change_lower_in_pairs"] == 5
+    assert doc["summary"]["w1"]["pairs"] == 6
+
+    def drifting(tree, workload, seed, seconds, trace):
+        # the change tree's source is edited after its first run
+        return _bench_output(1.0, 40.0, sha=sha[tree] if tree == "P" or
+                             seed == 10 else "cccc", seed=seed)
+
+    monkeypatch.setattr(bench_pairs, "run_bench", drifting)
+    with pytest.raises(SystemExit):   # refused before any run
+        bench_pairs.main(["P", "C", "--label", "one", "--pairs", "1"])
+    with pytest.raises(ValueError, match="change: src_sha256 changed "
+                                         "between runs, from bbbb to cccc"):
+        bench_pairs.main(argv)
