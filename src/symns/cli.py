@@ -92,11 +92,13 @@ _SWEEP_COLS = ("value", "reason", "steps", "t_final", "mass_drift_rel",
 
 
 def _cmd_sweep(args) -> int:
-    cfg = parse_config_file(args.config)
     if "=" not in args.vary:
         raise ConfigError("--vary expects key=v1,v2,...")
     key, _, raw_values = args.vary.partition("=")
     key = key.strip()
+    if key == "output.out_dir":
+        raise ConfigError("--vary output.out_dir: the run does not read "
+                          "out_dir, so every value would run the same config")
     values = [v.strip() for v in raw_values.split(",") if v.strip()]
     if not values:
         raise ConfigError("--vary lists no values")
@@ -104,6 +106,7 @@ def _cmd_sweep(args) -> int:
     if repeated:
         raise ConfigError(f"--vary repeats {', '.join(repeated)}: each value "
                           "names one run directory")
+    cfg = parse_config_file(args.config)
     base_out = _out_dir(cfg)
     os.makedirs(base_out, exist_ok=True)
     # every value's config and initial state are built before any run

@@ -119,19 +119,19 @@ def _Q(model: GasModel, theta):
 
 def _Qprime(model: GasModel, theta):
     if model.family != "power":
-        return np.ones_like(np.asarray(theta, dtype=float))
+        return np.ones_like(theta)
     return 1.0 + theta ** model.r
 
 
 def _Pc(model: GasModel, rho):
     if model.pc_family == "zero":
-        return np.zeros_like(np.asarray(rho, dtype=float))
+        return np.zeros_like(rho)
     return model.A * rho ** model.gamma
 
 
 def _ec(model: GasModel, rho):
     if model.pc_family == "zero":
-        return np.zeros_like(np.asarray(rho, dtype=float))
+        return np.zeros_like(rho)
     return model.A * rho ** (model.gamma - 1.0) / (model.gamma - 1.0)
 
 

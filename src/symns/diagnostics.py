@@ -150,7 +150,7 @@ def record_step(series: DiagnosticsSeries, s: State, model: GasModel, *,
         rt_norm = radial_to_ambient_norm(g, s.rho * s.theta, 12.0 / 5.0)
     except ValueError:
         rt_norm = math.nan
-    # operators.effective_viscous_flux, on the u_x already in hand
+    # effective viscous flux G = beta*div(u) - P, on the u_x already in hand
     G = model.beta * (ux + g.m * s.u / g.centers) \
         - pressure(model, s.rho, s.theta)
     speed_sq = _speed_sq(s)

@@ -1,6 +1,9 @@
 """Spatial discretization of the radial differential operators.
 
-Fields are plain float arrays at cell centers.  Boundary closures use one
+Fields are plain float arrays of length n at cell centers.  The operators
+trust their callers and do not check them: fields are checked where they
+enter, by :class:`~symns.state.State`, the public grid integrals and
+:func:`~symns.initdata.solve_initial_velocity`.  Boundary closures use one
 ghost cell per wall: odd extension (ghost = -first) for fields that vanish
 at the walls (velocities), even extension (ghost = first) for fields with
 zero wall slope (temperature).  The singular coefficients m/x and m/x^2
@@ -30,7 +33,6 @@ __all__ = [
     "apply_heat_flux",
     "face_kappa",
     "dissipation",
-    "effective_viscous_flux",
     "upwind_derivative",
     "lame_stencil",
     "axial_stencil",
@@ -53,7 +55,6 @@ def _ghost_pad(g: Grid, f: np.ndarray, bc: str) -> np.ndarray:
 
 def ddx(g: Grid, f, bc: str) -> np.ndarray:
     """Second-order centered first derivative with ghost-cell closure."""
-    f = g.require_field(f)
     fp = _ghost_pad(g, f, bc)
     return (fp[2:] - fp[:-2]) / (2.0 * g.dx)
 
@@ -69,7 +70,6 @@ def radial_div(g: Grid, u, form: str = "pointwise") -> np.ndarray:
     form="flux" evaluates x^{-m} * centered-difference of the cell product
     x^m * u instead; the two agree to O(dx^2) on smooth fields.
     """
-    u = g.require_field(u)
     x = g.centers
     if form == "pointwise":
         return ddx(g, u, "dirichlet0") + g.m * u / x
@@ -90,14 +90,12 @@ def lame_operator(g: Grid, f) -> np.ndarray:
     Grouped as f_xx + m*(f_x - f/x)/x so the null field f(x) = x cancels
     exactly cellwise.
     """
-    f = g.require_field(f)
     x = g.centers
     return _d2dx2(g, f, "dirichlet0") + g.m * (ddx(g, f, "dirichlet0") - f / x) / x
 
 
 def axial_laplacian(g: Grid, f) -> np.ndarray:
     """f_xx + m*f_x/x, the viscous operator of the axial velocity component."""
-    f = g.require_field(f)
     return _d2dx2(g, f, "dirichlet0") + g.m * ddx(g, f, "dirichlet0") / g.centers
 
 
@@ -108,7 +106,6 @@ def face_kappa(g: Grid, model: GasModel, theta) -> np.ndarray:
     flux (insulated walls).  Averaging kappa(theta) rather than evaluating
     kappa at averaged theta keeps face conductivities trivially positive.
     """
-    theta = g.require_field(theta)
     kc = conductivity(model, theta)
     kf = np.empty(g.n + 1)
     kf[1:-1] = 0.5 * (kc[:-1] + kc[1:])
@@ -144,7 +141,6 @@ def heat_flux_div(g: Grid, kappa_face, theta) -> np.ndarray:
     The weighted integral of the output telescopes to zero exactly: the
     discrete statement that insulated walls conserve heat.
     """
-    theta = g.require_field(theta)
     cl, cr = heat_flux_coeffs(g, kappa_face)
     return apply_heat_flux(cl, cr, theta[1:] - theta[:-1])
 
@@ -166,14 +162,12 @@ def dissipation(g: Grid, u, v, w, model: GasModel) -> np.ndarray:
     evaluated only when m = 1: a spherically symmetric velocity is radial,
     so for m != 1 ``v`` and ``w`` are ignored.
     """
-    u = g.require_field(u)
     x = g.centers
     m = g.m
     ux = ddx(g, u, "dirichlet0")
     div_u = ux + m * u / x
     shear = 2.0 * ux ** 2
     if m == 1:
-        v = g.require_field(v)
         vx = ddx(g, v, "dirichlet0")
         wx = ddx(g, w, "dirichlet0")
         shear = wx ** 2 + shear + (vx - v / x) ** 2
@@ -181,16 +175,8 @@ def dissipation(g: Grid, u, v, w, model: GasModel) -> np.ndarray:
     return model.lam * div_u ** 2 + model.mu * shear
 
 
-def effective_viscous_flux(g: Grid, u, P, model: GasModel) -> np.ndarray:
-    """G = (2*mu + lam) * div(u) - P, smoother than either of its parts."""
-    P = g.require_field(P)
-    return model.beta * radial_div(g, u) - P
-
-
 def upwind_derivative(g: Grid, f, wind, bc: str = "dirichlet0") -> np.ndarray:
     """First-order one-sided derivative of f, biased against the wind."""
-    f = g.require_field(f)
-    wind = g.require_field(wind)
     fp = _ghost_pad(g, f, bc)
     backward = (fp[1:-1] - fp[:-2]) / g.dx
     forward = (fp[2:] - fp[1:-1]) / g.dx

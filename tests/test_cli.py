@@ -255,6 +255,24 @@ def test_sweep_repeated_value_exits_3_without_running(tmp_path, monkeypatch,
     assert not out.exists()
 
 
+def test_sweep_of_out_dir_exits_3_without_running(tmp_path, monkeypatch,
+                                                  capsys):
+    # the run never reads out_dir, so each value would run the same config
+    def no_build(*args, **kwargs):
+        raise AssertionError("config built")
+
+    monkeypatch.setattr(symns.cli, "parse_config_file", no_build)
+    monkeypatch.setattr(symns.cli, "override_config", no_build)
+    monkeypatch.setattr(symns.cli, "run", no_build)
+    out = tmp_path / "o"
+    cfgp = _write(tmp_path, EQ_CONFIG.format(out=out))
+    assert cli(["sweep", cfgp, "--vary", "output.out_dir=a,b",
+                "--workers", "1"]) == 3
+    assert "config error: --vary output.out_dir" in capsys.readouterr().err
+    assert not out.exists()
+    assert not list(tmp_path.rglob("output_out_dir_*"))
+
+
 def test_sweep_of_untaken_preset_key_exits_3_without_running(tmp_path,
                                                            capsys):
     out = tmp_path / "o"

@@ -5,12 +5,13 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from symns.constitutive import ideal_gas
+from symns.constitutive import ideal_gas, pressure
+from symns.diagnostics import DiagnosticsSeries, record_step
 from symns.grid import make_grid, weighted_integral
 from symns.operators import (axial_laplacian, axial_stencil, ddx, dissipation,
-                             effective_viscous_flux, face_kappa,
-                             heat_flux_div, lame_operator, lame_stencil,
-                             radial_div, upwind_derivative)
+                             face_kappa, heat_flux_div, lame_operator,
+                             lame_stencil, radial_div, upwind_derivative)
+from symns.state import State
 from symns.tridiag import tridiagonal_matvec
 
 INTERIOR = slice(1, -1)
@@ -200,18 +201,29 @@ def test_dissipation_nonnegative_admissible(m, mu, frac, seed):
     assert p.min() >= -1e-12 * max(1.0, np.max(np.abs(p)))
 
 
-def test_effective_viscous_flux():
+def test_recorded_effective_viscous_flux_is_beta_div_u_minus_p():
+    # record_step computes G = beta*div(u) - P on the u_x it already holds
     g = make_grid(1, 2, 16, 2)
     model = ideal_gas(mu=1.0, lam=0.5)
-    z = np.zeros(16)
-    P = np.full(16, 3.0)
-    assert np.allclose(effective_viscous_flux(g, z, P, model), -3.0)
     rs = np.random.default_rng(7)
+    rho, theta = rs.uniform(0.1, 2.0, (2, 16))
     u = rs.standard_normal(16)
-    P = rs.standard_normal(16)
-    G = effective_viscous_flux(g, u, P, model)
-    again = model.beta * radial_div(g, u) - P
-    assert np.max(np.abs(G - again)) <= 2 * np.spacing(np.max(np.abs(G)))
+    z = np.zeros(16)
+    ser = DiagnosticsSeries()
+    record_step(ser, State(g, 0.0, rho, u, z, z, theta), model, step=0,
+                dt=0.0, alpha=0.5, clip_cum=0.0)
+    G = model.beta * radial_div(g, u) - pressure(model, rho, theta)
+    assert ser.column("G_max")[0] == np.max(np.abs(G))
+
+
+@pytest.mark.parametrize("field", ["rho", "u", "v", "w", "theta"])
+def test_state_rejects_a_wrong_length_field(field):
+    # the one shape check on what the operators receive
+    g = make_grid(1, 2, 16, 1)
+    fields = {name: np.ones(16) for name in ("rho", "u", "v", "w", "theta")}
+    fields[field] = np.ones(15)
+    with pytest.raises(ValueError, match=r"expected \(16,\)"):
+        State(grid=g, t=0.0, **fields)
 
 
 def test_upwind_derivative_bias():
