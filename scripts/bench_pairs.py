@@ -19,7 +19,8 @@ The result is ``DIR/BENCH_<LABEL>.json`` with the keys ``what``, ``claim``,
 ``provenance``, ``summary``, ``traced_summary``, ``runs`` and ``traced``.
 ``summary[workload][metric]`` holds q1, median and q3 of each side,
 ``change_lower_in_pairs`` (the pairs in which the change reads lower) and
-``median_change_rel`` (change median over parent median, minus 1);
+``median_change_rel`` (change median over parent median, minus 1; null
+where the parent median is 0, as for a traced count that stays 0);
 ``traced_summary`` is the same for the traced pairs.  ``provenance`` holds
 the ``# provenance`` line that bench/run.py prints in each tree, less its
 seed; the script stops if a tree's ``src_sha256`` changes between runs.
@@ -109,8 +110,10 @@ def summarize(runs) -> dict:
             entry = {s: _quartiles(values[s]) for s in SIDES}
             entry["change_lower_in_pairs"] = sum(
                 c < p for p, c in zip(values["parent"], values["change"]))
-            entry["median_change_rel"] = (entry["change"]["median"]
-                                          / entry["parent"]["median"] - 1.0)
+            parent_median = entry["parent"]["median"]
+            entry["median_change_rel"] = (
+                entry["change"]["median"] / parent_median - 1.0
+                if parent_median else None)
             out[name] = entry
         summary[wl] = out
     return summary

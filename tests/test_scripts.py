@@ -43,13 +43,18 @@ def _load_script(name):
     return module
 
 
-def _bench_output(run_s, rss, failed=0, sha="0123abcd", seed=1):
-    """Canned bench/run.py standard output: report lines, then the result."""
+def _bench_output(run_s, rss, failed=0, sha="0123abcd", seed=1,
+                  maxed=None):
+    """Canned bench/run.py standard output: report lines, then the result;
+    maxed adds a traced run's ``stepper.picard_maxed`` count."""
     prov = {"git_rev": "unavailable", "src_sha256": sha,
             "src_symns_lines": 2478, "seed": seed}
+    metrics = {"run_s": {"value": run_s, "unit": "s"},
+               "peak_rss_mb": {"value": rss, "unit": "MB"}}
+    if maxed is not None:
+        metrics["stepper.picard_maxed"] = {"value": maxed, "unit": "count"}
     result = {"correct": failed == 0, "attempted": 20, "failed": failed,
-              "metrics": {"run_s": {"value": run_s, "unit": "s"},
-                          "peak_rss_mb": {"value": rss, "unit": "MB"}}}
+              "metrics": metrics}
     return (f"# provenance {json.dumps(prov)}\n# run_s: median ...\n"
             + json.dumps(result) + "\n")
 
@@ -95,8 +100,10 @@ def test_bench_pairs_traces_pairs_and_keeps_provenance(tmp_path,
 
     def canned(tree, workload, seed, seconds, trace):
         calls.append((tree, workload, seed, seconds, trace))
+        # a traced run carries counts that stay 0 on both sides
         return _bench_output(seed / (2.0 if tree == "C" else 1.0), 40.0,
-                             sha=sha[tree], seed=seed)
+                             sha=sha[tree], seed=seed,
+                             maxed=0 if trace else None)
 
     monkeypatch.setattr(bench_pairs, "run_bench", canned)
     argv = ["P", "C", "--label", "canned", "--workloads", "w1,w2",
@@ -122,6 +129,7 @@ def test_bench_pairs_traces_pairs_and_keeps_provenance(tmp_path,
     summary = doc["traced_summary"]["w2"]
     assert summary["pairs"] == 5 and summary["seeds"] == [16, 17, 18, 19, 20]
     assert summary["run_s"]["change_lower_in_pairs"] == 5
+    assert summary["stepper.picard_maxed"]["median_change_rel"] is None
     assert doc["summary"]["w1"]["pairs"] == 6
 
     def drifting(tree, workload, seed, seconds, trace):
