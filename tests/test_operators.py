@@ -201,7 +201,7 @@ def test_dissipation_nonnegative_admissible(m, mu, frac, seed):
     assert p.min() >= -1e-12 * max(1.0, np.max(np.abs(p)))
 
 
-def test_recorded_effective_viscous_flux_is_beta_div_u_minus_p():
+def test_recorded_g_max_is_beta_div_u_minus_pressure():
     # record_step computes G = beta*div(u) - P on the u_x it already holds
     g = make_grid(1, 2, 16, 2)
     model = ideal_gas(mu=1.0, lam=0.5)
