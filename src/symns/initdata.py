@@ -35,7 +35,6 @@ __all__ = [
     "radial_residual",
     "preset",
     "load_initial_csv",
-    "PRESETS",
     "PRESET_PARAMS",
 ]
 
@@ -215,7 +214,6 @@ def _manufactured(g: Grid, rho_bar=1.0, theta_bar=1.0, amplitude=0.05):
 
 _BUILDERS = {"equilibrium": _equilibrium, "vacuum_bump": _vacuum_bump,
              "swirl_cylinder": _swirl_cylinder, "manufactured": _manufactured}
-PRESETS = tuple(_BUILDERS)
 # preset -> the names of its parameters, read from its builder's signature
 PRESET_PARAMS = {name: tuple(inspect.signature(build).parameters)[1:]
                  for name, build in _BUILDERS.items()}
@@ -226,7 +224,7 @@ def preset(name: str, g: Grid, **params) -> State:
     its builder above, whose keyword defaults are the preset's defaults;
     the fields the builder leaves out are zero."""
     if name not in _BUILDERS:
-        raise ValueError(f"unknown preset {name!r}; choose from {PRESETS}")
+        raise ValueError(f"unknown preset {name!r}; choose from {tuple(_BUILDERS)}")
     unknown = sorted(set(params) - set(PRESET_PARAMS[name]))
     if unknown:
         raise ValueError(f"preset {name!r} got unknown parameters {unknown}")

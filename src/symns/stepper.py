@@ -33,7 +33,7 @@ import numpy as np
 from .constitutive import GasModel, heat_capacity, pressure, sound_speed
 from .diagnostics import DiagnosticsSeries, Trajectory, record_step
 from .errors import DtUnderflow, PicardDivergence, SolverFailure
-from .grid import Grid, _integer, weighted_integral
+from .grid import Grid, _integer
 from .operators import (apply_heat_flux, axial_stencil, ddx, dissipation,
                         face_kappa, heat_flux_coeffs, lame_stencil,
                         radial_div, upwind_derivative)
@@ -77,8 +77,8 @@ class StepControls:
         for name in ("picard_max", "max_steps"):
             count = _integer(name, getattr(self, name), 1)
             object.__setattr__(self, name, count)
-        if not self.t_end >= 0.0:
-            raise ValueError("t_end must be >= 0")
+        if not 0.0 <= self.t_end < math.inf:
+            raise ValueError("t_end must be finite and >= 0")
 
 
 @dataclass
@@ -301,22 +301,19 @@ def step_temperature(s: State, dt: float, model: GasModel,
 
 
 def step_detailed(s: State, c: StepControls, model: GasModel, dt=None,
-                  force_u=None, theta_guess=None) -> tuple[State, StepInfo]:
+                  theta_guess=None) -> tuple[State, StepInfo]:
     """One full split step; dt chosen by :func:`cfl_dt` unless given.
-    ``theta_guess`` seeds the temperature solve (see
-    :func:`step_temperature`)."""
+    The phases fill one ``State`` in turn: continuity builds it with the new
+    density, then momentum sets its velocities and temperature its
+    temperature, seeded by ``theta_guess`` (see :func:`step_temperature`)."""
     if dt is None:
         dt = cfl_dt(s, c, model)
     rho_new, clip_rho = step_continuity(s, dt)
-    s_mom = State(grid=s.grid, t=s.t, rho=rho_new, u=s.u, v=s.v, w=s.w,
-                  theta=s.theta)
-    u_new, v_new, w_new = step_momentum(s_mom, dt, model, c, force_u=force_u)
-    s_tem = State(grid=s.grid, t=s.t, rho=rho_new, u=u_new, v=v_new, w=w_new,
-                  theta=s.theta)
-    theta_new, clip_theta, iters = step_temperature(
-        s_tem, dt, model, c, theta_guess=theta_guess)
-    out = State(grid=s.grid, t=s.t + dt, rho=rho_new, u=u_new, v=v_new,
-                w=w_new, theta=theta_new)
+    out = State(grid=s.grid, t=s.t + dt, rho=rho_new, u=s.u, v=s.v, w=s.w,
+                theta=s.theta)
+    out.u, out.v, out.w = step_momentum(out, dt, model, c)
+    out.theta, clip_theta, iters = step_temperature(
+        out, dt, model, c, theta_guess=theta_guess)
     return out, StepInfo(dt=dt, clip_rho=clip_rho, clip_theta=clip_theta,
                          picard_iters=iters)
 
@@ -324,7 +321,6 @@ def step_detailed(s: State, c: StepControls, model: GasModel, dt=None,
 def run(cfg):
     """Run a parsed config from its initial state to t_end; every failure
     becomes a termination reason on the returned trajectory."""
-    g = cfg.grid
     model = cfg.model
     state = cfg.initial
     c = cfg.controls
@@ -336,7 +332,7 @@ def run(cfg):
                 clip_cum=0.0)
     states = [state.copy()]
     snapshot_steps = [0]
-    mass0 = weighted_integral(g, state.rho)
+    mass0 = series.rows["mass"][0]
 
     reason = "completed"
     error_msg = None

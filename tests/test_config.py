@@ -131,6 +131,7 @@ def test_negative_cold_pressure_rejected():
     ("[controls]\ndt_min = nan\n", "controls: dt_min"),
     ("[controls]\ndt_max = nan\n", "controls: dt_max"),
     ("[controls]\nt_end = nan\n", "controls: t_end"),
+    ("[controls]\nt_end = inf\n", "controls: t_end"),
     ("[init]\neps = nan\n", "init.eps"),
     ("[output]\ndiag_alpha = nan\n", "output.diag_alpha"),
 ] + [(f"[init]\npreset = {preset}\n{key} = nan\n", f"init.{key}")

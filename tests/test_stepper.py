@@ -8,7 +8,7 @@ import symns.stepper
 from symns.config import parse_config
 from symns.constitutive import GasModel, ideal_gas
 from symns.errors import ConfigError, DtUnderflow, SolverFailure
-from symns.grid import make_grid, weighted_integral
+from symns.grid import Grid, make_grid, weighted_integral
 from symns.initdata import preset
 from symns.state import State
 from symns.stepper import (StepControls, cfl_dt, run, step_continuity,
@@ -205,6 +205,24 @@ def test_step_equilibrium_fixed_point_composition():
     assert s.t > 0.0
     for name in ("rho", "u", "v", "w", "theta"):
         assert np.array_equal(getattr(s, name), getattr(s0, name))
+
+
+@pytest.mark.parametrize("name, m", [("swirl_cylinder", 1),
+                                     ("vacuum_bump", 2)])
+def test_step_checks_each_field_once(monkeypatch, name, m):
+    # the step fills one State, whose build checks the five fields; the
+    # phases and the later assignments check nothing again
+    s = preset(name, make_grid(1, 2, 32, m))
+    calls = []
+    require_field = Grid.require_field
+
+    def counting(self, f):
+        calls.append(f)
+        return require_field(self, f)
+
+    monkeypatch.setattr(Grid, "require_field", counting)
+    step_detailed(s, StepControls(), MODEL, dt=1e-3)
+    assert len(calls) == 5
 
 
 def test_run_constant_state_is_bitwise_fixed_through_the_predictor(
