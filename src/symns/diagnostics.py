@@ -3,15 +3,16 @@ blow-up indicators, evaluated on trajectories of the symmetric solver.
 
 Quantities needing every time step (entropy-weighted dissipation, the
 ambient-norm integrand of the blow-up indicator, running extrema) are
-recorded per step by :func:`record_step` while the run advances; the
-functionals below reduce those series with trapezoid rules on the
-variable step grid.
+recorded per step by :func:`record_step` while the run advances, one row
+per step, computed a block of steps at a time; the functionals below
+reduce those series with trapezoid rules on the variable step grid.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 
@@ -46,6 +47,7 @@ SERIES_COLUMNS = (
     "rho_theta_norm_12_5", "G_max", "entropy_integrand",
     "clip_mass_cumulative",
 )
+_COLUMN_SET = frozenset(SERIES_COLUMNS)
 
 
 @dataclass
@@ -55,11 +57,16 @@ class DiagnosticsSeries:
     rows: dict = field(default_factory=lambda: {k: [] for k in SERIES_COLUMNS})
 
     def append(self, **kw):
-        if set(kw) != set(SERIES_COLUMNS):
-            missing = set(SERIES_COLUMNS) ^ set(kw)
+        """Append one row: one value per column."""
+        self.extend(**{k: [v] for k, v in kw.items()})
+
+    def extend(self, **kw):
+        """Append a block of rows: one equally long list per column."""
+        if kw.keys() != _COLUMN_SET:
+            missing = _COLUMN_SET ^ kw.keys()
             raise ValueError(f"diagnostics row mismatch: {sorted(missing)}")
         for k, v in kw.items():
-            self.rows[k].append(v)
+            self.rows[k].extend(v)
 
     def __len__(self):
         return len(self.rows["t"])
@@ -133,42 +140,66 @@ def _check_alpha(model: GasModel, alpha: float):
                          f"min(1, q-r)) = (0, {hi}), got {alpha}")
 
 
-def record_step(series: DiagnosticsSeries, s: State, model: GasModel, *,
-                step: int, dt: float, alpha: float, clip_cum: float):
-    """Append one diagnostics row computed from the state.
+class _Stack(NamedTuple):
+    """The fields of k states on one grid as (k, n) stacks, row j from
+    state j; the helpers above read it as they read one State."""
+    grid: Grid
+    rho: np.ndarray
+    u: np.ndarray
+    v: np.ndarray
+    w: np.ndarray
+    theta: np.ndarray
 
-    The ambient 12/5-norm of rho*theta is recorded as NaN for symmetry
-    exponents without an ambient lift (m >= 3).
+
+def record_step(series: DiagnosticsSeries, s, model: GasModel, *,
+                step, dt, alpha: float, clip_cum):
+    """Append one diagnostics row per state.
+
+    ``s`` is one State with scalar ``step``, ``dt`` and ``clip_cum``, or a
+    list of States on one grid with a list of each, one entry per state.
+    A list is computed as (k, n) stacks, one numpy call for all its rows;
+    each row's integrals are still summed on their own.  The ambient
+    12/5-norm of rho*theta is recorded as NaN for symmetry exponents
+    without an ambient lift (m >= 3).
     """
-    g = s.grid
+    if isinstance(s, State):
+        s, step, dt, clip_cum = [s], [step], [dt], [clip_cum]
+    g = s[0].grid
     _check_alpha(model, alpha)
-    ux = ddx(g, s.u, "dirichlet0")
-    abs_u = np.abs(s.u)
-    grad_u = max(float(np.abs(ux).max()),
-                 float((g.m * abs_u / g.centers).max()))
+    # one state's own fields, or (k, n) stacks: each value below is then
+    # one number, or a list (or array) of k numbers
+    b = s[0] if len(s) == 1 else _Stack(g, *(
+        np.stack([getattr(state, name) for state in s])
+        for name in ("rho", "u", "v", "w", "theta")))
+    ux = ddx(g, b.u, "dirichlet0")
+    abs_u = np.abs(b.u)
+    grad_u = np.maximum(np.abs(ux).max(axis=-1),
+                        (g.m * abs_u / g.centers).max(axis=-1))
     try:
-        rt_norm = radial_to_ambient_norm(g, s.rho * s.theta, 12.0 / 5.0)
+        rt_norm = radial_to_ambient_norm(g, b.rho * b.theta, 12.0 / 5.0)
     except ValueError:
-        rt_norm = math.nan
+        rt_norm = [math.nan] * len(s)
     # effective viscous flux G = beta*div(u) - P, on the u_x already in hand
-    G = model.beta * (ux + g.m * s.u / g.centers) \
-        - pressure(model, s.rho, s.theta)
-    speed_sq = _speed_sq(s)
-    series.append(
-        step=step, t=s.t, dt=dt,
-        mass=mass(s),
-        total_energy=_total_energy(s, model, speed_sq),
-        kinetic_energy=_kinetic_energy(s, speed_sq),
-        max_rho=float(s.rho.max()),
-        min_rho=float(s.rho.min()),
-        max_theta=float(s.theta.max()),
-        max_abs_u=float(abs_u.max()),
-        grad_u_max=grad_u,
+    G = model.beta * (ux + g.m * b.u / g.centers) \
+        - pressure(model, b.rho, b.theta)
+    speed_sq = _speed_sq(b)
+    columns = dict(
+        step=step, t=[state.t for state in s], dt=dt,
+        mass=mass(b),
+        total_energy=_total_energy(b, model, speed_sq),
+        kinetic_energy=_kinetic_energy(b, speed_sq),
+        max_rho=b.rho.max(axis=-1).tolist(),
+        min_rho=b.rho.min(axis=-1).tolist(),
+        max_theta=b.theta.max(axis=-1).tolist(),
+        max_abs_u=abs_u.max(axis=-1).tolist(),
+        grad_u_max=grad_u.tolist(),
         rho_theta_norm_12_5=rt_norm,
-        G_max=float(np.abs(G).max()),
-        entropy_integrand=entropy_dissipation_integrand(s, model, alpha),
+        G_max=np.abs(G).max(axis=-1).tolist(),
+        entropy_integrand=entropy_dissipation_integrand(b, model, alpha),
         clip_mass_cumulative=clip_cum,
     )
+    series.extend(**{k: v if isinstance(v, list) else [v]
+                     for k, v in columns.items()})
 
 
 def _trapz_terms(y: np.ndarray, t: np.ndarray) -> np.ndarray:

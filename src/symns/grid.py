@@ -117,14 +117,26 @@ def make_grid(a: float, b: float, n: int, m: int) -> Grid:
     return Grid(a, b, n, m)
 
 
-def weighted_integral(g: Grid, f) -> float:
-    """int_a^b x^m f dx with the exact cell weights.
+def _field_or_stack(g: Grid, f) -> np.ndarray:
+    """f as a float array: one field of shape (n,), or a (k, n) stack of k
+    fields; any other shape raises require_field's error."""
+    f = np.asarray(f, dtype=float)
+    if f.ndim == 2 and f.shape[1] == g.n:
+        return f
+    return g.require_field(f)
 
-    Uses compensated summation so conservation diagnostics see the scheme,
-    not the accumulator.  Exact for cellwise constant f.  Where finite
-    terms sum past the float range, returns their plain sum (+-inf).
-    """
-    terms = g.weights * g.require_field(f)
+
+def _per_field(reduce, *arrays):
+    """reduce(*arrays) for one field; the list of its values on each row of
+    (k, n) stacks."""
+    if arrays[0].ndim == 1:
+        return reduce(*arrays)
+    return [reduce(*rows) for rows in zip(*arrays)]
+
+
+def _fsum(terms) -> float:
+    """Compensated sum of a 1-D array; the plain sum (+-inf) where finite
+    terms sum past the float range."""
     try:
         return math.fsum(memoryview(terms))
     except OverflowError:   # finite terms whose sum overflows
@@ -132,37 +144,55 @@ def weighted_integral(g: Grid, f) -> float:
             return float(np.sum(terms))
 
 
-def weighted_lp_norm(g: Grid, f, p: float) -> float:
+def weighted_integral(g: Grid, f):
+    """int_a^b x^m f dx with the exact cell weights.
+
+    Uses compensated summation so conservation diagnostics see the scheme,
+    not the accumulator.  Exact for cellwise constant f.  Where finite
+    terms sum past the float range, returns their plain sum (+-inf).  A
+    (k, n) stack of fields gives the list of its k integrals, each summed
+    on its own.
+    """
+    return _per_field(_fsum, g.weights * _field_or_stack(g, f))
+
+
+def weighted_lp_norm(g: Grid, f, p: float):
     """(int x^m |f|^p dx)^(1/p); p=inf gives the discrete max of |f|.  |f| is
     scaled by its maximum only where the plain sum of w |f|^p is not finite
-    and normal, so a representable norm neither overflows nor underflows."""
-    f = g.require_field(f)
+    and normal, so a representable norm neither overflows nor underflows.
+    A (k, n) stack of fields gives the list of its k norms."""
+    a = np.abs(_field_or_stack(g, f))
     if math.isinf(p):
-        return float(np.max(np.abs(f))) if g.n else 0.0
+        return _per_field(lambda row: float(row.max()), a)
     p = float(p)
     if p < 1.0:
         raise ValueError(f"norm exponent must be >= 1, got p={p}")
-    a = np.abs(f)
-    try:
-        with np.errstate(over="ignore"):
-            s = math.fsum(memoryview(g.weights * a ** p))
-    except OverflowError:   # finite terms whose sum overflows
-        s = math.inf
-    if sys.float_info.min <= s < math.inf:
-        return s ** (1.0 / p)
-    scale = float(a.max())
-    if not 0.0 < scale < math.inf:   # a zero, infinite or NaN field
-        return s ** (1.0 / p)
-    s = math.fsum(memoryview(g.weights * (a / scale) ** p))
-    return scale * s ** (1.0 / p)
+    with np.errstate(over="ignore"):
+        terms = g.weights * a ** p
+
+    def root(a, terms):
+        try:
+            s = math.fsum(memoryview(terms))
+        except OverflowError:   # finite terms whose sum overflows
+            s = math.inf
+        if sys.float_info.min <= s < math.inf:
+            return s ** (1.0 / p)
+        scale = float(a.max())
+        if not 0.0 < scale < math.inf:   # a zero, infinite or NaN field
+            return s ** (1.0 / p)
+        s = math.fsum(memoryview(g.weights * (a / scale) ** p))
+        return scale * s ** (1.0 / p)
+
+    return _per_field(root, a, terms)
 
 
-def radial_to_ambient_norm(g: Grid, f, p: float) -> float:
+def radial_to_ambient_norm(g: Grid, f, p: float):
     """Lift a radial L^p norm to the ambient-space norm of the symmetric field.
 
     For finite p multiplies by the surface factor sigma_m^(1/p); at p=inf
     the factor vanishes and this equals :func:`weighted_lp_norm`.  Only
-    m in {1, 2} is supported (ambient R^2 x axis resp. R^3).
+    m in {1, 2} is supported (ambient R^2 x axis resp. R^3).  A (k, n)
+    stack of fields gives the list of its k norms.
     """
     if math.isinf(p):
         return weighted_lp_norm(g, f, p)
@@ -170,4 +200,6 @@ def radial_to_ambient_norm(g: Grid, f, p: float) -> float:
     if sigma is None:
         raise ValueError(
             f"ambient-norm lifting supports m in (1, 2), got m={g.m}")
-    return sigma ** (1.0 / float(p)) * weighted_lp_norm(g, f, p)
+    lift = sigma ** (1.0 / float(p))
+    norm = weighted_lp_norm(g, f, p)
+    return [lift * v for v in norm] if isinstance(norm, list) else lift * norm

@@ -1,6 +1,8 @@
 """Spatial discretization of the radial differential operators.
 
-Fields are plain float arrays of length n at cell centers.  The operators
+Fields are plain float arrays of length n at cell centers; ``ddx`` and
+``upwind_derivative`` also take a (k, n) stack of k fields, one per row,
+so that a caller with several fields makes one call.  The operators
 trust their callers and do not check them: fields are checked where they
 enter, by :class:`~symns.state.State`, the public grid integrals and
 :func:`~symns.initdata.solve_initial_velocity`.  Boundary closures use one
@@ -42,21 +44,29 @@ _BCS = ("dirichlet0", "neumann0")
 
 
 def _ghost_pad(g: Grid, f: np.ndarray, bc: str) -> np.ndarray:
-    """Length n+2 copy of f with one ghost value per wall."""
+    """Copy of f with one ghost value per wall: length n+2, or (k, n+2)
+    for a (k, n) stack of fields."""
     if bc not in _BCS:
         raise ValueError(f"unknown boundary condition {bc!r}")
+    sign = -1.0 if bc == "dirichlet0" else 1.0
+    if f.ndim == 2:
+        out = np.empty((len(f), g.n + 2))
+        out[:, 1:-1] = f
+        out[:, 0] = sign * f[:, 0]
+        out[:, -1] = sign * f[:, -1]
+        return out
     out = np.empty(g.n + 2)
     out[1:-1] = f
-    sign = -1.0 if bc == "dirichlet0" else 1.0
     out[0] = sign * f[0]
     out[-1] = sign * f[-1]
     return out
 
 
 def ddx(g: Grid, f, bc: str) -> np.ndarray:
-    """Second-order centered first derivative with ghost-cell closure."""
+    """Second-order centered first derivative with ghost-cell closure; a
+    (k, n) stack is differentiated row by row."""
     fp = _ghost_pad(g, f, bc)
-    return (fp[2:] - fp[:-2]) / (2.0 * g.dx)
+    return (fp[..., 2:] - fp[..., :-2]) / (2.0 * g.dx)
 
 
 def _d2dx2(g: Grid, f: np.ndarray, bc: str) -> np.ndarray:
@@ -176,10 +186,11 @@ def dissipation(g: Grid, u, v, w, model: GasModel) -> np.ndarray:
 
 
 def upwind_derivative(g: Grid, f, wind, bc: str = "dirichlet0") -> np.ndarray:
-    """First-order one-sided derivative of f, biased against the wind."""
+    """First-order one-sided derivative of f, biased against the wind; a
+    (k, n) stack of fields is differentiated row by row in the one wind."""
     fp = _ghost_pad(g, f, bc)
-    backward = (fp[1:-1] - fp[:-2]) / g.dx
-    forward = (fp[2:] - fp[1:-1]) / g.dx
+    backward = (fp[..., 1:-1] - fp[..., :-2]) / g.dx
+    forward = (fp[..., 2:] - fp[..., 1:-1]) / g.dx
     return np.where(wind > 0.0, backward, np.where(wind < 0.0, forward, 0.0))
 
 

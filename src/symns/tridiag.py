@@ -1,5 +1,6 @@
 """Tridiagonal solves for the implicit steps: Thomas recurrence, with
-odd-even cyclic reduction in front of it for long systems.
+odd-even cyclic reduction in front of it for long systems.  One call
+solves one system, or a (k, n) block of k independent systems of n rows.
 
 No pivoting: every system assembled by this package is (weakly) diagonally
 dominant by construction, and the per-row check below turns a violated
@@ -29,16 +30,25 @@ _DOMINANCE_SLACK = 1e-10
 _REDUCE_ABOVE = 150
 
 
-def solve_tridiagonal(sub, diag, sup, rhs, context: str = "tridiagonal solve"):
+def solve_tridiagonal(sub, diag, sup, rhs, context: str = "tridiagonal solve",
+                      names=None):
     """Solve the system with sub/main/super diagonals (sub[0], sup[-1] ignored).
 
     Raises :class:`SolverFailure` naming the first non-diagonally-dominant
     row (tiny slack allowed for the weak-equality rows of vacuum cells).
     Inputs are coerced to float64.
+
+    (k, n) arrays hold k independent systems, row j being system j, and
+    give a (k, n) solution: one dominance check covers the block, then each
+    system runs the one-system code.  A failure names its system by
+    ``names[j]`` in front of ``context`` (by its index when ``names`` is
+    not given), and its ``cell`` is the row within that system.
     """
     sub = np.asarray(sub, dtype=float)
     diag = np.asarray(diag, dtype=float)
     sup = np.asarray(sup, dtype=float)
+    if diag.ndim == 2:
+        return _solve_block(sub, diag, sup, rhs, context, names)
 
     off = np.abs(sub) + np.abs(sup)
     off[0] = abs(sup[0])
@@ -48,10 +58,7 @@ def solve_tridiagonal(sub, diag, sup, rhs, context: str = "tridiagonal solve"):
     bad = (abs_diag == 0.0) | (off - abs_diag > _DOMINANCE_SLACK * scale)
     if bad.any():
         i = int(np.argmax(bad))
-        raise SolverFailure(
-            f"{context}: row {i} not diagonally dominant "
-            f"(|diag|={abs(diag[i]):.6g}, |sub|+|sup|={off[i]:.6g})",
-            cell=i)
+        raise _not_dominant(context, i, diag[i], off[i])
 
     rhs = np.asarray(rhs, dtype=float)
     if len(diag) > _REDUCE_ABOVE:
@@ -59,6 +66,36 @@ def solve_tridiagonal(sub, diag, sup, rhs, context: str = "tridiagonal solve"):
     # plain-python floats: several times faster than numpy scalar indexing
     return np.asarray(_thomas(sub.tolist(), diag.tolist(), sup.tolist(),
                               rhs.tolist(), context))
+
+
+def _solve_block(sub, diag, sup, rhs, context, names):
+    """solve_tridiagonal for (k, n) arrays of k systems."""
+    k, n = diag.shape
+    contexts = [f"{names[j]} {context}" if names else f"{context}, system {j}"
+                for j in range(k)]
+    off = np.abs(sub) + np.abs(sup)
+    off[:, 0] = np.abs(sup[:, 0])
+    off[:, -1] = np.abs(sub[:, -1])
+    abs_diag = np.abs(diag)
+    scale = abs_diag + off
+    bad = (abs_diag == 0.0) | (off - abs_diag > _DOMINANCE_SLACK * scale)
+    if bad.any():
+        j, i = divmod(int(np.argmax(bad)), n)
+        raise _not_dominant(contexts[j], i, diag[j, i], off[j, i])
+
+    rhs = np.asarray(rhs, dtype=float)
+    if n > _REDUCE_ABOVE:
+        return np.array([_cyclic_reduction(*system) for system
+                         in zip(sub, diag, sup, rhs, contexts)])
+    return np.array([_thomas(*system) for system
+                     in zip(sub.tolist(), diag.tolist(), sup.tolist(),
+                            rhs.tolist(), contexts)])
+
+
+def _not_dominant(context, row, diag, off):
+    return SolverFailure(
+        f"{context}: row {row} not diagonally dominant "
+        f"(|diag|={abs(diag):.6g}, |sub|+|sup|={off:.6g})", cell=row)
 
 
 def _breakdown(context, row):

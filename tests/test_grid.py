@@ -268,3 +268,23 @@ def _lp_norm_oracle(g, f, p):
     e = math.frexp(float(a.max()))[1]
     s = math.fsum((g.weights * np.ldexp(a, -e) ** p).tolist())
     return math.ldexp(s ** (1 / p), e)
+
+
+@pytest.mark.parametrize("n", [8, 45, 64])
+def test_stacked_fields_give_each_fields_value_bitwise(n, rng):
+    # a (k, n) stack reduces row by row, each row with its own compensated
+    # sum and its own overflow and rescale fallbacks
+    g = make_grid(1.0, 2.0, n, 1)
+    stack = np.abs(np.stack([_awkward_values(rng, n, top) for top in
+                             (0, 80, 200)] + [np.full(n, 1e308)]))
+    for reduce in (weighted_integral,
+                   lambda g, f: weighted_lp_norm(g, f, 12 / 5),
+                   lambda g, f: weighted_lp_norm(g, f, math.inf),
+                   lambda g, f: radial_to_ambient_norm(g, f, 12 / 5)):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")   # no overflow RuntimeWarning
+            got = reduce(g, stack)
+            want = [reduce(g, row) for row in stack]
+        assert np.array(got).tobytes() == np.array(want).tobytes()
+    with pytest.raises(ValueError, match=r"expected \(8,\)"):
+        weighted_integral(make_grid(1.0, 2.0, 8, 1), np.ones((2, 9)))

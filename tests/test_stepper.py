@@ -7,12 +7,14 @@ import pytest
 import symns.stepper
 from symns.config import parse_config
 from symns.constitutive import GasModel, ideal_gas
+from symns.diagnostics import SERIES_COLUMNS, DiagnosticsSeries, record_step
 from symns.errors import ConfigError, DtUnderflow, SolverFailure
 from symns.grid import Grid, make_grid, weighted_integral
 from symns.initdata import preset
 from symns.state import State
-from symns.stepper import (StepControls, cfl_dt, run, step_continuity,
-                           step_detailed, step_momentum, step_temperature)
+from symns.stepper import (_RECORD_CELLS, StepControls, cfl_dt, run,
+                           step_continuity, step_detailed, step_momentum,
+                           step_temperature)
 from symns.tridiag import solve_tridiagonal
 
 MODEL = ideal_gas()
@@ -153,6 +155,23 @@ def test_spherical_momentum_solves_radial_only(monkeypatch):
     assert len(contexts) == 1 and "radial momentum" in contexts[0]
     assert v is s.v and w is s.w
     assert u.any()
+
+
+def test_cylindrical_momentum_is_one_solve(monkeypatch):
+    # the three m = 1 systems are one block solve; its context stays a str
+    # that names the momentum phase, which is how the solves are told apart
+    s = preset("swirl_cylinder", make_grid(1, 2, 64, 1))
+    contexts = []
+
+    def counting(*args, context, **kwargs):
+        contexts.append(context)
+        return solve_tridiagonal(*args, context=context, **kwargs)
+
+    monkeypatch.setattr(symns.stepper, "solve_tridiagonal", counting)
+    u, v, w = step_momentum(s, 1e-4, MODEL, StepControls())
+    assert len(contexts) == 1
+    assert isinstance(contexts[0], str) and "momentum" in contexts[0]
+    assert u.any() and v.any()
 
 
 def test_temperature_constant_fixed_point():
@@ -427,3 +446,66 @@ def test_solver_failure_names_cell():
     s = State(g, 0.0, np.ones(64), u, z, z, np.ones(64))
     with pytest.raises(SolverFailure):
         step_temperature(s, 50.0, MODEL, StepControls())
+
+
+def _swirl_text(n, controls):
+    return f"""
+[grid]
+n = {n}
+m = 1
+[init]
+preset = "swirl_cylinder"
+swirl = 0.2
+[controls]
+{controls}
+[output]
+snapshot_every = 1
+"""
+
+
+@pytest.mark.parametrize("n", [64, 45])
+def test_run_records_blocks_as_it_would_record_each_state(n):
+    # run records the accepted steps in blocks of _RECORD_CELLS // n or so;
+    # every row must be bitwise the row of its state recorded alone
+    cfg = parse_config(_swirl_text(n, "t_end = 0.5"))
+    traj = run(cfg)
+    block = -(-_RECORD_CELLS // n)
+    assert traj.steps > 2 * block and traj.steps % block
+    rows = traj.series.rows
+    alone = DiagnosticsSeries()
+    for i, s in enumerate(traj.states):
+        record_step(alone, s, cfg.model, step=i, dt=rows["dt"][i],
+                    alpha=traj.diag_alpha,
+                    clip_cum=rows["clip_mass_cumulative"][i])
+    for name in SERIES_COLUMNS:
+        got, want = traj.series.column(name), alone.column(name)
+        assert got.tobytes() == want.tobytes(), name
+
+
+def test_run_stopped_inside_a_block_records_every_step():
+    # n = 64 records blocks of 16; max_steps stops the run at step 20
+    traj = run(parse_config(_swirl_text(64, "t_end = 1.0\nmax_steps = 20")))
+    assert traj.reason == "solver_failure" and traj.steps == 20
+    assert traj.series.rows["step"] == list(range(21))
+    assert traj.series.rows["t"][-1] == traj.final_state.t
+
+
+def test_run_ending_nan_detected_inside_a_block_records_every_finite_step(
+        monkeypatch):
+    real = symns.stepper.step_detailed
+    made = []
+
+    def poisoned(*args, **kwargs):
+        out, info = real(*args, **kwargs)
+        made.append(out.t)
+        if len(made) == 20:
+            out.theta = out.theta.copy()
+            out.theta[5] = math.nan
+        return out, info
+
+    monkeypatch.setattr(symns.stepper, "step_detailed", poisoned)
+    traj = run(parse_config(_swirl_text(64, "t_end = 1.0")))
+    assert traj.reason == "nan_detected" and traj.steps == 20
+    # the non-finite state of step 20 gets no row, every step before it one
+    assert traj.series.rows["step"] == list(range(20))
+    assert traj.series.rows["t"][1:] == made[:19]

@@ -191,3 +191,68 @@ def test_reduced_breakdown_names_original_row(rng, row):
             solve_tridiagonal(sub, diag, sup, np.ones(n))
     assert err.value.cell == row
     assert f"elimination breakdown at row {row}" in str(err.value)
+
+
+NAMES = ("radial", "angular", "axial")
+
+
+def _random_block(rng, k, n):
+    """(sub, diag, sup) of k random dominant systems as (k, n) arrays."""
+    systems = [_random_dominant(rng, n) for _ in range(k)]
+    return [np.stack(diagonal) for diagonal in zip(*systems)]
+
+
+@pytest.mark.parametrize("n", [64, 256])
+def test_block_solve_is_bitwise_the_one_system_solves(rng, n):
+    # n = 64 runs the Thomas recurrence alone, n = 256 reduces first
+    assert (n > _REDUCE_ABOVE) == (n == 256)
+    sub, diag, sup = _random_block(rng, 3, n)
+    rhs = rng.standard_normal((3, n))
+    x = solve_tridiagonal(sub, diag, sup, rhs)
+    assert x.shape == (3, n)
+    for j in range(3):
+        one = solve_tridiagonal(sub[j], diag[j], sup[j], rhs[j])
+        assert x[j].tobytes() == one.tobytes()
+
+
+@pytest.mark.parametrize("n", [64, 256])
+@pytest.mark.parametrize("j", [0, 1, 2])
+def test_block_dominance_violation_names_system_and_row(rng, n, j):
+    sub, diag, sup = _random_block(rng, 3, n)
+    row = n // 2 + 5
+    diag[j, row] = 0.1 * (abs(sub[j, row]) + abs(sup[j, row]))
+    with pytest.raises(SolverFailure) as err:
+        solve_tridiagonal(sub, diag, sup, np.ones((3, n)),
+                          context="momentum solve", names=NAMES)
+    assert err.value.cell == row
+    assert str(err.value).startswith(
+        f"{NAMES[j]} momentum solve: row {row} not diagonally dominant")
+
+
+def test_block_failure_without_names_gives_the_system_index(rng):
+    sub, diag, sup = _random_block(rng, 2, 16)
+    diag[1, 3] = 0.0
+    with pytest.raises(SolverFailure, match=r"^tridiagonal solve, system 1: "
+                                            r"row 3 ") as err:
+        solve_tridiagonal(sub, diag, sup, np.ones((2, 16)))
+    assert err.value.cell == 3
+
+
+@pytest.mark.parametrize("n, row, cell", [(64, 20, 21), (1000, 40, 40),
+                                          (1000, 998, 998)])
+@pytest.mark.parametrize("j", [0, 1, 2])
+def test_block_breakdown_names_system_and_row(rng, n, row, cell, j):
+    # the singular 2x2 block of test_reduced_breakdown_names_original_row,
+    # in system j only: the Thomas recurrence (n = 64) meets the zero pivot
+    # on the block's second row, the reduced solve (n = 1000) on its first
+    sub, diag, sup = _random_block(rng, 3, n)
+    sub[j, row], diag[j, row], sup[j, row] = 0.0, 1.0, -1.0
+    sub[j, row + 1], diag[j, row + 1], sup[j, row + 1] = -1.0, 1.0, 0.0
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(SolverFailure) as err:
+            solve_tridiagonal(sub, diag, sup, np.ones((3, n)),
+                              context="momentum solve", names=NAMES)
+    assert err.value.cell == cell
+    assert str(err.value) == (f"{NAMES[j]} momentum solve: elimination "
+                              f"breakdown at row {cell}")
