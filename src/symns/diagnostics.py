@@ -65,6 +65,9 @@ class DiagnosticsSeries:
         if kw.keys() != _COLUMN_SET:
             missing = _COLUMN_SET ^ kw.keys()
             raise ValueError(f"diagnostics row mismatch: {sorted(missing)}")
+        if len({len(v) for v in kw.values()}) > 1:
+            raise ValueError("diagnostics columns of unequal length: "
+                             f"{ {k: len(v) for k, v in kw.items()} }")
         for k, v in kw.items():
             self.rows[k].extend(v)
 
@@ -312,9 +315,12 @@ def weighted_supnorm_check(g: Grid, rho, v) -> SupnormCheck:
     v = g.require_field(v)
     if np.any(rho < 0.0):
         raise ValueError("density must be nonnegative")
-    M = math.fsum(memoryview(rho * g.dx))
-    if not M > 0.0:
-        raise ValueError("density must carry positive total mass")
+    try:
+        M = math.fsum(memoryview(rho * g.dx))
+    except OverflowError:   # finite values whose sum passes the float range
+        M = math.inf
+    if not 0.0 < M < math.inf:
+        raise ValueError("density must carry positive, finite total mass")
     lhs = float(np.max(np.abs(v)))
     tv = float(np.sum(np.abs(np.diff(v))))
     # normalize the density weights before touching v: rho*v can underflow

@@ -12,8 +12,9 @@ steps in blocks, one ``record_step`` call per block.
 
 Vacuum cells (rho below ``rho_vac_tol``) degenerate: velocity rows are
 replaced by identity (frozen velocities keep the advective CFL
-meaningful), temperature rows solve the stationary conduction balance
-0 = heat_flux_div + dissipation.
+meaningful); the temperature step reads rho as 0 there, so its
+rho-weighted terms vanish and the same rows solve the stationary
+conduction balance 0 = heat_flux_div + dissipation.
 
 The temperature system is solved for the increment theta' - theta, with
 the right-hand side evaluated through the same difference operators that
@@ -218,23 +219,15 @@ def step_momentum(s: State, dt: float, model: GasModel, c: StepControls,
             s.v, s.w)
 
 
-def _advection_rows(g, coef, pos, neg):
-    """Row contributions of the implicit upwind advection coef * theta_x,
-    with the wind masks pos = u > 0 and neg = u < 0.
-
-    Returns (sub, diag, sup); the wall-outward one-sided stencil hits the
-    even-extension ghost and cancels, matching upwind_derivative."""
-    w = coef / g.dx
-    sub = np.where(pos, -w, 0.0)
-    diag = np.where(pos, w, np.where(neg, -w, 0.0))
-    sup = np.where(neg, w, 0.0)
-    if pos[0]:
-        sub[0] = 0.0
-        diag[0] = 0.0
-    if neg[-1]:
-        sup[-1] = 0.0
-        diag[-1] = 0.0
-    return sub, diag, sup
+def _advection_rows(u):
+    """Upwind pattern (sub, diag, sup) of theta_x in units of 1/dx, entries
+    -1, 0 or 1, for the wind u; the wind is fixed for a step, so the
+    pattern is built once per step.  At the walls the even-extension ghost
+    equals the edge cell, as in upwind_derivative."""
+    sub = np.where(u > 0.0, -1.0, 0.0)
+    sup = np.where(u < 0.0, 1.0, 0.0)
+    sub[0] = sup[-1] = 0.0     # the ghost's entry folds into the diagonal
+    return sub, -(sub + sup), sup   # the derivative of a constant is 0
 
 
 def step_temperature(s: State, dt: float, model: GasModel,
@@ -245,7 +238,8 @@ def step_temperature(s: State, dt: float, model: GasModel,
     ``s`` carries the updated density and velocities and the old
     temperature.  Each sweep freezes kappa at faces and Q' from the
     current iterate and solves the linear tridiagonal system for the
-    temperature increment; insulated walls.  Vacuum rows solve
+    temperature increment; insulated walls.  Vacuum cells count as rho = 0
+    (``s.rho`` is kept), so every row has one formula and theirs solve
     0 = heat_flux_div + dissipation.  The first iterate is
     ``theta_guess`` when it is given and finite, the old temperature
     otherwise; the guess changes only how many sweeps reach
@@ -254,14 +248,14 @@ def step_temperature(s: State, dt: float, model: GasModel,
     g = s.grid
     rho, u = s.rho, s.u
     vac = rho < c.rho_vac_tol
-    has_vac = vac.any()
+    if vac.any():
+        rho = np.where(vac, 0.0, rho)
     theta_old = s.theta
     divu = radial_div(g, u)
     phi = dissipation(g, u, s.v, s.w, model)
     # terms of theta_old and the wind, the same in every sweep
     rho_u = rho * u
-    pos = u > 0.0
-    neg = u < 0.0
+    adv_sub, adv_diag, adv_sup = _advection_rows(u)
     adv_old = upwind_derivative(g, theta_old, u, "neumann0")
     jump_old = theta_old[1:] - theta_old[:-1]
 
@@ -280,21 +274,16 @@ def step_temperature(s: State, dt: float, model: GasModel,
         rho_qp = rho * qp
         mass = rho_qp / dt
         adv_coef = rho_u * qp
-        a_sub, a_diag, a_sup = _advection_rows(g, adv_coef, pos, neg)
+        adv_w = adv_coef / g.dx
         comp = rho_qp * divu
 
-        sub = a_sub - cl
-        diag = mass + a_diag + comp + cl + cr
-        sup = a_sup - cr
+        sub = adv_w * adv_sub - cl
+        diag = mass + adv_w * adv_diag + comp + cl + cr
+        sup = adv_w * adv_sup - cr
         # increment form: rhs = phi - (advection + compression - conduction)
         # applied to theta_old, all in difference form so constants cancel
         conduction = apply_heat_flux(cl, cr, jump_old)
         rhs = phi - adv_coef * adv_old - comp * theta_old + conduction
-        if has_vac:
-            sub[vac] = -cl[vac]
-            diag[vac] = cl[vac] + cr[vac]
-            sup[vac] = -cr[vac]
-            rhs[vac] = phi[vac] + conduction[vac]
 
         delta = solve_tridiagonal(sub, diag, sup, rhs,
                                   context="temperature solve")

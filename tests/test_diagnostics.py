@@ -104,6 +104,18 @@ def test_entropy_dissipation_alpha_interval():
         record(ideal_gas(q=0.5), 0.5)  # alpha = q - r excluded
 
 
+def test_record_block_rejects_unequal_columns():
+    # a scalar step next to a block of two states is one row of step and
+    # two of everything else; nothing is recorded
+    g = make_grid(1, 2, 32, 2)
+    s = State(g, 0.0, np.ones(32), *(np.zeros(32),) * 3, np.ones(32))
+    ser = DiagnosticsSeries()
+    with pytest.raises(ValueError, match=r"unequal length.*'step': 1, 't': 2"):
+        record_step(ser, [s, s], MODEL, step=5, dt=[0.0, 0.0], alpha=0.5,
+                    clip_cum=[0.0, 0.0])
+    assert len(ser) == 0 and not any(ser.rows.values())
+
+
 def test_sup_theta_time_integral():
     g = make_grid(1, 2, 32, 2)
     traj = _frozen_trajectory(g, np.ones(32), np.ones(32), [0.0, 0.7, 2.0])
@@ -253,6 +265,13 @@ def test_supnorm_check_zero_mass_errors():
         weighted_supnorm_check(g, np.zeros(32), np.ones(32))
     with pytest.raises(ValueError):
         weighted_supnorm_check(g, -np.ones(32), np.ones(32))
+
+
+def test_supnorm_check_mass_overflow_errors():
+    # every value is finite, but the total mass passes the float range
+    g = make_grid(1, 3, 8, 2)
+    with pytest.raises(ValueError, match="finite total mass"):
+        weighted_supnorm_check(g, np.full(8, 1e308), np.ones(8))
 
 
 # magnitudes capped away from the denormal range: products like rho*v/M

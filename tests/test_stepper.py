@@ -11,6 +11,8 @@ from symns.diagnostics import SERIES_COLUMNS, DiagnosticsSeries, record_step
 from symns.errors import ConfigError, DtUnderflow, SolverFailure
 from symns.grid import Grid, make_grid, weighted_integral
 from symns.initdata import preset
+from symns.operators import (dissipation, face_kappa, heat_flux_coeffs,
+                             heat_flux_div)
 from symns.state import State
 from symns.stepper import (_RECORD_CELLS, StepControls, cfl_dt, run,
                            step_continuity, step_detailed, step_momentum,
@@ -138,6 +140,28 @@ def test_momentum_vacuum_rows_frozen():
     new = step_momentum(s, 1e-4, MODEL, c)
     for name, f in zip("uvw", new):
         assert np.array_equal(f[vac], getattr(s, name)[vac]), name
+
+
+def test_temperature_vacuum_rows_stationary_balance():
+    # one sweep freezes kappa at theta_old; a vacuum row then states
+    # 0 = heat_flux_div + dissipation of the new temperature, also where
+    # rho is positive but below rho_vac_tol
+    g = make_grid(1, 2, 64, 2)
+    s = preset("vacuum_bump", g)
+    s.u = 0.01 * np.sin(np.pi * (g.centers - 1.0))
+    c = StepControls(picard_max=1, rho_vac_tol=1e-3)
+    vac = s.rho < c.rho_vac_tol
+    assert (s.rho[vac] > 0.0).any()
+    phi = dissipation(g, s.u, s.v, s.w, MODEL)
+    assert (phi[vac] > 0.0).all()
+    with pytest.warns(RuntimeWarning, match="picard_max"):
+        theta, _, _ = step_temperature(s, 1e-4, MODEL, c)
+    kf = face_kappa(g, MODEL, s.theta)
+    residual = heat_flux_div(g, kf, theta) + phi
+    cl, cr = heat_flux_coeffs(g, kf)
+    scale = float(((cl + cr) * theta).max())
+    assert np.abs(residual[vac]).max() <= 1e-13 * scale
+    assert np.abs(residual[~vac]).max() > 1e-6 * scale
 
 
 def test_spherical_momentum_solves_radial_only(monkeypatch):
