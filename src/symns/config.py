@@ -1,8 +1,9 @@
 """Run configuration: a line-oriented TOML subset and its validation.
 
 Accepted syntax: ``[section]`` headers, ``key = value`` lines (dotted keys
-work outside sections too), ``#`` comments, quoted or bare strings,
-integers, floats (``inf`` allowed for dt_max).  The keys of a section are
+work outside sections too), ``#`` comments, bare strings and strings in
+double or single quotes (no escapes), integers, floats (``inf`` allowed
+for dt_max).  The keys of a section are
 the init fields of its dataclass: ``[grid]`` is ``grid.Grid``, ``[model]``
 is ``constitutive.GasModel`` and ``[controls]`` is ``stepper.StepControls``,
 which validate themselves when built, so a parsed config holds its one
@@ -103,8 +104,8 @@ _PRESET_FIELDS = tuple(f.name for f in fields(InitConfig) if f.default is None)
 
 def _parse_value(raw: str, key: str, lineno: int):
     raw = raw.strip()
-    if raw.startswith('"'):
-        end = raw.find('"', 1)
+    if raw[:1] in ('"', "'"):   # basic or literal string, no escapes
+        end = raw.find(raw[0], 1)
         if end < 0:
             raise ConfigError(f"line {lineno}: unterminated string")
         tail = raw[end + 1:].strip()

@@ -11,15 +11,15 @@ reduce those series with trapezoid rules on the variable step grid.
 from __future__ import annotations
 
 import math
+from collections import namedtuple
 from dataclasses import dataclass, field
-from typing import NamedTuple
 
 import numpy as np
 
 from .constitutive import GasModel, internal_energy, pressure
-from .grid import Grid, radial_to_ambient_norm, weighted_integral
+from .grid import Grid, _fsum, radial_to_ambient_norm, weighted_integral
 from .operators import ddx
-from .state import State
+from .state import FIELDS, RHO_VAC_TOL, State
 
 __all__ = [
     "DiagnosticsSeries",
@@ -143,15 +143,8 @@ def _check_alpha(model: GasModel, alpha: float):
                          f"min(1, q-r)) = (0, {hi}), got {alpha}")
 
 
-class _Stack(NamedTuple):
-    """The fields of k states on one grid as (k, n) stacks, row j from
-    state j; the helpers above read it as they read one State."""
-    grid: Grid
-    rho: np.ndarray
-    u: np.ndarray
-    v: np.ndarray
-    w: np.ndarray
-    theta: np.ndarray
+# k states' fields as (k, n) stacks, read by the helpers above as a State
+_Stack = namedtuple("_Stack", ("grid",) + FIELDS)
 
 
 def record_step(series: DiagnosticsSeries, s, model: GasModel, *,
@@ -172,8 +165,7 @@ def record_step(series: DiagnosticsSeries, s, model: GasModel, *,
     # one state's own fields, or (k, n) stacks: each value below is then
     # one number, or a list (or array) of k numbers
     b = s[0] if len(s) == 1 else _Stack(g, *(
-        np.stack([getattr(state, name) for state in s])
-        for name in ("rho", "u", "v", "w", "theta")))
+        np.stack([getattr(state, name) for state in s]) for name in FIELDS))
     ux = ddx(g, b.u, "dirichlet0")
     abs_u = np.abs(b.u)
     grad_u = np.maximum(np.abs(ux).max(axis=-1),
@@ -275,7 +267,8 @@ class AltCriteria:
     inv_rho_sup: float
 
 
-def alt_criteria(traj: Trajectory, rho_vac_tol: float = 1e-12) -> AltCriteria:
+def alt_criteria(traj: Trajectory,
+                 rho_vac_tol: float = RHO_VAC_TOL) -> AltCriteria:
     """Evaluate the alternative blow-up criteria along the trajectory.
 
     ||grad u||_inf of the symmetric field is max(|u_x|, m|u|/x); 1/rho is
@@ -315,17 +308,15 @@ def weighted_supnorm_check(g: Grid, rho, v) -> SupnormCheck:
     v = g.require_field(v)
     if np.any(rho < 0.0):
         raise ValueError("density must be nonnegative")
-    try:
-        M = math.fsum(memoryview(rho * g.dx))
-    except OverflowError:   # finite values whose sum passes the float range
-        M = math.inf
+    with np.errstate(over="ignore"):   # an overflow is the check below
+        M = _fsum(rho * g.dx)
     if not 0.0 < M < math.inf:
         raise ValueError("density must carry positive, finite total mass")
     lhs = float(np.max(np.abs(v)))
     tv = float(np.sum(np.abs(np.diff(v))))
     # normalize the density weights before touching v: rho*v can underflow
     # at extreme magnitudes even though the average of v cannot
-    avg_v = math.fsum(memoryview(rho * (g.dx / M) * v))
+    avg_v = _fsum(rho * (g.dx / M) * v)
     rhs = tv + abs(avg_v)
     return SupnormCheck(lhs=lhs, rhs=rhs,
                         passed=lhs <= rhs * (1.0 + 1e-8), mass=M)

@@ -4,7 +4,9 @@ The symmetry exponent m selects the geometry: m=1 is cylindrical, m=N-1
 spherical in N >= 2 dimensions.  Cell weights are the exact integrals
 ``w_i = int_{cell i} x^m dx`` in closed form, so integrals of cellwise
 constant fields are exact and the weights telescope to
-``(b^{m+1} - a^{m+1}) / (m+1)``.
+``(b^{m+1} - a^{m+1}) / (m+1)``.  Every compensated sum of the package
+goes through ``_fsum``: ``math.fsum``, or the plain sum (+-inf) where
+finite terms sum past the float range.
 """
 
 from __future__ import annotations
@@ -165,22 +167,19 @@ def weighted_lp_norm(g: Grid, f, p: float):
     if math.isinf(p):
         return _per_field(lambda row: float(row.max()), a)
     p = float(p)
-    if p < 1.0:
+    if not p >= 1.0:   # NaN fails too
         raise ValueError(f"norm exponent must be >= 1, got p={p}")
     with np.errstate(over="ignore"):
         terms = g.weights * a ** p
 
     def root(a, terms):
-        try:
-            s = math.fsum(memoryview(terms))
-        except OverflowError:   # finite terms whose sum overflows
-            s = math.inf
+        s = _fsum(terms)   # nonnegative terms: +inf where they overflow
         if sys.float_info.min <= s < math.inf:
             return s ** (1.0 / p)
         scale = float(a.max())
         if not 0.0 < scale < math.inf:   # a zero, infinite or NaN field
             return s ** (1.0 / p)
-        s = math.fsum(memoryview(g.weights * (a / scale) ** p))
+        s = _fsum(g.weights * (a / scale) ** p)
         return scale * s ** (1.0 / p)
 
     return _per_field(root, a, terms)

@@ -23,7 +23,7 @@ from .grid import Grid, weighted_integral
 from .io import SNAPSHOT_COLUMNS
 from .operators import (axial_laplacian, ddx, dissipation, face_kappa,
                         heat_flux_div, lame_operator, lame_stencil)
-from .state import State
+from .state import FIELDS, RHO_VAC_TOL, State
 from .tridiag import solve_tridiagonal, tridiagonal_matvec
 
 __all__ = [
@@ -44,7 +44,7 @@ def validate_initial(s: State):
     massless or of infinite total mass, or that has swirl or axial velocity
     off the cylindrical case (m != 1 is spherical: the velocity is radial);
     each check guards outside input."""
-    for name in ("rho", "u", "v", "w", "theta"):
+    for name in FIELDS:
         if not np.isfinite(getattr(s, name)).all():
             raise ValueError(f"initial field {name} has non-finite values")
     m = s.grid.m
@@ -140,14 +140,15 @@ def _radial_balance(s: State, model: GasModel):
 
 
 def radial_residual(s: State, model: GasModel,
-                    rho_vac_tol: float = 1e-12) -> np.ndarray:
+                    rho_vac_tol: float = RHO_VAC_TOL) -> np.ndarray:
     """g1 alone (NaN on vacuum cells): the source the epsilon re-solve of
     the initial radial velocity keeps."""
     return _per_sqrt_rho(s, _radial_balance(s, model), s.rho < rho_vac_tol)
 
 
 def compatibility_residuals(s: State, model: GasModel,
-                            rho_vac_tol: float = 1e-12) -> CompatibilityResiduals:
+                            rho_vac_tol: float = RHO_VAC_TOL
+                            ) -> CompatibilityResiduals:
     validate_initial(s)
     g = s.grid
     expr1 = _radial_balance(s, model)
@@ -229,8 +230,7 @@ def preset(name: str, g: Grid, **params) -> State:
     if unknown:
         raise ValueError(f"preset {name!r} got unknown parameters {unknown}")
     fields = _BUILDERS[name](g, **{k: float(v) for k, v in params.items()})
-    s = State(grid=g, t=0.0, **{f: fields.get(f, np.zeros(g.n))
-                                for f in ("rho", "u", "v", "w", "theta")})
+    s = State(g, 0.0, *(fields.get(f, np.zeros(g.n)) for f in FIELDS))
     validate_initial(s)
     return s
 
@@ -252,13 +252,12 @@ def load_initial_csv(path, g: Grid) -> State:
                              f"{','.join(SNAPSHOT_COLUMNS)}, "
                              f"got {','.join(names)}")
         data = np.loadtxt(fh, delimiter=",", ndmin=2)
-    if data.shape != (g.n, 6):
-        raise ValueError(f"{path}: expected {g.n} data rows x 6 columns, "
-                         f"got {data.shape}")
+    if data.shape != (g.n, len(names)):
+        raise ValueError(f"{path}: expected {g.n} data rows x {len(names)} "
+                         f"columns, got {data.shape}")
     if not np.array_equal(data[:, 0], g.centers):
         raise ValueError(f"{path}: x column does not match the grid centers "
                          "exactly (no interpolation is performed)")
-    _, rho, u, v, w, theta = data.T
-    s = State(grid=g, t=0.0, rho=rho, u=u, v=v, w=w, theta=theta)
+    s = State(g, 0.0, *data.T[1:])
     validate_initial(s)
     return s

@@ -4,7 +4,8 @@ that doubles round-trip bit-exactly, in fixed form or, when the decimal
 exponent is below -4 or at least 17, in exponent form (``1e-300``), with
 trailing zeros dropped and ``-0``, ``nan``, ``inf``, ``-inf`` spelled that
 way.  Each file is formatted in one pass over the whole table and written
-with one call.
+with one call.  A snapshot's columns are ``x`` and then the fields of a
+``State`` in declaration order (``SNAPSHOT_COLUMNS``).
 
 Two kinds of column skip the per-value format and give the same bytes.
 The ``x`` column of a snapshot is formatted once per grid (through
@@ -21,12 +22,12 @@ import numpy as np
 
 from .diagnostics import SERIES_COLUMNS, DiagnosticsSeries, Trajectory
 from .grid import Grid
-from .state import State
+from .state import FIELDS, State
 
 __all__ = ["SNAPSHOT_COLUMNS", "snapshot_filename", "write_snapshot",
            "write_diagnostics_csv", "write_trajectory"]
 
-SNAPSHOT_COLUMNS = ("x", "rho", "u", "v", "w", "theta")
+SNAPSHOT_COLUMNS = ("x",) + FIELDS
 
 
 def _x_text(g: Grid) -> np.ndarray:
@@ -65,9 +66,8 @@ def snapshot_filename(step: int) -> str:
 
 
 def write_snapshot(path, state: State):
-    _write_csv(path, SNAPSHOT_COLUMNS,
-               [_x_text(state.grid), state.rho, state.u, state.v, state.w,
-                state.theta])
+    _write_csv(path, SNAPSHOT_COLUMNS, [_x_text(state.grid)] + [
+        getattr(state, name) for name in FIELDS])
 
 
 def write_diagnostics_csv(path, series: DiagnosticsSeries):

@@ -1,14 +1,20 @@
-"""Solution state: cell-centered fields at one time instant."""
+"""Solution state: cell-centered fields at one time instant.
+
+``FIELDS`` names the fields of :class:`State` in order; every other list of
+them is built from it.  By default, density below ``RHO_VAC_TOL`` is vacuum.
+"""
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
 from .grid import Grid
 
-__all__ = ["State"]
+__all__ = ["State", "FIELDS", "RHO_VAC_TOL"]
+
+RHO_VAC_TOL = 1e-12
 
 
 @dataclass
@@ -29,17 +35,16 @@ class State:
 
     def __post_init__(self):
         g = self.grid
-        self.rho = g.require_field(self.rho)
-        self.u = g.require_field(self.u)
-        self.v = g.require_field(self.v)
-        self.w = g.require_field(self.w)
-        self.theta = g.require_field(self.theta)
+        for name in FIELDS:
+            setattr(self, name, g.require_field(getattr(self, name)))
 
     def is_finite(self) -> bool:
-        return all(np.isfinite(f).all()
-                   for f in (self.rho, self.u, self.v, self.w, self.theta))
+        return all(np.isfinite(getattr(self, name)).all() for name in FIELDS)
 
     def copy(self) -> "State":
-        return State(grid=self.grid, t=self.t, rho=self.rho.copy(),
-                     u=self.u.copy(), v=self.v.copy(), w=self.w.copy(),
-                     theta=self.theta.copy())
+        return State(self.grid, self.t,
+                     *[getattr(self, name).copy() for name in FIELDS])
+
+
+# the fields after grid and t, in declaration order
+FIELDS = tuple(f.name for f in fields(State))[2:]

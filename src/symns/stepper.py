@@ -40,7 +40,7 @@ from .grid import Grid, _integer
 from .operators import (apply_heat_flux, axial_stencil, ddx, dissipation,
                         face_kappa, heat_flux_coeffs, lame_stencil,
                         radial_div, upwind_derivative)
-from .state import State
+from .state import RHO_VAC_TOL, State
 from .tridiag import solve_tridiagonal
 
 __all__ = [
@@ -71,7 +71,7 @@ class StepControls:
     cfl: float = 0.4
     picard_max: int = 30
     picard_tol: float = 1e-10
-    rho_vac_tol: float = 1e-12
+    rho_vac_tol: float = RHO_VAC_TOL
     dt_max: float = math.inf
     dt_min: float = 1e-12
     max_steps: int = 1_000_000

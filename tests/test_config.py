@@ -60,7 +60,13 @@ def test_comments_and_inline_comments():
 def test_string_values_quoted_and_bare():
     c1 = parse_config('[init]\npreset = "vacuum_bump"\n')
     c2 = parse_config("[init]\npreset = vacuum_bump\n")
-    assert c1.init.preset == c2.init.preset == "vacuum_bump"
+    c3 = parse_config("[init]\npreset = 'vacuum_bump'  # literal\n")
+    assert c1.init.preset == c2.init.preset == c3.init.preset == "vacuum_bump"
+    c4 = override_config(c2, "init.preset", "'equilibrium'")
+    assert c4.init.preset == "equilibrium"
+    for text in ("[init]\npreset = 'abc\n", '[init]\npreset = "abc\n'):
+        with pytest.raises(ConfigError, match="line 2: unterminated string"):
+            parse_config(text)
 
 
 def test_q_equal_r_is_config_error():

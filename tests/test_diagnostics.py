@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -268,10 +269,15 @@ def test_supnorm_check_zero_mass_errors():
 
 
 def test_supnorm_check_mass_overflow_errors():
-    # every value is finite, but the total mass passes the float range
-    g = make_grid(1, 3, 8, 2)
-    with pytest.raises(ValueError, match="finite total mass"):
-        weighted_supnorm_check(g, np.full(8, 1e308), np.ones(8))
+    # every value is finite, but the total mass passes the float range: in
+    # the sum (dx = 0.25) or already in each rho * dx (dx = 4); only the
+    # ValueError reports it, with no numpy overflow warning
+    for b in (3, 33):
+        g = make_grid(1, b, 8, 2)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match="finite total mass"):
+                weighted_supnorm_check(g, np.full(8, 1e308), np.ones(8))
 
 
 # magnitudes capped away from the denormal range: products like rho*v/M

@@ -114,8 +114,11 @@ def test_lp_norm_examples():
     assert weighted_lp_norm(g, np.full(8, -3.5), math.inf) == 3.5
     assert weighted_lp_norm(g, np.ones(8), 2) == pytest.approx(
         math.sqrt(7 / 3), rel=1e-15)
-    with pytest.raises(ValueError):
-        weighted_lp_norm(g, np.ones(8), 0.5)
+    for p in (0.5, -1.0, math.nan):   # NaN is no exponent >= 1 either
+        with pytest.raises(ValueError, match="norm exponent"):
+            weighted_lp_norm(g, np.ones(8), p)
+        with pytest.raises(ValueError, match="norm exponent"):
+            radial_to_ambient_norm(g, np.ones(8), p)
     # an infinite or NaN field is its own norm
     f = np.ones(8)
     f[3] = -math.inf

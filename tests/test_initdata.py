@@ -1,3 +1,4 @@
+import inspect
 from dataclasses import replace
 
 import numpy as np
@@ -5,12 +6,14 @@ import pytest
 
 import symns.initdata
 from symns.constitutive import ideal_gas, pressure
+from symns.diagnostics import alt_criteria
 from symns.errors import SolverFailure
 from symns.grid import make_grid, weighted_integral
 from symns.initdata import (compatibility_residuals, load_initial_csv,
                             preset, radial_residual, regularize,
                             solve_initial_velocity, validate_initial)
 from symns.operators import ddx, lame_stencil
+from symns.stepper import StepControls
 
 MODEL = ideal_gas()
 
@@ -176,6 +179,13 @@ def test_compatibility_vacuum_report_matches_threshold():
     assert res.vacuum_raw.shape == (expected.size, 4)
     assert np.all(np.isnan(res.g1[expected]))
     assert np.all(np.isfinite(res.g1[d.rho >= tol]))
+
+
+def test_vacuum_threshold_defaults_match_the_stepper():
+    tol = StepControls().rho_vac_tol
+    for func in (radial_residual, compatibility_residuals, alt_criteria):
+        default = inspect.signature(func).parameters["rho_vac_tol"].default
+        assert default == tol, func.__name__
 
 
 def test_radial_residual_is_compatibility_g1():

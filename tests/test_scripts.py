@@ -1,4 +1,3 @@
-import importlib.util
 import json
 import math
 import os
@@ -35,14 +34,6 @@ def test_conduction_convergence_difference_falls(tmp_path):
     assert diffs[1] < diffs[0]
 
 
-def _load_script(name):
-    spec = importlib.util.spec_from_file_location(
-        name, os.path.join(ROOT, "scripts", f"{name}.py"))
-    module = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(module)
-    return module
-
-
 def _bench_output(run_s, rss, failed=0, sha="0123abcd", seed=1,
                   maxed=None):
     """Canned bench/run.py standard output: report lines, then the result;
@@ -59,8 +50,8 @@ def _bench_output(run_s, rss, failed=0, sha="0123abcd", seed=1,
             + json.dumps(result) + "\n")
 
 
-def test_bench_pairs_summary_from_canned_results():
-    bench_pairs = _load_script("bench_pairs")
+def test_bench_pairs_summary_from_canned_results(load_script):
+    bench_pairs = load_script("bench_pairs")
     parent = [1.0, 2.0, 3.0, 4.0, 5.0]
     change = [0.9, 2.1, 2.5, 3.0, 4.0]
     runs = []
@@ -93,8 +84,9 @@ def test_bench_pairs_summary_from_canned_results():
 
 
 def test_bench_pairs_traces_pairs_and_keeps_provenance(tmp_path,
-                                                        monkeypatch):
-    bench_pairs = _load_script("bench_pairs")
+                                                        monkeypatch,
+                                                        load_script):
+    bench_pairs = load_script("bench_pairs")
     calls = []
     sha = {"P": "aaaa", "C": "bbbb"}
 
