@@ -11,10 +11,11 @@ insulated walls).  ``run`` records the diagnostics rows of the accepted
 steps in blocks, one ``record_step`` call per block.
 
 Vacuum cells (rho below ``rho_vac_tol``) degenerate: velocity rows are
-replaced by identity (frozen velocities keep the advective CFL
-meaningful); the temperature step reads rho as 0 there, so its
-rho-weighted terms vanish and the same rows solve the stationary
-conduction balance 0 = heat_flux_div + dissipation.
+replaced by identity, which freezes the velocities there to rounding (the
+pivoting solve can carry an identity row through a row interchange) and
+keeps the advective CFL meaningful; the temperature step reads rho as 0
+there, so its rho-weighted terms vanish and the same rows solve the
+stationary conduction balance 0 = heat_flux_div + dissipation.
 
 The temperature system is solved for the increment theta' - theta, with
 the right-hand side evaluated through the same difference operators that
@@ -173,9 +174,9 @@ def step_momentum(s: State, dt: float, model: GasModel, c: StepControls,
     each step of the update is one numpy call and the three systems are one
     solve.  For m != 1 the velocity is radial, ``u`` alone is advanced and
     ``s.v``, ``s.w`` are returned as they are.  ``s.rho`` must already hold
-    the continuity-updated density.  Vacuum rows are frozen at the old
-    value.  ``force_u`` is an optional external momentum source density
-    (rho*f) for the radial component.
+    the continuity-updated density.  Vacuum rows are identity rows, which
+    keep the old value to rounding.  ``force_u`` is an optional external
+    momentum source density (rho*f) for the radial component.
     """
     g = s.grid
     x = g.centers

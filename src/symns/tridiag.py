@@ -1,15 +1,22 @@
-"""Tridiagonal solves for the implicit steps: Thomas recurrence, with
-odd-even cyclic reduction in front of it for long systems.  One call
-solves one system, or a (k, n) block of k independent systems of n rows.
+"""Tridiagonal solves for the implicit steps: LAPACK ``dgtsv`` (Gaussian
+elimination with partial pivoting) from the OpenBLAS that numpy's wheel
+already loads, bound through ctypes.  One call solves one system, or a
+(k, n) block of k independent systems of n rows, packed as one k*n-row
+system whose couplings between systems are zero: ``dgtsv`` never swaps
+across a zero coupling, so each system is solved as if alone.
 
-No pivoting: every system assembled by this package is (weakly) diagonally
-dominant by construction, and the per-row check below turns a violated
-assumption into a named error instead of a silent loss of accuracy.
-Cyclic reduction keeps diagonal dominance at every level (Heller, SIAM J.
-Numer. Anal. 13, 1976), so it needs no pivoting either.
+Every system assembled by this package is (weakly) diagonally dominant by
+construction.  The per-row check below is an assembly check: it turns a
+violated assumption into a named error instead of a solve of the wrong
+system.  Where numpy ships no ``scipy_dgtsv_64_`` (a numpy built against
+another LAPACK), the pure-Python Thomas recurrence, which does not pivot,
+solves the packed system instead.
 """
 
 from __future__ import annotations
+
+import ctypes
+from pathlib import Path
 
 import numpy as np
 
@@ -19,15 +26,24 @@ __all__ = ["solve_tridiagonal", "tridiagonal_matvec"]
 
 _DOMINANCE_SLACK = 1e-10
 
-# Systems with more rows than this are cyclically reduced before the Thomas
-# recurrence runs.  A reduction level's cost is mostly a fixed numpy call
-# overhead (~30 us); it removes half the rows from the Python recurrence.
-# Timing solve_tridiagonal with one level against the plain recurrence on
-# random dominant systems of m rows (medians of 15 interleaved pairs, two
-# runs, shared 2-vCPU x86-64, Python 3.11, numpy 2.4) gave time ratios 1.17
-# at m=96, 1.04 at 128, 1.02-1.03 at 144, 0.96-0.98 at 160 and 0.83-0.85 at
-# 256: the break-even lies between 144 and 160 rows.
-_REDUCE_ABOVE = 150
+
+def _bind_dgtsv():
+    """numpy's own ``dgtsv`` (64-bit integers), or None where it has none."""
+    # numpy.libs in numpy's Linux and Windows wheels, .dylibs in macOS ones
+    numpy_dir = Path(np.__file__).parent
+    for lib in sorted([*numpy_dir.parent.glob("numpy.libs/libscipy_openblas*"),
+                       *numpy_dir.glob(".dylibs/libscipy_openblas*")]):
+        try:
+            dgtsv = ctypes.CDLL(str(lib)).scipy_dgtsv_64_
+        except (OSError, AttributeError):
+            continue
+        dgtsv.argtypes = [ctypes.c_void_p] * 8
+        dgtsv.restype = None
+        return dgtsv
+    return None
+
+
+_dgtsv = _bind_dgtsv()
 
 
 def solve_tridiagonal(sub, diag, sup, rhs, context: str = "tridiagonal solve",
@@ -35,76 +51,70 @@ def solve_tridiagonal(sub, diag, sup, rhs, context: str = "tridiagonal solve",
     """Solve the system with sub/main/super diagonals (sub[0], sup[-1] ignored).
 
     Raises :class:`SolverFailure` naming the first non-diagonally-dominant
-    row (tiny slack allowed for the weak-equality rows of vacuum cells).
-    Inputs are coerced to float64.
+    row (tiny slack allowed for the weak-equality rows of vacuum cells), or
+    the row at which elimination met an exactly zero pivot.  That row is
+    where the pivoting elimination found the singularity, which may lie
+    below the rows that cause it.  Inputs are coerced to float64.
 
     (k, n) arrays hold k independent systems, row j being system j, and
-    give a (k, n) solution: one dominance check covers the block, then each
-    system runs the one-system code.  A failure names its system by
-    ``names[j]`` in front of ``context`` (by its index when ``names`` is
-    not given), and its ``cell`` is the row within that system.
+    give a (k, n) solution from one packed solve.  A failure names its
+    system by ``names[j]`` in front of ``context`` (by its index when
+    ``names`` is not given), and its ``cell`` is the row within that system.
     """
-    sub = np.asarray(sub, dtype=float)
-    diag = np.asarray(diag, dtype=float)
-    sup = np.asarray(sup, dtype=float)
-    if diag.ndim == 2:
-        return _solve_block(sub, diag, sup, rhs, context, names)
+    shape = np.shape(diag)
+    # rows sub, diag, sup, rhs of one buffer, which the solve overwrites
+    work = np.empty((4,) + shape)
+    work[0], work[1], work[2], work[3] = sub, diag, sup, rhs
+    a, b, c, x = work
+    a[..., 0] = 0.0     # zero couplings decouple the systems of a block
+    c[..., -1] = 0.0
 
-    off = np.abs(sub) + np.abs(sup)
-    off[0] = abs(sup[0])
-    off[-1] = abs(sub[-1])
-    abs_diag = np.abs(diag)
-    scale = abs_diag + off
-    bad = (abs_diag == 0.0) | (off - abs_diag > _DOMINANCE_SLACK * scale)
+    off = np.abs(a) + np.abs(c)
+    abs_diag = np.abs(b)
+    bad = (abs_diag == 0.0) | (off - abs_diag > _DOMINANCE_SLACK
+                               * (abs_diag + off))
     if bad.any():
-        i = int(np.argmax(bad))
-        raise _not_dominant(context, i, diag[i], off[i])
+        row = int(np.argmax(bad))
+        where, i = _system_row(context, names, shape, row)
+        raise SolverFailure(
+            f"{where}: row {i} not diagonally dominant "
+            f"(|diag|={abs_diag.flat[row]:.6g}, "
+            f"|sub|+|sup|={off.flat[row]:.6g})", cell=i)
 
-    rhs = np.asarray(rhs, dtype=float)
-    if len(diag) > _REDUCE_ABOVE:
-        return _cyclic_reduction(sub, diag, sup, rhs, context)
-    # plain-python floats: several times faster than numpy scalar indexing
-    return np.asarray(_thomas(sub.tolist(), diag.tolist(), sup.tolist(),
-                              rhs.tolist(), context))
-
-
-def _solve_block(sub, diag, sup, rhs, context, names):
-    """solve_tridiagonal for (k, n) arrays of k systems."""
-    k, n = diag.shape
-    contexts = [f"{names[j]} {context}" if names else f"{context}, system {j}"
-                for j in range(k)]
-    off = np.abs(sub) + np.abs(sup)
-    off[:, 0] = np.abs(sup[:, 0])
-    off[:, -1] = np.abs(sub[:, -1])
-    abs_diag = np.abs(diag)
-    scale = abs_diag + off
-    bad = (abs_diag == 0.0) | (off - abs_diag > _DOMINANCE_SLACK * scale)
-    if bad.any():
-        j, i = divmod(int(np.argmax(bad)), n)
-        raise _not_dominant(contexts[j], i, diag[j, i], off[j, i])
-
-    rhs = np.asarray(rhs, dtype=float)
-    if n > _REDUCE_ABOVE:
-        return np.array([_cyclic_reduction(*system) for system
-                         in zip(sub, diag, sup, rhs, contexts)])
-    return np.array([_thomas(*system) for system
-                     in zip(sub.tolist(), diag.tolist(), sup.tolist(),
-                            rhs.tolist(), contexts)])
+    info = _thomas(work) if _dgtsv is None else _dgtsv_solve(work)
+    if info:
+        where, i = _system_row(context, names, shape, info - 1)
+        raise SolverFailure(f"{where}: elimination breakdown at row {i}",
+                            cell=i)
+    return x
 
 
-def _not_dominant(context, row, diag, off):
-    return SolverFailure(
-        f"{context}: row {row} not diagonally dominant "
-        f"(|diag|={abs(diag):.6g}, |sub|+|sup|={off:.6g})", cell=row)
+def _system_row(context, names, shape, row):
+    """The context naming the system of packed row ``row``, and the row
+    within that system."""
+    j, i = divmod(row, shape[-1])
+    if len(shape) == 2:
+        context = (f"{names[j]} {context}" if names
+                   else f"{context}, system {j}")
+    return context, i
 
 
-def _breakdown(context, row):
-    return SolverFailure(f"{context}: elimination breakdown at row {row}",
-                         cell=row)
+def _dgtsv_solve(work):
+    """``dgtsv`` on the packed rows of work: the solution overwrites
+    work[3]; returns LAPACK's info (i > 0: zero pivot at packed row i-1)."""
+    n = ctypes.c_int64(work[0].size)
+    one, info = ctypes.c_int64(1), ctypes.c_int64(0)
+    p = work.ctypes.data
+    step = work[0].nbytes
+    _dgtsv(ctypes.byref(n), ctypes.byref(one), p + work.itemsize, p + step,
+           p + 2 * step, p + 3 * step, ctypes.byref(n), ctypes.byref(info))
+    return info.value
 
 
-def _thomas(a, b, c, d, context, stride=1):
-    """Thomas recurrence on lists; row i is original row i*stride."""
+def _thomas(work):
+    """Thomas recurrence with :func:`_dgtsv_solve`'s contract, on lists:
+    plain-python floats are several times faster than numpy scalars."""
+    a, b, c, d = (row.ravel().tolist() for row in work)
     n = len(b)
     cp = [0.0] * n
     xp = [0.0] * n
@@ -113,62 +123,13 @@ def _thomas(a, b, c, d, context, stride=1):
     for i in range(1, n):
         denom = b[i] - a[i] * cp[i - 1]
         if denom == 0.0:
-            raise _breakdown(context, i * stride)
+            return i + 1
         cp[i] = c[i] / denom
         xp[i] = (d[i] - a[i] * xp[i - 1]) / denom
     for i in range(n - 2, -1, -1):
         xp[i] -= cp[i] * xp[i + 1]
-    return xp
-
-
-def _cyclic_reduction(a, b, c, d, context):
-    """Odd-even reduction down to _REDUCE_ABOVE rows, Thomas, back-substitute.
-
-    Each level eliminates the odd rows, whose diagonals are the pivots, from
-    the even rows; the even rows form the next level.  Row j of level L is
-    original row j * 2**L.  a[0] and c[-1] are never read.
-    """
-    levels = []
-    stride = 1
-    while len(b) > _REDUCE_ABOVE:
-        m = len(b)
-        n_odd = m // 2
-        k = (m - 1) // 2          # even rows that have an odd row on the left
-        bo = b[1::2]
-        if np.count_nonzero(bo) < n_odd:
-            raise _breakdown(context,
-                             (2 * int(np.argmin(bo != 0.0)) + 1) * stride)
-        ao, co, do = a[1::2], c[1::2], d[1::2]
-        # multipliers that eliminate the odd neighbours from each even row
-        left = -a[2::2] / bo[:k]
-        right = -c[0:2 * n_odd:2] / bo
-        b_new = b[0::2].copy()
-        b_new[1:] += left * co[:k]
-        b_new[:n_odd] += right * ao
-        d_new = d[0::2].copy()
-        d_new[1:] += left * do[:k]
-        d_new[:n_odd] += right * do
-        a_new = np.zeros(m - n_odd)
-        a_new[1:] = left * ao[:k]
-        c_new = np.zeros(m - n_odd)
-        c_new[:k] = right[:k] * co[:k]
-        levels.append((ao, bo, co, do, k))
-        a, b, c, d = a_new, b_new, c_new, d_new
-        stride *= 2
-
-    if b[0] == 0.0:   # _thomas leaves its first pivot to the caller
-        raise _breakdown(context, 0)
-    x = np.asarray(_thomas(a.tolist(), b.tolist(), c.tolist(), d.tolist(),
-                           context, stride))
-    for ao, bo, co, do, k in reversed(levels):
-        x_odd = do - ao * x[:len(bo)]
-        x_odd[:k] -= co[:k] * x[1:]
-        x_odd /= bo
-        x_up = np.empty(len(x) + len(bo))
-        x_up[0::2] = x
-        x_up[1::2] = x_odd
-        x = x_up
-    return x
+    work[3].flat = xp
+    return 0
 
 
 def tridiagonal_matvec(sub, diag, sup, x):

@@ -7,15 +7,16 @@ floating-point operation of the stepper or the diagnostics moves a digest;
 a change that only removes repeated work must leave all three unchanged.
 The momentum pins hash the three velocities of one ``step_momentum`` call
 on a state with vacuum cells and a radial force: at m = 1 with all three
-components nonzero, so every source term and every frozen vacuum row is
-covered, and at m = 2, where only the radial component is advanced.  The
-preset pins hash the five fields of each initial-data preset, at its
-defaults and at one set of other parameters.
+components nonzero, so every source term and every vacuum row is covered,
+and at m = 2, where only the radial component is advanced.  The preset
+pins hash the five fields of each initial-data preset, at its defaults and
+at one set of other parameters.
 
-The digests were recorded with numpy 2.4.6 on x86-64 Linux (Python 3.11).
-Another numpy build or libm may round ``**``, ``sqrt`` or the summation
-differently; re-record the digests there only after checking that the
-difference is rounding and not a change of arithmetic.
+The digests were recorded with numpy 2.4.6 on x86-64 Linux (Python 3.11),
+whose wheel's OpenBLAS supplies the tridiagonal solve (LAPACK ``dgtsv``).
+Another numpy build, LAPACK or libm may round ``**``, ``sqrt``, the
+summation or the solve differently; re-record the digests there only after
+checking that the difference is rounding and not a change of arithmetic.
 """
 
 import hashlib
@@ -46,8 +47,8 @@ def _digest(traj) -> str:
 
 
 def _bump_config(tmp_path):
-    # m=2, n=256: the solves go through cyclic reduction, and the cells
-    # outside the bump are vacuum rows; the power family makes Q' vary
+    # m=2, n=256: the cells outside the bump are vacuum rows; the power
+    # family makes Q' vary
     return """
 [grid]
 n = 256
@@ -111,11 +112,11 @@ t_end = 0.05
 
 @pytest.mark.parametrize("make_config,expected", [
     (_bump_config,
-     "433db25165d002f37021478ea742953aa0b7dd7fa98a59bd89f1ab74eb9d6ca2"),
+     "3c9025e1a1655d39817e8485f90ecf765f12c676103227cc02a1ac934c9d225e"),
     (_swirl_config,
-     "cbb360a624c7a8c8da2b0d749df201e11b7104b747e0b6dd5b337284ac371d33"),
+     "7e5b47827d79158b2ade6dbb75755c5fa1da7b745d58c65b21ebc986eaf135a8"),
     (_restart_config,
-     "6bca2126acfc871f0b94f71814d293c754971a86f058a0ebfea4d0e4c0c4d7ca"),
+     "a6b85044aab7f3a5c6df1db8539f403ac1f6f11f49e89aa5cb6ca2df3cd0f88e"),
 ], ids=["vacuum_bump_m2_n256", "swirl_m1_n64", "csv_restart_eps"])
 def test_run_is_bitwise_pinned(make_config, expected, tmp_path):
     traj = run(parse_config(make_config(tmp_path)))
@@ -127,12 +128,12 @@ def test_run_is_bitwise_pinned(make_config, expected, tmp_path):
 
 @pytest.mark.parametrize("m,n,expected", [
     (1, 64,
-     "774af3726ce48d91e2f4f9f40d1472d777a4a9901576cf22790d477983c043a9"),
+     "88b7cb4ddfa4f48f8d6d350a8fa2fbde131aa43edb6610528f5dcff1c2cf3458"),
     (1, 256,
-     "f4a0692f1288923b74c5d349170f0ca5244cdb1c8342fb10933454be13270a61"),
+     "eabcaddd5760f716d22acf9f89760e2e9986662e4fbacacad57be936f4515d78"),
     (2, 256,
-     "8e85f119cfd0ea146d6bb47b15848af6468ba050b372d3650b86d4f88c714f49"),
-], ids=["thomas_n64", "cyclic_reduction_n256", "spherical_n256"])
+     "580ce3c4e8f05b763d206b153c7dd8c8c56c5857ec42305cb7325956e18e4baa"),
+], ids=["cylindrical_n64", "cylindrical_n256", "spherical_n256"])
 def test_step_momentum_is_bitwise_pinned(m, n, expected):
     g = make_grid(1.0, 2.0, n, m)
     d = preset("vacuum_bump", g)

@@ -280,6 +280,22 @@ def test_supnorm_check_mass_overflow_errors():
                 weighted_supnorm_check(g, np.full(8, 1e308), np.ones(8))
 
 
+def test_supnorm_check_scales_an_overflowing_variation():
+    # finite values of opposite sign near the float limit: the total
+    # variation passes the float range, and the check compares the sides
+    # scaled by max|v| with no numpy overflow warning
+    g = make_grid(1, 2, 8, 2)
+    rho = np.linspace(0.5, 2.0, 8)
+    for v in (np.array([1e308, -1e308] * 4), np.array([-1e308] + [1e308] * 7)):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            chk = weighted_supnorm_check(g, rho, v)
+        assert chk.lhs == 1e308
+        assert chk.rhs == math.inf
+        assert chk.passed
+        assert weighted_supnorm_check(g, rho, v / 1e308).passed
+
+
 # magnitudes capped away from the denormal range: products like rho*v/M
 # must stay representable for the discrete inequality to be meaningful
 _rho_elems = st.one_of(st.just(0.0), st.floats(1e-120, 100))
