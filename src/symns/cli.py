@@ -92,6 +92,8 @@ _SWEEP_COLS = ("value", "reason", "steps", "t_final", "mass_drift_rel",
 
 
 def _cmd_sweep(args) -> int:
+    if args.workers < 0:
+        raise ConfigError(f"--workers must be >= 0, got {args.workers}")
     if "=" not in args.vary:
         raise ConfigError("--vary expects key=v1,v2,...")
     key, _, raw_values = args.vary.partition("=")

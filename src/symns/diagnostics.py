@@ -17,7 +17,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .constitutive import GasModel, internal_energy, pressure
-from .grid import Grid, _fsum, radial_to_ambient_norm, weighted_integral
+from .grid import Grid, _sum, radial_to_ambient_norm, weighted_integral
 from .operators import ddx
 from .state import FIELDS, RHO_VAC_TOL, State
 
@@ -154,9 +154,9 @@ def record_step(series: DiagnosticsSeries, s, model: GasModel, *,
     ``s`` is one State with scalar ``step``, ``dt`` and ``clip_cum``, or a
     list of States on one grid with a list of each, one entry per state.
     A list is computed as (k, n) stacks, one numpy call for all its rows;
-    each row's integrals are still summed on their own.  The ambient
-    12/5-norm of rho*theta is recorded as NaN for symmetry exponents
-    without an ambient lift (m >= 3).
+    each row's integrals are still the pairwise sums of that row alone.
+    The ambient 12/5-norm of rho*theta is recorded as NaN for symmetry
+    exponents without an ambient lift (m >= 3).
     """
     if isinstance(s, State):
         s, step, dt, clip_cum = [s], [step], [dt], [clip_cum]
@@ -311,7 +311,7 @@ def weighted_supnorm_check(g: Grid, rho, v) -> SupnormCheck:
     if np.any(rho < 0.0):
         raise ValueError("density must be nonnegative")
     with np.errstate(over="ignore"):   # an overflow is the check below
-        M = _fsum(rho * g.dx)
+        M = _sum(rho * g.dx)
     if not 0.0 < M < math.inf:
         raise ValueError("density must carry positive, finite total mass")
     lhs = float(np.max(np.abs(v)))
@@ -320,12 +320,12 @@ def weighted_supnorm_check(g: Grid, rho, v) -> SupnormCheck:
     # normalize the density weights before touching v: rho*v can underflow
     # at extreme magnitudes even though the average of v cannot
     weights = rho * (g.dx / M)
-    rhs = tv + abs(_fsum(weights * v))
+    rhs = tv + abs(_sum(weights * v))
     if rhs < math.inf or not lhs < math.inf:
         passed = lhs <= rhs * (1.0 + 1e-8)
     else:   # finite v whose variation overflows: compare both sides
         # divided by max|v|, as weighted_lp_norm scales
         w = v / lhs
-        scaled = float(np.sum(np.abs(np.diff(w)))) + abs(_fsum(weights * w))
+        scaled = float(np.sum(np.abs(np.diff(w)))) + abs(_sum(weights * w))
         passed = 1.0 <= scaled * (1.0 + 1e-8)
     return SupnormCheck(lhs=lhs, rhs=rhs, passed=passed, mass=M)

@@ -112,11 +112,11 @@ t_end = 0.05
 
 @pytest.mark.parametrize("make_config,expected", [
     (_bump_config,
-     "3c9025e1a1655d39817e8485f90ecf765f12c676103227cc02a1ac934c9d225e"),
+     "ce9a98357b8aa284d9eb2a570f72c4e16bb1ccaeac372bed72e1f4e2c44d06a7"),
     (_swirl_config,
-     "7e5b47827d79158b2ade6dbb75755c5fa1da7b745d58c65b21ebc986eaf135a8"),
+     "6a928caaf91827688bb511f493485b5ea5be651c1a94e6dddec328ff5821bf8a"),
     (_restart_config,
-     "a6b85044aab7f3a5c6df1db8539f403ac1f6f11f49e89aa5cb6ca2df3cd0f88e"),
+     "b4f0399f0f5063e0b8e922099a47491fb460371292afe6845d1809b6c6914810"),
 ], ids=["vacuum_bump_m2_n256", "swirl_m1_n64", "csv_restart_eps"])
 def test_run_is_bitwise_pinned(make_config, expected, tmp_path):
     traj = run(parse_config(make_config(tmp_path)))
@@ -124,6 +124,13 @@ def test_run_is_bitwise_pinned(make_config, expected, tmp_path):
     assert _digest(traj) == expected, (
         f"digest moved (recorded with numpy {RECORDED_WITH_NUMPY}, "
         f"running {np.__version__})")
+
+
+def test_bump_run_conserves_mass_to_rounding(tmp_path):
+    # the scheme conserves mass exactly; the pairwise sums of the mass
+    # column may drift by their rounding only, far inside criterion 1
+    mass = run(parse_config(_bump_config(tmp_path))).series.column("mass")
+    assert np.max(np.abs(mass - mass[0])) / mass[0] <= 1e-14
 
 
 @pytest.mark.parametrize("m,n,expected", [

@@ -255,6 +255,22 @@ def test_sweep_repeated_value_exits_3_without_running(tmp_path, monkeypatch,
     assert not out.exists()
 
 
+def test_sweep_negative_workers_exits_3_without_running(tmp_path, monkeypatch,
+                                                       capsys):
+    def no_build(*args, **kwargs):
+        raise AssertionError("config built")
+
+    monkeypatch.setattr(symns.cli, "parse_config_file", no_build)
+    monkeypatch.setattr(symns.cli, "run", no_build)
+    out = tmp_path / "o"
+    cfgp = _write(tmp_path, EQ_CONFIG.format(out=out))
+    assert cli(["sweep", cfgp, "--vary", "model.q=2.0,3.0",
+                "--workers", "-1"]) == 3
+    assert "config error: --workers must be >= 0, got -1" in \
+        capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_sweep_of_out_dir_exits_3_without_running(tmp_path, monkeypatch,
                                                   capsys):
     # the run never reads out_dir, so each value would run the same config

@@ -77,7 +77,8 @@ def test_grid_copies_are_equal_and_read_only(clone):
 
 @pytest.mark.parametrize("sign", [1.0, -1.0])
 def test_weighted_integral_overflow_is_infinite(sign):
-    # 16 finite terms of about 1.4e307 each: fsum raises, the plain sum is inf
+    # 16 finite terms of about 1.4e307 each: their sum passes the float
+    # range, so the pairwise sum is inf
     g = make_grid(1, 2, 16, 2)
     assert weighted_integral(g, np.full(16, sign * 1e308)) == sign * math.inf
 
@@ -220,24 +221,34 @@ def _awkward_values(rng, n, top=80):
 
 
 @pytest.mark.parametrize("n", [8, 64, 1000])
-def test_fsum_reductions_match_list_fsum_bitwise(n, rng):
+def test_pairwise_reductions_match_np_sum_and_fsum(n, rng):
     from symns.diagnostics import weighted_supnorm_check
 
     def same(a, b):
         return np.float64(a).tobytes() == np.float64(b).tobytes()
 
+    def near_fsum(got, terms):
+        # the pairwise sum's rounding bound against the exact sum
+        bound = math.ceil(math.log2(n)) * sys.float_info.epsilon
+        exact = math.fsum(terms.tolist())
+        assert abs(got - exact) <= bound * math.fsum(np.abs(terms).tolist())
+
     g = make_grid(1.0, 2.0, n, 2)
     for _ in range(20):
         f = _awkward_values(rng, n)
-        assert same(weighted_integral(g, f),
-                    math.fsum((g.weights * f).tolist()))
+        got = weighted_integral(g, f)
+        assert same(got, float(np.sum(g.weights * f)))
+        near_fsum(got, g.weights * f)
         rho = np.abs(_awkward_values(rng, n))
         rho[0] = 1.0      # positive total mass
         chk = weighted_supnorm_check(g, rho, f)
-        mass = math.fsum((rho * g.dx).tolist())
-        avg_v = math.fsum((rho * (g.dx / mass) * f).tolist())
+        mass = float(np.sum(rho * g.dx))
+        avg_terms = rho * (g.dx / mass) * f
+        avg_v = float(np.sum(avg_terms))
         assert same(chk.mass, mass)
         assert same(chk.rhs, float(np.sum(np.abs(np.diff(f)))) + abs(avg_v))
+        near_fsum(chk.mass, rho * g.dx)
+        near_fsum(avg_v, avg_terms)
         # magnitudes up to 1e80 and up to 1e308: the norm keeps the plain
         # formula's bits where its sum is finite and normal; elsewhere it
         # is scaled and agrees with an exactly scaled oracle
@@ -253,14 +264,10 @@ def test_fsum_reductions_match_list_fsum_bitwise(n, rng):
 
 
 def _plain_lp_norm(g, f, p):
-    """fsum(w |f|^p)^(1/p), or None where that sum is not finite and
+    """np.sum(w |f|^p)^(1/p), or None where that sum is not finite and
     normal."""
     with np.errstate(over="ignore"):
-        terms = (g.weights * np.abs(f) ** p).tolist()
-    try:
-        s = math.fsum(terms)
-    except OverflowError:
-        return None
+        s = float(np.sum(g.weights * np.abs(f) ** p))
     return s ** (1 / p) if sys.float_info.min <= s < math.inf else None
 
 
@@ -273,10 +280,11 @@ def _lp_norm_oracle(g, f, p):
     return math.ldexp(s ** (1 / p), e)
 
 
-@pytest.mark.parametrize("n", [8, 45, 64])
+@pytest.mark.parametrize("n", [8, 45, 64, 1000, 2048])
 def test_stacked_fields_give_each_fields_value_bitwise(n, rng):
-    # a (k, n) stack reduces row by row, each row with its own compensated
-    # sum and its own overflow and rescale fallbacks
+    # a (k, n) stack is summed in one call, each row pairwise on its own,
+    # with its own overflow and rescale fallbacks; past 128 elements the
+    # pairwise sum splits a row into blocks
     g = make_grid(1.0, 2.0, n, 1)
     stack = np.abs(np.stack([_awkward_values(rng, n, top) for top in
                              (0, 80, 200)] + [np.full(n, 1e308)]))
