@@ -21,7 +21,12 @@ The result is ``DIR/BENCH_<LABEL>.json`` with the keys ``what``, ``claim``,
 ``change_lower_in_pairs`` (the pairs in which the change reads lower) and
 ``median_change_rel`` (change median over parent median, minus 1; null
 where the parent median is 0, as for a traced count that stays 0);
-``traced_summary`` is the same for the traced pairs.  ``provenance`` holds
+``traced_summary`` is the same for the traced pairs.  Each run also keeps
+the scaled median ``write_s`` that bench/run.py prints on its
+``# write_s:`` line (null where it printed none), and where every run of a
+workload has one, its summary holds the same comparison of it under
+``informational``: the time spent writing the output, which bench/run.py
+leaves out of its metrics and nothing gates on.  ``provenance`` holds
 the ``# provenance`` line that bench/run.py prints in each tree, less its
 seed; the script stops if a tree's ``src_sha256`` changes between runs.
 """
@@ -40,6 +45,7 @@ SIDES = ("parent", "change")
 TRACE_PAIRS = 5
 TRACE_SECONDS = 10
 PROVENANCE = "# provenance "
+WRITE_S = "# write_s: median "
 
 
 def parse_result(stdout: str) -> dict:
@@ -58,6 +64,14 @@ def parse_provenance(stdout: str) -> dict:
             del prov["seed"]
             return prov
     raise ValueError("bench/run.py printed no provenance line")
+
+
+def parse_write_s(stdout: str):
+    """The scaled median write time of a bench/run.py output, or None."""
+    for line in stdout.splitlines():
+        if line.startswith(WRITE_S):
+            return float(line[len(WRITE_S):].split()[0])
+    return None
 
 
 def keep_provenance(kept: dict, side: str, prov: dict):
@@ -86,10 +100,25 @@ def _quartiles(values) -> dict:
     return {"q1": q1, "median": median, "q3": q3}
 
 
+def _compare(values) -> dict:
+    """The quartiles of each side's values and how the sides compare pair
+    by pair; values maps each side to its values in pair order."""
+    entry = {s: _quartiles(values[s]) for s in SIDES}
+    entry["change_lower_in_pairs"] = sum(
+        c < p for p, c in zip(values["parent"], values["change"]))
+    parent_median = entry["parent"]["median"]
+    entry["median_change_rel"] = (
+        entry["change"]["median"] / parent_median - 1.0
+        if parent_median else None)
+    return entry
+
+
 def summarize(runs) -> dict:
     """Per workload and end-to-end metric, the quartiles of each side and
-    how the sides compare pair by pair.  runs are entries with the keys
-    workload, pair, seed, side and result, as :func:`main` records them."""
+    how the sides compare pair by pair, and the same for ``write_s`` under
+    ``informational`` where every run has it.  runs are entries with the
+    keys workload, pair, seed, side and result (and write_s, if any), as
+    :func:`main` records them."""
     summary = {}
     for wl in dict.fromkeys(r["workload"] for r in runs):
         pairs = {}
@@ -105,16 +134,11 @@ def summarize(runs) -> dict:
                "correct_all": all(res["correct"] for res in results),
                "failed": sum(res["failed"] for res in results)}
         for name in pairs[0]["parent"]["result"]["metrics"]:
-            values = {s: [p[s]["result"]["metrics"][name]["value"]
-                          for p in pairs] for s in SIDES}
-            entry = {s: _quartiles(values[s]) for s in SIDES}
-            entry["change_lower_in_pairs"] = sum(
-                c < p for p, c in zip(values["parent"], values["change"]))
-            parent_median = entry["parent"]["median"]
-            entry["median_change_rel"] = (
-                entry["change"]["median"] / parent_median - 1.0
-                if parent_median else None)
-            out[name] = entry
+            out[name] = _compare({s: [p[s]["result"]["metrics"][name]["value"]
+                                      for p in pairs] for s in SIDES})
+        if all(p[s].get("write_s") is not None for p in pairs for s in SIDES):
+            out["informational"] = {"write_s": _compare(
+                {s: [p[s]["write_s"] for p in pairs] for s in SIDES})}
         summary[wl] = out
     return summary
 
@@ -149,7 +173,8 @@ def main(argv=None) -> int:
                     keep_provenance(provenance, side, parse_provenance(out))
                     res = parse_result(out)
                     runs.append({"workload": wl, "pair": i, "seed": seed,
-                                 "side": side, "result": res})
+                                 "side": side, "result": res,
+                                 "write_s": parse_write_s(out)})
                     print(f"{wl} pair {i} seed {seed} {side} trace {trace}: "
                           + json.dumps({m: v["value"] for m, v
                                         in res["metrics"].items()}),

@@ -2,18 +2,22 @@ import copy
 import math
 import os
 import tempfile
+from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
+from hypothesis.extra import numpy as hnp
+from test_bitwise import _bump_config
 
 import symns.io
 from symns.config import parse_config
 from symns.diagnostics import SERIES_COLUMNS, DiagnosticsSeries
-from symns.grid import Grid, make_grid
+from symns.grid import Grid, make_grid, weighted_integral
+from symns.initdata import load_initial_csv
 from symns.io import (SNAPSHOT_COLUMNS, snapshot_filename,
                       write_diagnostics_csv, write_snapshot, write_trajectory)
-from symns.state import State
+from symns.state import FIELDS, State
 from symns.stepper import run
 
 
@@ -154,16 +158,166 @@ snapshot_every = 1
     assert alone.read_bytes() == _reference_csv(SNAPSHOT_COLUMNS, rows)
 
 
-def test_cached_x_text_is_read_only_and_per_grid():
+def _rows(text):
+    """The bytes of each row of a NUL-padded text matrix."""
+    return [bytes(row[row != 0]) for row in text]
+
+
+def _kernel_rows(values):
+    """The bytes that the writer formats for each of values."""
+    return _rows(symns.io._format(np.array([values], dtype=float))[0])
+
+
+def _percent(values):
+    return [b"%.17g" % v for v in np.asarray(values, dtype=float).tolist()]
+
+
+def test_cached_x_bytes_are_read_only_and_per_grid():
     # dx = 1/24 and 1.7/24 are not dyadic, so the centers need 17 digits
     grids = [Grid(n=24), Grid(n=48), Grid(a=0.3, n=24), Grid(n=24)]
     texts = [symns.io._x_text(g) for g in grids]
     assert symns.io._x_text(grids[0]) is texts[0]   # formatted once per grid
     with pytest.raises(ValueError, match="read-only"):
-        texts[0][0] = "0"
+        texts[0][0, 0] = ord("0")
     for g, text in zip(grids, texts):
-        assert text.tolist() == ["%.17g" % x for x in g.centers]
-    assert texts[0].tolist() != texts[2].tolist()   # same n, other a
-    assert len(texts[1]) == 48
+        # one NUL-padded row of bytes per cell
+        assert text.dtype == np.uint8 and text.shape[0] == g.n
+        assert _rows(text) == _percent(g.centers)
+    assert _rows(texts[0]) != _rows(texts[2])       # same n, other a
     # an equal grid built separately formats its own copy
     assert grids[3] == grids[0] and texts[3] is not texts[0]
+
+
+def test_kernel_matches_percent_on_every_power_of_two():
+    powers = np.ldexp(1.0, np.arange(-1074, 1024))
+    for values in (powers, -powers):
+        assert _kernel_rows(values) == _percent(values)
+    # inside the certified range only 2**-25 = 2.98023223876953125e-08, a
+    # tie at 17 digits, falls back
+    inside = (powers >= 1e-279) & (powers < 1e279)
+    fallback = symns.io._fallback(powers)
+    assert powers[inside & fallback].tolist() == [2.0 ** -25]
+    assert fallback[~inside].all()
+
+
+def test_kernel_matches_percent_next_to_powers_of_ten():
+    tens = np.array([float(f"1e{k}") for k in range(-323, 309)])
+    steps = [tens]
+    for direction in (np.inf, 0.0):
+        near = tens
+        for _ in range(2):      # one and two ulps away
+            near = np.nextafter(near, direction)
+            steps.append(near)
+    values = np.concatenate(steps)
+    values = values[values != 0.0]       # 1e-323 less two ulps
+    for signed in (values, -values):
+        assert _kernel_rows(signed) == _percent(signed)
+
+
+def test_fast_path_edges():
+    # 1e-279 <= |x| < 1e279 is certified; one ulp outside falls back, as do
+    # the subnormals and the extremes
+    lo, hi = 1e-279, 1e279
+    inside = np.array([lo, np.nextafter(lo, np.inf), 9.99e278,
+                       1.0, 10.0, 1e16, 9.9999999999999e16])
+    outside = np.array([np.nextafter(lo, 0.0), hi, 2.2250738585072014e-308,
+                        5e-324, 1.7976931348623157e308])
+    # log10 rounds these up to the next power of ten: the significand
+    # comes out short and the value falls back
+    misses = np.array([np.nextafter(hi, 0.0), np.nextafter(1e17, 0.0)])
+    values = np.concatenate([inside, outside, misses])
+    for signed in (values, -values):
+        assert _kernel_rows(signed) == _percent(signed)
+        fallback = symns.io._fallback(signed)
+        assert fallback.tolist() == [False] * len(inside) + [True] * (
+            len(outside) + len(misses))
+
+
+def _ties():
+    """Doubles c * 2**-q, c odd, whose exact decimal c * 5**q / 10**q has
+    18 significant digits, the last a 5.  q runs over 2 ... 25, so 10**j
+    is a double for some (the kernel's product is exact) and not for
+    others."""
+    ties = []
+    for q in range(2, 26):
+        first = -(-10 ** 17 // 5 ** q) | 1
+        end = min(10 ** 18 // 5 ** q, 2 ** 53)
+        step = 2 * max(1, (end - first) // 16)
+        ties += [math.ldexp(c, -q) for c in range(first, end, step)]
+    return np.array(ties)
+
+
+def test_near_ties_take_the_fallback():
+    ties = _ties()
+    assert len(ties) > 200
+    for v in ties.tolist():   # each is exactly halfway at 17 digits
+        scaled = Fraction(v)
+        while scaled < 10 ** 16:
+            scaled *= 10
+        assert scaled < 10 ** 17
+        assert scaled - math.floor(scaled) == Fraction(1, 2), v
+    for signed in (ties, -ties):
+        assert symns.io._fallback(signed).all()
+        assert _kernel_rows(signed) == _percent(signed)
+
+
+@settings(max_examples=40, database=None)
+@given(hnp.arrays(np.float64, st.integers(1, 5000), elements=st.floats()),
+       st.integers(0, 2 ** 32 - 1))
+def test_write_csv_matches_reference_on_drawn_long_columns(values, seed):
+    # several blocks of rows: the drawn array, and as many random bit
+    # patterns beside it
+    bits = np.random.default_rng(seed).integers(
+        0, 2 ** 64, len(values), dtype=np.uint64, endpoint=False)
+    arrays = [values, bits.view(np.float64)]
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "long.csv")
+        symns.io._write_csv(path, ["a", "b"], arrays)
+        with open(path, "rb") as fh:
+            written = fh.read()
+    assert written == _reference_csv(["a", "b"], zip(*arrays))
+
+
+def test_pinned_run_values_take_the_fast_path(tmp_path):
+    # the vacuum_bump_m2_n256 pin config, with a snapshot every step: a
+    # kernel that formats its values right but slowly fails here
+    traj = run(parse_config(_bump_config(tmp_path)
+                            + "[output]\nsnapshot_every = 1\n"))
+    columns = [traj.states[0].grid.centers]
+    columns += [getattr(s, name) for s in traj.states for name in FIELDS]
+    columns += [traj.series.column(k) for k in SERIES_COLUMNS]
+    checked = 0
+    for col in columns:
+        traffic = np.isfinite(col) & (col != 0.0)
+        assert not symns.io._fallback(col)[traffic].any()
+        checked += int(traffic.sum())
+    assert len(traj.states) > 10 and checked > 10 * 256
+
+
+_fields = st.integers(8, 40).flatmap(lambda n: st.tuples(
+    st.just(n),
+    *[st.lists(kind, min_size=n, max_size=n) for kind in (
+        st.floats(min_value=0.0, allow_infinity=False),          # rho
+        st.one_of(st.just(-0.0), st.floats(allow_nan=False,
+                                           allow_infinity=False)),
+        st.one_of(st.just(-0.0), st.floats(allow_nan=False,
+                                           allow_infinity=False)),
+        st.one_of(st.just(-0.0), st.floats(allow_nan=False,
+                                           allow_infinity=False)),
+        st.floats(min_value=0.0, allow_infinity=False))]))      # theta
+
+
+@settings(max_examples=100, database=None)
+@given(_fields)
+def test_snapshot_round_trips_bitwise_through_the_loader(drawn):
+    n, *fields = drawn
+    g = Grid(n=n, m=1)            # m = 1: v and w may be nonzero
+    state = State(g, 0.0, *[np.array(f) for f in fields])
+    assume(0.0 < weighted_integral(g, state.rho) < math.inf)
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "snapshot.csv")
+        write_snapshot(path, state)
+        loaded = load_initial_csv(path, Grid(n=n, m=1))
+    for name in FIELDS:
+        assert np.array_equal(getattr(loaded, name).view(np.int64),
+                              getattr(state, name).view(np.int64)), name

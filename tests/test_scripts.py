@@ -35,9 +35,10 @@ def test_conduction_convergence_difference_falls(tmp_path):
 
 
 def _bench_output(run_s, rss, failed=0, sha="0123abcd", seed=1,
-                  maxed=None):
+                  maxed=None, write_s=None):
     """Canned bench/run.py standard output: report lines, then the result;
-    maxed adds a traced run's ``stepper.picard_maxed`` count."""
+    maxed adds a traced run's ``stepper.picard_maxed`` count and write_s
+    the ``# write_s:`` report line of an untraced run."""
     prov = {"git_rev": "unavailable", "src_sha256": sha,
             "src_symns_lines": 2478, "seed": seed}
     metrics = {"run_s": {"value": run_s, "unit": "s"},
@@ -46,8 +47,11 @@ def _bench_output(run_s, rss, failed=0, sha="0123abcd", seed=1,
         metrics["stepper.picard_maxed"] = {"value": maxed, "unit": "count"}
     result = {"correct": failed == 0, "attempted": 20, "failed": failed,
               "metrics": metrics}
+    write = ("" if write_s is None else
+             f"# write_s: median {write_s:.6g} s scaled ({write_s * 0.9:.6g} "
+             f"wall), n=22, p50 {write_s:.6g}\n")
     return (f"# provenance {json.dumps(prov)}\n# run_s: median ...\n"
-            + json.dumps(result) + "\n")
+            + write + json.dumps(result) + "\n")
 
 
 def test_bench_pairs_summary_from_canned_results(load_script):
@@ -81,6 +85,33 @@ def test_bench_pairs_summary_from_canned_results(load_script):
     assert bench_pairs.parse_provenance(_bench_output(1.0, 40.0)) == {
         "git_rev": "unavailable", "src_sha256": "0123abcd",
         "src_symns_lines": 2478}
+
+
+def test_bench_pairs_keeps_write_s_as_an_informational_entry(load_script):
+    bench_pairs = load_script("bench_pairs")
+    out = _bench_output(1.0, 40.0, write_s=0.158276)
+    assert bench_pairs.parse_write_s(out) == 0.158276
+    assert bench_pairs.parse_write_s(_bench_output(1.0, 40.0)) is None
+    parent, change = [0.20, 0.19, 0.21, 0.18], [0.09, 0.20, 0.08, 0.10]
+    runs = []
+    for i, (p, c) in enumerate(zip(parent, change)):
+        for side, w in (("parent", p), ("change", c)):
+            out = _bench_output(1.0, 40.0, write_s=w)
+            runs.append({"workload": "bump_restart", "pair": i,
+                         "seed": 7 + i, "side": side,
+                         "result": bench_pairs.parse_result(out),
+                         "write_s": bench_pairs.parse_write_s(out)})
+    summary = bench_pairs.summarize(runs)["bump_restart"]
+    write_s = summary["informational"]["write_s"]
+    assert write_s["change_lower_in_pairs"] == 3
+    assert write_s["parent"]["median"] == pytest.approx(0.195)
+    assert write_s["change"]["median"] == pytest.approx(0.095)
+    assert write_s["median_change_rel"] == pytest.approx(0.095 / 0.195 - 1)
+    # the end-to-end metrics are untouched, and a run without the line
+    # drops the entry rather than comparing a partial set
+    assert list(summary)[-3:] == ["run_s", "peak_rss_mb", "informational"]
+    runs[-1]["write_s"] = None
+    assert "informational" not in bench_pairs.summarize(runs)["bump_restart"]
 
 
 def test_bench_pairs_traces_pairs_and_keeps_provenance(tmp_path,
