@@ -29,6 +29,11 @@ workload has one, its summary holds the same comparison of it under
 leaves out of its metrics and nothing gates on.  ``provenance`` holds
 the ``# provenance`` line that bench/run.py prints in each tree, less its
 seed; the script stops if a tree's ``src_sha256`` changes between runs.
+
+When a run fails or a tree's source changes, the runs finished so far are
+kept in ``DIR/BENCH_<LABEL>.partial.json``, with the keys ``what``,
+``claim``, ``provenance``, ``error``, ``runs`` and ``traced``, and the
+script exits nonzero with the error.
 """
 
 from __future__ import annotations
@@ -143,6 +148,14 @@ def summarize(runs) -> dict:
     return summary
 
 
+def write_json(path, doc):
+    """Write doc to path as indented JSON and say so."""
+    with open(path, "w", encoding="utf-8") as fh:
+        json.dump(doc, fh, indent=1)
+        fh.write("\n")
+    print(f"wrote {path}")
+
+
 def main(argv=None) -> int:
     ap = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     ap.add_argument("parent_tree")
@@ -162,9 +175,9 @@ def main(argv=None) -> int:
 
     provenance = {}
 
-    def run_pairs(count, seconds, trace):
-        """The first count pairs of every workload, as summarize takes them."""
-        runs = []
+    def run_pairs(runs, count, seconds, trace):
+        """Append the first count pairs of every workload to runs, as
+        summarize takes them."""
         for k, wl in enumerate(workloads):
             for i in range(count):
                 seed = args.seed0 + k * args.pairs + i
@@ -179,12 +192,8 @@ def main(argv=None) -> int:
                           + json.dumps({m: v["value"] for m, v
                                         in res["metrics"].items()}),
                           flush=True)
-        return runs
 
-    runs = run_pairs(args.pairs, args.seconds, 0)
     trace_pairs = min(TRACE_PAIRS, args.pairs)
-    traced = run_pairs(trace_pairs, TRACE_SECONDS, 1)
-
     seeds = (f"{args.seed0}-{args.seed0 + len(workloads) * args.pairs - 1}")
     what = (f"python3 bench/run.py --workload W --seed S --seconds "
             f"{args.seconds:g} --trace 0, run in the parent tree "
@@ -197,14 +206,22 @@ def main(argv=None) -> int:
             f"with --trace 1 --seconds {TRACE_SECONDS:g}, summarized in "
             f"'traced_summary'. 'provenance' is each tree's bench/run.py "
             f"provenance line. Written by scripts/bench_pairs.py.")
-    doc = {"what": what, "claim": args.claim, "provenance": provenance,
-           "summary": summarize(runs), "traced_summary": summarize(traced),
-           "runs": runs, "traced": traced}
-    path = os.path.join(args.out, f"BENCH_{args.label}.json")
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(doc, fh, indent=1)
-        fh.write("\n")
-    print(f"wrote {path}")
+    runs, traced = [], []
+    try:
+        run_pairs(runs, args.pairs, args.seconds, 0)
+        run_pairs(traced, trace_pairs, TRACE_SECONDS, 1)
+    except BaseException as exc:
+        write_json(os.path.join(args.out, f"BENCH_{args.label}.partial.json"),
+                   {"what": what, "claim": args.claim,
+                    "provenance": provenance,
+                    "error": f"{type(exc).__name__}: {exc}",
+                    "runs": runs, "traced": traced})
+        raise
+    write_json(os.path.join(args.out, f"BENCH_{args.label}.json"),
+               {"what": what, "claim": args.claim, "provenance": provenance,
+                "summary": summarize(runs),
+                "traced_summary": summarize(traced),
+                "runs": runs, "traced": traced})
     return 0
 
 

@@ -59,8 +59,7 @@ def _cmd_verify(args) -> int:
     cfg = parse_config_file(args.config)   # inadmissible: a ConfigError
     print("admissibility:")
     print(check_admissible(cfg.model, cfg.grid.m))
-    res = compatibility_residuals(cfg.initial, cfg.model,
-                                  rho_vac_tol=cfg.controls.rho_vac_tol)
+    res = compatibility_residuals(cfg.initial, cfg.model)
     print("compatibility residuals (max |g_i| on non-vacuum cells):")
     for name, val in zip(("g1", "g2", "g3", "g4"), res.max_abs()):
         print(f"  {name} = {val:.6g}")

@@ -234,7 +234,8 @@ def build_initial(cfg: SimConfig, g, model: GasModel) -> State:
 
 def _initial_state(cfg: SimConfig) -> State:
     """The initial State from the config: preset or CSV file, then the
-    optional epsilon-regularization with its re-solved radial velocity."""
+    optional epsilon-regularization with its re-solved radial velocity.
+    It reads the [grid], [model] and [init] sections only."""
     ic, g, model = cfg.init, cfg.grid, cfg.model
     try:
         if ic.file:
@@ -242,8 +243,7 @@ def _initial_state(cfg: SimConfig) -> State:
         else:
             s = preset(ic.preset_name, g, **_preset_params(ic))
         if ic.eps > 0.0:
-            g1 = np.nan_to_num(radial_residual(
-                s, model, rho_vac_tol=cfg.controls.rho_vac_tol), nan=0.0)
+            g1 = np.nan_to_num(radial_residual(s, model), nan=0.0)
             s = regularize(s, ic.eps)
             s = replace(s, u=solve_initial_velocity(model, s.rho, s.theta,
                                                     g1, g))

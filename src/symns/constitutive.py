@@ -33,7 +33,7 @@ __all__ = [
 class GasModel:
     """Immutable constitutive model; the ``[model]`` section of a run config.
 
-    family selects Q(theta): "ideal" and "linear" are both Q = theta (r = 0);
+    family selects Q(theta): "ideal" is Q = theta (r = 0);
     "power" is Q = theta + theta^(1+r)/(1+r) with r >= 0.  The cold-pressure
     constant A >= 0 selects the P_c family: A = 0 is "zero"; A > 0 is
     "barotropic" P_c = A rho^gamma (gamma > 1) with derived
@@ -58,9 +58,9 @@ class GasModel:
         if not self.kappa0 > 0.0:
             raise ValueError(f"kappa0 must be positive, "
                              f"got kappa0={self.kappa0}")
-        if self.family not in ("ideal", "linear", "power"):
+        if self.family not in ("ideal", "power"):
             raise ValueError(f"unknown family {self.family!r}; choose from "
-                             f"ideal, linear, power")
+                             f"ideal, power")
         if self.family != "power" and self.r != 0.0:
             raise ValueError(f"r must be 0 for the {self.family} family, "
                              f"got r={self.r}")
@@ -170,7 +170,7 @@ def conductivity(model: GasModel, theta):
 
 
 def heat_capacity(model: GasModel, theta):
-    """Q'(theta): 1 for the linear family, 1 + theta^r for the power family."""
+    """Q'(theta): 1 for the ideal family, 1 + theta^r for the power family."""
     theta = _check_nonneg("temperature", theta)
     out = _Qprime(model, theta)
     return out if out.ndim else float(out)
@@ -181,10 +181,10 @@ def thermo_consistency_residual(model: GasModel, rho: float, theta: float) -> fl
 
     Partials are centered finite differences with relative step 1e-6.
     The residual reduces analytically to rho*(Q(theta) - theta*Q'(theta)):
-    identically zero for the linear family (and for "power" with r = 0),
+    identically zero for the ideal family (and for "power" with r = 0),
     but -rho * r * theta^(1+r) / (1+r) for the power family with r > 0.
     That nonzero value is a property of the family, not an error; callers
-    comparing against zero must restrict to the linear family.
+    comparing against zero must restrict to the ideal family.
     """
     rho = float(rho)
     theta = float(theta)

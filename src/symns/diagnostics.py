@@ -267,18 +267,17 @@ class AltCriteria:
     inv_rho_sup: float
 
 
-def alt_criteria(traj: Trajectory,
-                 rho_vac_tol: float = RHO_VAC_TOL) -> AltCriteria:
+def alt_criteria(traj: Trajectory) -> AltCriteria:
     """Evaluate the alternative blow-up criteria along the trajectory.
 
     ||grad u||_inf of the symmetric field is max(|u_x|, m|u|/x); 1/rho is
-    reported infinite as soon as any cell dips below rho_vac_tol."""
+    reported infinite as soon as any cell dips below ``RHO_VAC_TOL``."""
     ser = traj.series
     sup_theta = float(np.max(ser.column("max_theta")))
     sup_rho = float(np.max(ser.column("max_rho")))
     grad_l1t = _trapz(ser.column("grad_u_max"), ser.t)
     min_rho = float(np.min(ser.column("min_rho")))
-    inv_rho = math.inf if min_rho < rho_vac_tol else 1.0 / min_rho
+    inv_rho = math.inf if min_rho < RHO_VAC_TOL else 1.0 / min_rho
     return AltCriteria(
         fan_jiang_ou=sup_theta + grad_l1t,
         fang_zi_zhang=sup_theta + sup_rho,

@@ -139,16 +139,14 @@ def _radial_balance(s: State, model: GasModel):
     return model.beta * lame_operator(s.grid, s.u) - ddx(s.grid, P, "neumann0")
 
 
-def radial_residual(s: State, model: GasModel,
-                    rho_vac_tol: float = RHO_VAC_TOL) -> np.ndarray:
+def radial_residual(s: State, model: GasModel) -> np.ndarray:
     """g1 alone (NaN on vacuum cells): the source the epsilon re-solve of
     the initial radial velocity keeps."""
-    return _per_sqrt_rho(s, _radial_balance(s, model), s.rho < rho_vac_tol)
+    return _per_sqrt_rho(s, _radial_balance(s, model), s.rho < RHO_VAC_TOL)
 
 
-def compatibility_residuals(s: State, model: GasModel,
-                            rho_vac_tol: float = RHO_VAC_TOL
-                            ) -> CompatibilityResiduals:
+def compatibility_residuals(s: State,
+                            model: GasModel) -> CompatibilityResiduals:
     validate_initial(s)
     g = s.grid
     expr1 = _radial_balance(s, model)
@@ -157,7 +155,7 @@ def compatibility_residuals(s: State, model: GasModel,
     kf = face_kappa(g, model, s.theta)
     expr4 = heat_flux_div(g, kf, s.theta) + dissipation(g, s.u, s.v, s.w, model)
 
-    vac = s.rho < rho_vac_tol
+    vac = s.rho < RHO_VAC_TOL
     gs = [_per_sqrt_rho(s, expr, vac) for expr in (expr1, expr2, expr3, expr4)]
     idx = np.nonzero(vac)[0]
     raw = np.column_stack([expr1[idx], expr2[idx], expr3[idx], expr4[idx]]) \

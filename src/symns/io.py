@@ -246,11 +246,10 @@ def _x_text(g: Grid) -> np.ndarray:
 def _write_csv(path, header, columns):
     """Write one column per header name, a block of rows at a time.  A
     float column is formatted by :func:`_format`, all float columns of a
-    block in one call; an object column holds its entries' text already,
-    and a 2-D uint8 column is text as :func:`_format` returns it."""
+    block in one call; a 2-D uint8 column is text as :func:`_format`
+    returns it."""
     rows = len(columns[0])
-    floats = [j for j, col in enumerate(columns)
-              if col.ndim == 1 and col.dtype != object]
+    floats = [j for j, col in enumerate(columns) if col.ndim == 1]
     # a signalling NaN raises 'invalid' where it is compared; it is
     # written as nan all the same
     with np.errstate(invalid="ignore"), open(path, "wb") as fh:
@@ -265,10 +264,6 @@ def _write_csv(path, header, columns):
                 formatted = _format(np.stack([texts[j] for j in floats]))
                 for j, t in zip(floats, formatted):
                     texts[j] = t
-            for j, t in enumerate(texts):
-                if t.dtype == object:
-                    t = t.astype("S")
-                    texts[j] = t.view(np.uint8).reshape(len(t), t.itemsize)
             table = np.empty((min(step, rows - start),
                               sum(t.shape[1] + 1 for t in texts)), np.uint8)
             end = 0

@@ -1,7 +1,8 @@
 """Solution state: cell-centered fields at one time instant.
 
 ``FIELDS`` names the fields of :class:`State` in order; every other list of
-them is built from it.  By default, density below ``RHO_VAC_TOL`` is vacuum.
+them is built from it.  Density below ``RHO_VAC_TOL`` is vacuum; every vacuum
+test of the solver, the initial data and the diagnostics reads it.
 """
 
 from __future__ import annotations

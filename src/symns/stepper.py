@@ -10,7 +10,7 @@ energy equation (frozen face conductivity and heat capacity per sweep,
 insulated walls).  ``run`` records the diagnostics rows of the accepted
 steps in blocks, one ``record_step`` call per block.
 
-Vacuum cells (rho below ``rho_vac_tol``) degenerate: velocity rows are
+Vacuum cells (rho below ``RHO_VAC_TOL``) degenerate: velocity rows are
 replaced by identity, which freezes the velocities there to rounding (the
 pivoting solve can carry an identity row through a row interchange) and
 keeps the advective CFL meaningful; the temperature step reads rho as 0
@@ -72,7 +72,6 @@ class StepControls:
     cfl: float = 0.4
     picard_max: int = 30
     picard_tol: float = 1e-10
-    rho_vac_tol: float = RHO_VAC_TOL
     dt_max: float = math.inf
     dt_min: float = 1e-12
     max_steps: int = 1_000_000
@@ -83,7 +82,7 @@ class StepControls:
         if not 0.0 < self.cfl < 1.0:
             raise ValueError(f"need 0 < cfl < 1, got {self.cfl}")
         # comparisons are written so that NaN fails them
-        for name in ("picard_tol", "rho_vac_tol", "dt_min", "dt_max"):
+        for name in ("picard_tol", "dt_min", "dt_max"):
             if not getattr(self, name) > 0.0:
                 raise ValueError(f"{name} must be positive")
         for name in ("picard_max", "max_steps"):
@@ -164,7 +163,7 @@ def _momentum_stencils(g: Grid):
                                        axial_stencil(g))))
 
 
-def step_momentum(s: State, dt: float, model: GasModel, c: StepControls,
+def step_momentum(s: State, dt: float, model: GasModel,
                   force_u=None) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Advance (u, v, w): explicit upwind advection and geometric/pressure
     sources, then an implicit viscous tridiagonal solve of each component.
@@ -181,7 +180,7 @@ def step_momentum(s: State, dt: float, model: GasModel, c: StepControls,
     g = s.grid
     x = g.centers
     rho, u = s.rho, s.u
-    vac = rho < c.rho_vac_tol
+    vac = rho < RHO_VAC_TOL
     has_vac = vac.any()
     P = pressure(model, rho, s.theta)
     Px = ddx(g, P, "neumann0")
@@ -248,7 +247,7 @@ def step_temperature(s: State, dt: float, model: GasModel,
     """
     g = s.grid
     rho, u = s.rho, s.u
-    vac = rho < c.rho_vac_tol
+    vac = rho < RHO_VAC_TOL
     if vac.any():
         rho = np.where(vac, 0.0, rho)
     theta_old = s.theta
@@ -323,7 +322,7 @@ def step_detailed(s: State, c: StepControls, model: GasModel, dt=None,
     rho_new, clip_rho = step_continuity(s, dt)
     out = State(grid=s.grid, t=s.t + dt, rho=rho_new, u=s.u, v=s.v, w=s.w,
                 theta=s.theta)
-    out.u, out.v, out.w = step_momentum(out, dt, model, c)
+    out.u, out.v, out.w = step_momentum(out, dt, model)
     out.theta, clip_theta, iters = step_temperature(
         out, dt, model, c, theta_guess=theta_guess)
     return out, StepInfo(dt=dt, clip_rho=clip_rho, clip_theta=clip_theta,

@@ -199,7 +199,6 @@ def _mms_momentum(n, dt, nsteps, m=2):
     k = math.pi / (g.b - g.a)
     amp = 0.01
     beta = MODEL.beta
-    c = StepControls()
     rho = np.ones(n)
     zero = np.zeros(n)
     u = amp * np.sin(k * (x - g.a))
@@ -212,7 +211,7 @@ def _mms_momentum(n, dt, nsteps, m=2):
                  - beta * amp * e * (-k * k * s_ + m * k * c_ / x
                                      - m * s_ / x ** 2))
         st = State(g, t, rho, u, zero, zero, zero)
-        u, _, _ = step_momentum(st, dt, MODEL, c, force_u=force)
+        u, _, _ = step_momentum(st, dt, MODEL, force_u=force)
     return g, u, nsteps * dt, amp, k
 
 

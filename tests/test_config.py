@@ -133,7 +133,6 @@ def test_negative_cold_pressure_rejected():
     ("[model]\ngamma = nan\n", "model: gamma must be finite"),
     ("[controls]\ncfl = nan\n", "controls: need 0 < cfl"),
     ("[controls]\npicard_tol = nan\n", "controls: picard_tol"),
-    ("[controls]\nrho_vac_tol = nan\n", "controls: rho_vac_tol"),
     ("[controls]\ndt_min = nan\n", "controls: dt_min"),
     ("[controls]\ndt_max = nan\n", "controls: dt_max"),
     ("[controls]\nt_end = nan\n", "controls: t_end"),
@@ -211,14 +210,21 @@ def test_method_names_are_not_keys():
 def test_removed_keys_are_unknown():
     with pytest.raises(ConfigError, match="unknown key 'output.snapshot_dt'"):
         parse_config("[output]\nsnapshot_dt = 0.1\n")
+    # vacuum is rho below state.RHO_VAC_TOL, which no config sets
+    with pytest.raises(ConfigError,
+                       match="unknown key 'controls.rho_vac_tol'"):
+        parse_config("[controls]\nrho_vac_tol = 1e-12\n")
+    # "linear" was another name for the ideal family
+    with pytest.raises(ConfigError, match="model: unknown family 'linear'"):
+        parse_config("[model]\nfamily = linear\n")
 
 
 def test_build_model_families():
     cfg = parse_config("[model]\nfamily = power\nr = 1.0\nq = 2.0\nA = 0.5\n")
     m = build_model(cfg)
     assert m.family == "power" and m.pc_family == "barotropic"
-    cfg = parse_config("[model]\nfamily = linear\n")
-    assert build_model(cfg).family == "linear"
+    cfg = parse_config("[model]\nfamily = ideal\n")
+    assert build_model(cfg) == GasModel()
 
 
 IDEAL_FIELDS = {"family": "ideal", "mu": 1.0, "lam": 0.0, "r": 0.0, "q": 2.0,
@@ -242,7 +248,7 @@ def test_model_section_is_gas_model():
     assert dataclasses.asdict(build_model(cfg)) == IDEAL_FIELDS
     assert {k for k in _KEY_TYPES if k.startswith("model.")} == {
         f"model.{name}" for name in IDEAL_FIELDS}
-    assert len(_KEY_TYPES) == 34
+    assert len(_KEY_TYPES) == 33
     every = {"family": "power", "mu": 0.5, "lam": 0.25, "r": 1.5, "q": 3.0,
              "kappa0": 2.0, "A": 0.75, "gamma": 1.4}
     text = "[model]\n" + "".join(f"{k} = {v}\n" for k, v in every.items())
@@ -314,7 +320,7 @@ def test_keys_are_the_init_fields_of_the_section_classes():
     assert set(_KEY_TYPES) == {
         f"{sec}.{f.name}" for sec, cls in sections.items()
         for f in dataclasses.fields(cls) if f.init}
-    assert len(_KEY_TYPES) == 34
+    assert len(_KEY_TYPES) == 33
     for name in ("dx", "centers", "faces", "weights", "_cache"):
         assert f"grid.{name}" not in _KEY_TYPES
 
@@ -397,19 +403,25 @@ eps = 1e-4
 
 
 def test_a_parsed_config_cannot_go_stale():
-    # rho_vac_tol feeds the eps re-solve of the initial velocity
+    # the model feeds the eps re-solve of the initial velocity
     cfg = parse_config(_BUMP_EPS)
-    for section, key in (("controls", "rho_vac_tol"), ("output", "out_dir")):
+    for section, key in (("model", "mu"), ("controls", "t_end"),
+                         ("output", "out_dir")):
         with pytest.raises(dataclasses.FrozenInstanceError):
             setattr(getattr(cfg, section), key, 0.5)
     with pytest.raises(dataclasses.FrozenInstanceError):
         cfg.initial = None
-    # a change that the initial state does not depend on builds an equal one
+    # a change that the initial state does not depend on builds an equal
+    # one: it reads [grid], [model] and [init] only
     moved = dataclasses.replace(
         cfg, output=dataclasses.replace(cfg.output, out_dir="elsewhere"))
-    for name in ("rho", "u", "v", "w", "theta"):
-        assert (getattr(moved.initial, name).tobytes()
-                == getattr(cfg.initial, name).tobytes())
+    timed = dataclasses.replace(
+        cfg, controls=dataclasses.replace(cfg.controls, t_end=0.5))
+    for other in (moved, timed,
+                  parse_config(_BUMP_EPS + "[controls]\nt_end = 0.5\n")):
+        for name in ("rho", "u", "v", "w", "theta"):
+            assert (getattr(other.initial, name).tobytes()
+                    == getattr(cfg.initial, name).tobytes())
     assert moved.initial.grid is moved.grid
     assert moved.output.out_dir == "elsewhere"
     assert cfg.output.out_dir == "out"
@@ -420,8 +432,8 @@ def test_a_parsed_config_cannot_go_stale():
     assert regridded.initial.grid is regridded.grid
     assert np.array_equal(regridded.initial.u, cfg.initial.u)
     derived = dataclasses.replace(
-        cfg, controls=dataclasses.replace(cfg.controls, rho_vac_tol=0.5))
-    parsed = parse_config(_BUMP_EPS + "[controls]\nrho_vac_tol = 0.5\n")
+        cfg, model=dataclasses.replace(cfg.model, mu=2.0))
+    parsed = parse_config(_BUMP_EPS + "[model]\nmu = 2.0\n")
     assert not np.array_equal(derived.initial.u, cfg.initial.u)
     for name in ("rho", "u", "v", "w", "theta"):
         assert (getattr(derived.initial, name).tobytes()

@@ -28,7 +28,7 @@ VALUES = {
     "grid.b": ([2.0, 3.0], [1.0, 0.9, NAN, INF]),
     "grid.n": ([8, 16, 32], [7, 0]),
     "grid.m": ([1, 2, 3], [0]),
-    "model.family": (["ideal", "linear", "power"], ["gas"]),
+    "model.family": (["ideal", "power"], ["gas", "linear"]),
     "model.mu": ([1.0, 0.1], [0.0, -1.0, NAN, INF]),
     "model.lam": ([0.0, 0.5, -0.5], [-5.0, NAN, INF]),
     "model.r": ([0.0, 0.5], [-0.1, 2.0, NAN, INF]),
@@ -39,7 +39,6 @@ VALUES = {
     "controls.cfl": ([0.4, 0.9], [0.0, 1.0, NAN]),
     "controls.picard_max": ([1, 10], [0]),
     "controls.picard_tol": ([1e-10, 1e-3], [0.0, NAN]),
-    "controls.rho_vac_tol": ([1e-12, 1e-3], [0.0, NAN]),
     "controls.dt_max": ([INF, 1e-3], [0.0, -1.0, NAN]),
     "controls.dt_min": ([1e-12, 0.5], [0.0, NAN]),
     "controls.max_steps": ([1, 1000], [0]),

@@ -1,4 +1,3 @@
-import inspect
 from dataclasses import replace
 
 import numpy as np
@@ -6,14 +5,13 @@ import pytest
 
 import symns.initdata
 from symns.constitutive import ideal_gas, pressure
-from symns.diagnostics import alt_criteria
 from symns.errors import SolverFailure
 from symns.grid import make_grid, weighted_integral
 from symns.initdata import (compatibility_residuals, load_initial_csv,
                             preset, radial_residual, regularize,
                             solve_initial_velocity, validate_initial)
 from symns.operators import ddx, lame_stencil
-from symns.stepper import StepControls
+from symns.state import RHO_VAC_TOL
 
 MODEL = ideal_gas()
 
@@ -169,10 +167,10 @@ def test_compatibility_residuals_equilibrium():
 def test_compatibility_vacuum_report_matches_threshold():
     g = make_grid(1, 2, 128, 2)
     d = preset("vacuum_bump", g)
-    tol = 1e-12
+    tol = RHO_VAC_TOL
     # a cell exactly at the tolerance is fluid, as in the stepper
     d.rho[0] = tol
-    res = compatibility_residuals(d, MODEL, rho_vac_tol=tol)
+    res = compatibility_residuals(d, MODEL)
     expected = np.nonzero(d.rho < tol)[0]
     assert expected.size and 0 not in expected
     assert np.array_equal(res.vacuum_indices, expected)
@@ -181,22 +179,16 @@ def test_compatibility_vacuum_report_matches_threshold():
     assert np.all(np.isfinite(res.g1[d.rho >= tol]))
 
 
-def test_vacuum_threshold_defaults_match_the_stepper():
-    tol = StepControls().rho_vac_tol
-    for func in (radial_residual, compatibility_residuals, alt_criteria):
-        default = inspect.signature(func).parameters["rho_vac_tol"].default
-        assert default == tol, func.__name__
-
-
 def test_radial_residual_is_compatibility_g1():
     g = make_grid(1, 2, 128, 2)
     s = replace(preset("vacuum_bump", g), u=0.1 * np.sin(g.centers))
     model = ideal_gas(lam=0.5)
-    for tol in (1e-12, 1e-3):
-        res = compatibility_residuals(s, model, rho_vac_tol=tol)
-        g1 = radial_residual(s, model, rho_vac_tol=tol)
-        assert np.array_equal(g1, res.g1, equal_nan=True)
-        assert np.isnan(g1).any()
+    # a positive density below the threshold is vacuum too
+    s.rho[np.flatnonzero(s.rho == 0.0)[::4]] = 0.5 * RHO_VAC_TOL
+    res = compatibility_residuals(s, model)
+    g1 = radial_residual(s, model)
+    assert np.array_equal(g1, res.g1, equal_nan=True)
+    assert np.array_equal(np.isnan(g1), s.rho < RHO_VAC_TOL)
 
 
 def test_swirl_or_axial_velocity_needs_cylindrical_mode():

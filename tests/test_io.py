@@ -119,7 +119,9 @@ def test_write_csv_matches_reference_on_drawn_tables(table, first_as_text):
     header = [f"c{j}" for j in range(len(columns))]
     arrays = [np.array(col, dtype=float) for col in columns]
     if first_as_text:   # a preformatted column, as the snapshot x column
-        arrays[0] = np.array(["%.17g" % v for v in columns[0]], dtype=object)
+        text = symns.io._format(arrays[0][None])[0]
+        # an all-+0 column is one row of text that stands for every row
+        arrays[0] = np.broadcast_to(text, (rows, text.shape[1]))
     with tempfile.TemporaryDirectory() as tmp:
         path = os.path.join(tmp, "table.csv")
         symns.io._write_csv(path, header, arrays)

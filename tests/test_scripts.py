@@ -166,3 +166,11 @@ def test_bench_pairs_traces_pairs_and_keeps_provenance(tmp_path,
     with pytest.raises(ValueError, match="change: src_sha256 changed "
                                          "between runs, from bbbb to cccc"):
         bench_pairs.main(argv)
+    # the runs finished before the change are kept: pair 0, on both sides
+    partial = json.loads((tmp_path / "BENCH_canned.partial.json").read_text())
+    assert list(partial) == ["what", "claim", "provenance", "error", "runs",
+                             "traced"]
+    assert partial["error"].startswith("ValueError: change: src_sha256")
+    assert [(r["pair"], r["seed"], r["side"]) for r in partial["runs"]] == [
+        (0, 10, "parent"), (0, 10, "change")]
+    assert partial["traced"] == []
