@@ -10,12 +10,12 @@ energy equation (frozen face conductivity and heat capacity per sweep,
 insulated walls).  ``run`` records the diagnostics rows of the accepted
 steps in blocks, one ``record_step`` call per block.
 
-Vacuum cells (rho below ``RHO_VAC_TOL``) degenerate: velocity rows are
-replaced by identity, which freezes the velocities there to rounding (the
-pivoting solve can carry an identity row through a row interchange) and
-keeps the advective CFL meaningful; the temperature step reads rho as 0
-there, so its rho-weighted terms vanish and the same rows solve the
-stationary conduction balance 0 = heat_flux_div + dissipation.
+Vacuum cells (rho below ``RHO_VAC_TOL``) weigh as rho = 0 in all three
+phases, so every row keeps its one formula: a vacuum donor carries no
+continuity flux, and the rho-weighted terms of the momentum and temperature
+rows vanish there.  Those rows then solve the rho -> 0 limit of their
+equations, beta*L[u] = P_x - f, mu*L[v] = 0, mu*L_axial[w] = 0 and
+0 = heat_flux_div + dissipation, the limit that eps-lifted data approach.
 
 The temperature system is solved for the increment theta' - theta, with
 the right-hand side evaluated through the same difference operators that
@@ -136,16 +136,25 @@ def _floor_field(g: Grid, values: np.ndarray, what: str):
     return values, clipped
 
 
+def _vacuum_as_zero(rho: np.ndarray) -> np.ndarray:
+    """The split step's one vacuum rule: rho read as 0 on the cells below
+    ``RHO_VAC_TOL``; ``rho`` itself when no cell is vacuum."""
+    vac = rho < RHO_VAC_TOL
+    return np.where(vac, 0.0, rho) if vac.any() else rho
+
+
 def step_continuity(s: State, dt: float) -> tuple[np.ndarray, float]:
     """Explicit conservative upwind continuity update.
 
     Face flux x_f^m * rho_upwind * u_face with u_face the neighbor mean and
-    zero wall flux; the weight-normalized differences telescope, so total
-    weighted mass is conserved to rounding.  Returns (rho', clipped mass).
+    zero wall flux; a vacuum donor carries no flux.  The weight-normalized
+    differences telescope, so total weighted mass is conserved to rounding.
+    Returns (rho', clipped mass).
     """
     g = s.grid
     uf = 0.5 * (s.u[:-1] + s.u[1:])
-    rho_up = np.where(uf > 0.0, s.rho[:-1], s.rho[1:])
+    donor = _vacuum_as_zero(s.rho)
+    rho_up = np.where(uf > 0.0, donor[:-1], donor[1:])
     flux = np.zeros(g.n + 1)
     flux[1:-1] = g.face_powers[1:-1] * rho_up * uf
     rho_new = s.rho - dt * np.diff(flux) / g.weights
@@ -173,18 +182,15 @@ def step_momentum(s: State, dt: float, model: GasModel,
     each step of the update is one numpy call and the three systems are one
     solve.  For m != 1 the velocity is radial, ``u`` alone is advanced and
     ``s.v``, ``s.w`` are returned as they are.  ``s.rho`` must already hold
-    the continuity-updated density.  Vacuum rows are identity rows, which
-    keep the old value to rounding.  ``force_u`` is an optional external
-    momentum source density (rho*f) for the radial component.
+    the continuity-updated density; vacuum cells weigh as rho = 0, so their
+    rows solve beta*L[u] = P_x - f and mu*L[v] = mu*L_axial[w] = 0.
+    ``force_u`` is an optional external momentum source density (rho*f)
+    for the radial component.
     """
     g = s.grid
     x = g.centers
-    rho, u = s.rho, s.u
-    vac = rho < RHO_VAC_TOL
-    has_vac = vac.any()
-    P = pressure(model, rho, s.theta)
-    Px = ddx(g, P, "neumann0")
-    safe_rho = np.where(vac, 1.0, rho) if has_vac else rho
+    rho, u = _vacuum_as_zero(s.rho), s.u
+    Px = ddx(g, pressure(model, s.rho, s.theta), "neumann0")
     sub_l, diag_l, sup_l = _momentum_stencils(g)
     cylindrical = g.m == 1
     if cylindrical:   # one row and one viscosity per component
@@ -196,22 +202,19 @@ def step_momentum(s: State, dt: float, model: GasModel,
 
     star = f - dt_u * upwind_derivative(g, f, u)
     # explicit sources of each component, added after the advection in
-    # this order (the order fixes the rounding); radial is a view of star
-    radial = star[0] if cylindrical else star
-    radial += dt * (s.v ** 2 / x - Px / safe_rho)
-    if force_u is not None:
-        radial += dt * np.asarray(force_u, dtype=float) / safe_rho
+    # this order (the order fixes the rounding); the pressure and force
+    # sources stand outside the rho factor, so they remain where rho is 0
     if cylindrical:
+        star[0] += dt * s.v ** 2 / x
         star[1] -= dt_u * s.v / x
     a = -dt * coeff * sub_l
     b = rho - dt * coeff * diag_l
     cc = -dt * coeff * sup_l
     d = rho * star
-    if has_vac:   # the mask broadcasts over the rows of a stack
-        np.copyto(a, 0.0, where=vac)
-        np.copyto(cc, 0.0, where=vac)
-        np.copyto(b, 1.0, where=vac)
-        np.copyto(d, f, where=vac)
+    radial = d[0] if cylindrical else d   # a view of d
+    radial -= dt * Px
+    if force_u is not None:
+        radial += dt * np.asarray(force_u, dtype=float)
     if cylindrical:
         return tuple(solve_tridiagonal(a, b, cc, d, context="momentum solve",
                                        names=("radial", "angular", "axial")))
@@ -246,10 +249,7 @@ def step_temperature(s: State, dt: float, model: GasModel,
     ``picard_tol``.  Returns (theta', clipped amount, sweeps used).
     """
     g = s.grid
-    rho, u = s.rho, s.u
-    vac = rho < RHO_VAC_TOL
-    if vac.any():
-        rho = np.where(vac, 0.0, rho)
+    rho, u = _vacuum_as_zero(s.rho), s.u
     theta_old = s.theta
     divu = radial_div(g, u)
     phi = dissipation(g, u, s.v, s.w, model)

@@ -7,10 +7,10 @@ floating-point operation of the stepper or the diagnostics moves a digest;
 a change that only removes repeated work must leave all three unchanged.
 The momentum pins hash the three velocities of one ``step_momentum`` call
 on a state with vacuum cells and a radial force: at m = 1 with all three
-components nonzero, so every source term and every vacuum row is covered,
-and at m = 2, where only the radial component is advanced.  The preset
-pins hash the five fields of each initial-data preset, at its defaults and
-at one set of other parameters.
+components nonzero, so every source term and every vacuum row (the rho -> 0
+limit of its equation) is covered, and at m = 2, where only the radial
+component is advanced.  The preset pins hash the five fields of each
+initial-data preset, at its defaults and at one set of other parameters.
 
 The digests were recorded with numpy 2.4.6 on x86-64 Linux (Python 3.11),
 whose wheel's OpenBLAS supplies the tridiagonal solve (LAPACK ``dgtsv``).
@@ -112,11 +112,11 @@ t_end = 0.05
 
 @pytest.mark.parametrize("make_config,expected", [
     (_bump_config,
-     "ce9a98357b8aa284d9eb2a570f72c4e16bb1ccaeac372bed72e1f4e2c44d06a7"),
+     "61c8756dafdd5ab9b4b6b9f55d37ad55956afb65839dde3ec5b5b01f75e4d8cc"),
     (_swirl_config,
-     "6a928caaf91827688bb511f493485b5ea5be651c1a94e6dddec328ff5821bf8a"),
+     "d6eb7edd0de8f34c1b8211e7ca92a42d695f6b85bcf4a902fe11f0aef63c4470"),
     (_restart_config,
-     "b4f0399f0f5063e0b8e922099a47491fb460371292afe6845d1809b6c6914810"),
+     "3da9f3e5f500d8701e0dc6e77e9e4086c2b0ea07fe90844fae1202480bc16725"),
 ], ids=["vacuum_bump_m2_n256", "swirl_m1_n64", "csv_restart_eps"])
 def test_run_is_bitwise_pinned(make_config, expected, tmp_path):
     traj = run(parse_config(make_config(tmp_path)))
@@ -135,19 +135,19 @@ def test_bump_run_conserves_mass_to_rounding(tmp_path):
 
 @pytest.mark.parametrize("m,n,expected", [
     (1, 64,
-     "88b7cb4ddfa4f48f8d6d350a8fa2fbde131aa43edb6610528f5dcff1c2cf3458"),
+     "106ca148f8046ce00faabfb9c2aac9338a22c8a8e752b7c39ab35c4ee6acc033"),
     (1, 256,
-     "eabcaddd5760f716d22acf9f89760e2e9986662e4fbacacad57be936f4515d78"),
+     "e0247c8c77121128c82fd57d619b931ba381b2ae2d50a062dbe60236dba324e9"),
     (2, 256,
-     "580ce3c4e8f05b763d206b153c7dd8c8c56c5857ec42305cb7325956e18e4baa"),
+     "87b445945cbc1b3b87676a1e915d9983850236b8026162d167d0e97d130f3f55"),
 ], ids=["cylindrical_n64", "cylindrical_n256", "spherical_n256"])
 def test_step_momentum_is_bitwise_pinned(m, n, expected):
     g = make_grid(1.0, 2.0, n, m)
     d = preset("vacuum_bump", g)
     phase = np.pi * (g.centers - 1.0)
-    # the velocities are nonzero on the vacuum cells too, so that a vacuum
-    # row which is not frozen moves the digest; a spherical state (m = 2)
-    # has only the radial one
+    # the velocities are nonzero on the vacuum cells too, so that a change
+    # of the vacuum rows, which solve the rho -> 0 limit, moves the digest;
+    # a spherical state (m = 2) has only the radial one
     u = 0.3 * np.sin(phase)
     if m == 1:
         v = 0.2 * np.sin(2.0 * phase) + 0.05

@@ -6,13 +6,14 @@ import pytest
 
 import symns.stepper
 from symns.config import parse_config
-from symns.constitutive import GasModel, ideal_gas
-from symns.diagnostics import SERIES_COLUMNS, DiagnosticsSeries, record_step
+from symns.constitutive import GasModel, ideal_gas, pressure
+from symns.diagnostics import (SERIES_COLUMNS, DiagnosticsSeries,
+                               blowup_indicator, record_step)
 from symns.errors import ConfigError, DtUnderflow, SolverFailure
 from symns.grid import Grid, make_grid, weighted_integral
 from symns.initdata import preset
-from symns.operators import (dissipation, face_kappa, heat_flux_coeffs,
-                             heat_flux_div)
+from symns.operators import (axial_laplacian, ddx, dissipation, face_kappa,
+                             heat_flux_coeffs, heat_flux_div, lame_operator)
 from symns.state import RHO_VAC_TOL, State
 from symns.stepper import (_RECORD_CELLS, StepControls, cfl_dt, run,
                            step_continuity, step_detailed, step_momentum,
@@ -127,18 +128,75 @@ def test_momentum_zero_swirl_preserved_bitwise(rng):
     assert u.any()  # pressure gradient accelerates the radial component
 
 
-def test_momentum_vacuum_rows_frozen():
-    # cylindrical (m = 1), where all three components are solved
-    g = make_grid(1, 2, 64, 1)
+@pytest.mark.parametrize("m", [1, 2])
+def test_momentum_vacuum_rows_solve_the_rho_limit(m):
+    # a vacuum row reads rho as 0, so it states the rho -> 0 limit of the
+    # momentum equations, beta*L[u] = P_x - f, mu*L[v] = 0 and
+    # mu*L_axial[w] = 0, also where rho is positive but below RHO_VAC_TOL
+    g = make_grid(1, 2, 64, m)
     s = preset("vacuum_bump", g)
-    s.u = 0.01 * np.sin(np.pi * (g.centers - 1.0))
-    s.v = 0.02 * np.cos(np.pi * (g.centers - 1.0))
-    s.w = 0.03 + 0.01 * g.centers
+    s.rho[np.flatnonzero(s.rho == 0.0)[::4]] = 0.5 * RHO_VAC_TOL
+    phase = np.pi * (g.centers - 1.0)
+    s.u = 0.01 * np.sin(phase)
+    if m == 1:
+        s.v = 0.02 * np.cos(phase)
+        s.w = 0.03 + 0.01 * g.centers
+    force = 0.7 * np.cos(3.0 * phase)
     vac = s.rho < RHO_VAC_TOL
-    assert vac.any()
-    new = step_momentum(s, 1e-4, MODEL)
-    for name, f in zip("uvw", new):
-        assert np.array_equal(f[vac], getattr(s, name)[vac]), name
+    assert (s.rho[vac] > 0.0).any() and (force[vac] != 0.0).all()
+    u, v, w = step_momentum(s, 1e-4, MODEL, force_u=force)
+    px = ddx(g, pressure(MODEL, s.rho, s.theta), "neumann0")
+    bound = 1e-13 * MODEL.beta * np.abs(u).max() / g.dx ** 2
+    radial = MODEL.beta * lame_operator(g, u) - px + force
+    assert np.abs(radial[vac]).max() <= bound
+    if m == 1:
+        for f in (lame_operator(g, v), axial_laplacian(g, w)):
+            assert np.abs(MODEL.mu * f[vac]).max() <= bound
+    else:
+        assert v is s.v and w is s.w
+
+
+def test_continuity_vacuum_donor_carries_no_flux():
+    # the wind leaves cell k through both faces; k is a vacuum donor, so
+    # no flux leaves it and its density stays as it is
+    g = make_grid(1, 2, 64, 2)
+    s = preset("vacuum_bump", g)
+    k = 5
+    assert s.rho[k] == 0.0 and s.rho[k - 1] == s.rho[k + 1] == 0.0
+    s.rho[k] = 0.5 * RHO_VAC_TOL
+    s.u = 0.3 * (g.centers - g.centers[k])
+    m0 = weighted_integral(g, s.rho)
+    rho, clip = step_continuity(s, 1e-3)
+    assert rho[k] == s.rho[k] and clip == 0.0
+    assert not np.array_equal(rho, s.rho)
+    assert abs(weighted_integral(g, rho) - m0) <= 1e-14 * m0
+
+
+def test_vacuum_run_is_the_eps_limit():
+    # data with vacuum (eps = 0) and the same data lifted by eps = 1e-10
+    # give the same blow-up indicator: a vacuum cell follows the rho -> 0
+    # limit that an eps-lifted cell approaches
+    def indicator(eps):
+        traj = run(parse_config(f"""
+[grid]
+n = 32
+m = 2
+[model]
+family = "power"
+r = 0.5
+q = 3.5
+[init]
+preset = "vacuum_bump"
+eps = {eps!r}
+[controls]
+t_end = 0.05
+dt_max = 1e-4
+"""))
+        assert traj.reason == "completed"
+        return blowup_indicator(traj)
+
+    vacuum, lifted = indicator(0.0), indicator(1e-10)
+    assert abs(vacuum - lifted) <= 1e-6 * lifted
 
 
 def test_temperature_vacuum_rows_stationary_balance():
