@@ -265,25 +265,34 @@ def step_temperature(s: State, dt: float, model: GasModel,
     delta_prev = math.inf
     grew = 0
     iters = 0
+    qp_built = None
     for iters in range(1, c.picard_max + 1):
         theta_eval = np.maximum(theta_k, 0.0)
         qp = heat_capacity(model, theta_eval)
         kf = face_kappa(g, model, theta_eval)
         cl, cr = heat_flux_coeffs(g, kf)
 
-        rho_qp = rho * qp
-        mass = rho_qp / dt
-        adv_coef = rho_u * qp
-        adv_w = adv_coef / g.dx
-        comp = rho_qp * divu
+        # the terms Q' weights (mass, advection, compression) are rebuilt
+        # only when Q' moved; a sweep then adds the conduction terms
+        if qp_built is None or not np.array_equal(qp, qp_built):
+            qp_built = qp
+            rho_qp = rho * qp
+            mass = rho_qp / dt
+            adv_coef = rho_u * qp
+            adv_w = adv_coef / g.dx
+            comp = rho_qp * divu
+            sub0 = adv_w * adv_sub
+            diag0 = mass + adv_w * adv_diag + comp
+            sup0 = adv_w * adv_sup
+            # increment form: rhs = phi - (advection + compression -
+            # conduction) applied to theta_old, all in difference form so
+            # constants cancel
+            rhs0 = phi - adv_coef * adv_old - comp * theta_old
 
-        sub = adv_w * adv_sub - cl
-        diag = mass + adv_w * adv_diag + comp + cl + cr
-        sup = adv_w * adv_sup - cr
-        # increment form: rhs = phi - (advection + compression - conduction)
-        # applied to theta_old, all in difference form so constants cancel
-        conduction = apply_heat_flux(cl, cr, jump_old)
-        rhs = phi - adv_coef * adv_old - comp * theta_old + conduction
+        sub = sub0 - cl
+        diag = diag0 + cl + cr
+        sup = sup0 - cr
+        rhs = rhs0 + apply_heat_flux(cl, cr, jump_old)
 
         delta = solve_tridiagonal(sub, diag, sup, rhs,
                                   context="temperature solve")
