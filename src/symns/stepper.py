@@ -21,9 +21,10 @@ The temperature system is solved for the increment theta' - theta, with
 the right-hand side evaluated through the same difference operators that
 build the matrix; constant states are then exact fixed points bitwise.
 ``run`` starts each step's Picard loop from theta extrapolated in time
-through the last accepted steps (second-order Newton form, linear on the
-second step, theta_old on the first); the guess moves the result only
-within ``picard_tol`` and reproduces a constant state exactly.
+through the last three accepted steps (third-order Newton form; theta_old
+on the first step, linear on the second, quadratic on the third); the
+guess moves the result only within ``picard_tol`` and reproduces a
+constant state exactly.
 """
 
 from __future__ import annotations
@@ -241,12 +242,16 @@ def step_temperature(s: State, dt: float, model: GasModel,
     ``s`` carries the updated density and velocities and the old
     temperature.  Each sweep freezes kappa at faces and Q' from the
     current iterate and solves the linear tridiagonal system for the
-    temperature increment; insulated walls.  Vacuum cells count as rho = 0
-    (``s.rho`` is kept), so every row has one formula and theirs solve
+    temperature increment; insulated walls.  The terms that Q' weights
+    (mass, advection, compression) are rebuilt only when Q' changed, and
+    a sweep then adds the conduction terms alone; the ideal family builds
+    them once per step.  Vacuum cells count as rho = 0 (``s.rho`` is
+    kept), so every row has one formula and theirs solve
     0 = heat_flux_div + dissipation.  The first iterate is
-    ``theta_guess`` when it is given and finite, the old temperature
-    otherwise; the guess changes only how many sweeps reach
-    ``picard_tol``.  Returns (theta', clipped amount, sweeps used).
+    ``theta_guess`` when it is given and finite (``run`` passes its
+    third-order extrapolation in time), the old temperature otherwise;
+    the guess changes only how many sweeps reach ``picard_tol``.
+    Returns (theta', clipped amount, sweeps used).
     """
     g = s.grid
     rho, u = _vacuum_as_zero(s.rho), s.u
@@ -338,6 +343,41 @@ def step_detailed(s: State, c: StepControls, model: GasModel, dt=None,
                          picard_iters=iters)
 
 
+class _ThetaPredictor:
+    """Extrapolates theta in time to seed each step's Picard loop: the
+    Newton form of the polynomial through the temperatures of the last
+    three accepted steps (through fewer on the first steps)."""
+
+    ORDER = 3
+
+    def __init__(self):
+        self.diffs = []   # divided differences, the newest slope first
+        self.steps = []   # the step sizes behind them, the newest first
+
+    def guess(self, theta, dt):
+        """theta extrapolated by dt, or None before the first step."""
+        if not self.diffs:
+            return None
+        spans = [dt]
+        for h in self.steps[:len(self.diffs) - 1]:
+            spans.append(spans[-1] + h)
+        # Horner form: d1 + (dt + h1)*(d2 + (dt + h1 + h2)*d3)
+        slope = self.diffs[-1]
+        for d, span in zip(self.diffs[-2::-1], spans[-1:0:-1]):
+            slope = d + span * slope
+        return theta + dt * slope
+
+    def accept(self, theta_old, theta_new, dt):
+        """Take in a step of size dt from theta_old to theta_new."""
+        new = [(theta_new - theta_old) / dt]
+        span = dt
+        for d, h in zip(self.diffs[:self.ORDER - 1], self.steps):
+            span += h
+            new.append((new[-1] - d) / span)
+        self.diffs = new
+        self.steps = [dt] + self.steps[:self.ORDER - 2]
+
+
 def run(cfg):
     """Run a parsed config from its initial state to t_end; every failure
     becomes a termination reason on the returned trajectory."""
@@ -367,11 +407,7 @@ def run(cfg):
     error_msg = None
     clip_cum = 0.0
     nstep = 0
-    # Newton divided differences of theta over the last two accepted steps
-    # (d1 the newest slope, d2 its change) and the newest dt; they
-    # extrapolate each step's temperature to seed its Picard loop
-    d1 = d2 = None
-    h_last = 0.0
+    predictor = _ThetaPredictor()
 
     # parsing validated the initial state; every later one is checked
     # right after the step that made it (before it reaches record_step);
@@ -384,13 +420,10 @@ def run(cfg):
         try:
             dt = cfl_dt(state, c, model)
             dt = min(dt, t_end - state.t)
-            guess = None
-            if d1 is not None:
-                slope = d1 if d2 is None else d1 + (dt + h_last) * d2
-                guess = state.theta + dt * slope
             theta_prev = state.theta
-            state, info = step_detailed(state, c, model, dt=dt,
-                                        theta_guess=guess)
+            state, info = step_detailed(
+                state, c, model, dt=dt,
+                theta_guess=predictor.guess(state.theta, dt))
         except DtUnderflow as exc:
             reason = "dt_underflow"
             error_msg = str(exc)
@@ -409,10 +442,7 @@ def run(cfg):
         if not state.is_finite():
             reason = "nan_detected"
             break
-        slope = (state.theta - theta_prev) / dt
-        if d1 is not None:
-            d2 = (slope - d1) / (dt + h_last)
-        d1, h_last = slope, dt
+        predictor.accept(theta_prev, state.theta, dt)
         pending.append((state, nstep, info.dt, clip_cum))
         if len(pending) * state.grid.n >= _RECORD_CELLS:
             record_pending()

@@ -112,11 +112,11 @@ t_end = 0.05
 
 @pytest.mark.parametrize("make_config,expected", [
     (_bump_config,
-     "61c8756dafdd5ab9b4b6b9f55d37ad55956afb65839dde3ec5b5b01f75e4d8cc"),
+     "4795eebd2ecfcdf6d6fc051f84aaee209ee8912ed43acec2bc88d2591ceb59f7"),
     (_swirl_config,
-     "d6eb7edd0de8f34c1b8211e7ca92a42d695f6b85bcf4a902fe11f0aef63c4470"),
+     "80ede798db8af1ba86dc4bb5b8359aaa3b64776384beb3e2df9db6af162d5158"),
     (_restart_config,
-     "3da9f3e5f500d8701e0dc6e77e9e4086c2b0ea07fe90844fae1202480bc16725"),
+     "03e2c63119a04c318291cdc073b83a749e2758aeb97cecc8b5419303b7d6870d"),
 ], ids=["vacuum_bump_m2_n256", "swirl_m1_n64", "csv_restart_eps"])
 def test_run_is_bitwise_pinned(make_config, expected, tmp_path):
     traj = run(parse_config(make_config(tmp_path)))

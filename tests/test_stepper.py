@@ -15,9 +15,9 @@ from symns.initdata import preset
 from symns.operators import (axial_laplacian, ddx, dissipation, face_kappa,
                              heat_flux_coeffs, heat_flux_div, lame_operator)
 from symns.state import RHO_VAC_TOL, State
-from symns.stepper import (_RECORD_CELLS, StepControls, cfl_dt, run,
-                           step_continuity, step_detailed, step_momentum,
-                           step_temperature)
+from symns.stepper import (_RECORD_CELLS, StepControls, _ThetaPredictor,
+                           cfl_dt, run, step_continuity, step_detailed,
+                           step_momentum, step_temperature)
 from symns.tridiag import solve_tridiagonal
 
 MODEL = ideal_gas()
@@ -328,8 +328,8 @@ def test_step_checks_each_field_once(monkeypatch, name, m):
 
 def test_run_constant_state_is_bitwise_fixed_through_the_predictor(
         monkeypatch):
-    # from the third step on, run seeds the temperature solve with the
-    # quadratic extrapolation, which must reproduce a constant exactly
+    # from the fourth step on, run seeds the temperature solve with the
+    # cubic extrapolation, which must reproduce a constant exactly
     guesses = []
 
     def recording(*args, theta_guess=None, **kwargs):
@@ -353,6 +353,32 @@ t_end = 0.05
     assert guesses[0] is None
     for guess in guesses[1:]:
         assert np.array_equal(guess, s0.theta)
+
+
+def test_theta_predictor_is_exact_on_a_cubic_in_time(rng):
+    # theta(t) cubic in t with its own coefficients in every cell, seen at
+    # four unevenly spaced times: the next time is predicted exactly
+    coef = rng.uniform(-1.0, 1.0, (4, 32))
+
+    def theta(t):
+        return coef[0] + t * (coef[1] + t * (coef[2] + t * coef[3]))
+
+    times = [0.0, 0.3, 0.45, 0.9]
+    predictor = _ThetaPredictor()
+    assert predictor.guess(theta(0.0), 0.3) is None
+    for t0, t1 in zip(times, times[1:]):
+        predictor.accept(theta(t0), theta(t1), t1 - t0)
+    want = theta(1.2)
+    got = predictor.guess(theta(0.9), 0.3)
+    assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max()
+
+
+def test_theta_predictor_keeps_a_constant_history_bitwise(rng):
+    theta = rng.uniform(0.5, 2.0, 32)
+    predictor = _ThetaPredictor()
+    for dt in (0.1, 0.03, 0.2, 0.07, 0.15):
+        predictor.accept(theta, theta.copy(), dt)
+        assert np.array_equal(predictor.guess(theta, 0.05), theta)
 
 
 def _heated_state():
@@ -446,10 +472,19 @@ t_end = 0.02
     assert np.max(np.abs(m - m[0])) <= 1e-12 * m[0]
 
 
-def test_large_vacuum_bump_converges_at_default_picard_max():
+def test_large_vacuum_bump_converges_at_default_picard_max(monkeypatch):
     # two temperature steps of this run need 11 or more Picard sweeps; at
     # picard_max = 10 it still completes, with relative updates 3.2e-5 and
-    # 1.1e-9 left against picard_tol = 1e-10
+    # 1.1e-9 left against picard_tol = 1e-10.  Seeded by the cubic
+    # predictor it takes 3.61 sweeps per step (4.44 with a quadratic one)
+    sweeps = []
+
+    def counting(*args, **kwargs):
+        out = step_temperature(*args, **kwargs)
+        sweeps.append(out[2])
+        return out
+
+    monkeypatch.setattr(symns.stepper, "step_temperature", counting)
     cfg = parse_config("""
 [grid]
 n = 128
@@ -470,6 +505,8 @@ t_end = 0.2
         traj = run(cfg)
     assert traj.reason == "completed"
     assert not [w for w in caught if "picard_max" in str(w.message)]
+    assert len(sweeps) == traj.steps
+    assert sum(sweeps) / traj.steps < 4.0
 
 
 def test_run_swirl_cylinder():
