@@ -15,7 +15,8 @@ the host's speed does not favour one side.  Then the first
 ``TRACE_PAIRS`` of those pairs run again, in the same way, with
 ``--trace 1 --seconds TRACE_SECONDS``.  Runs go one at a time.
 
-The result is ``DIR/BENCH_<LABEL>.json`` with the keys ``what``, ``claim``,
+The result is ``DIR/BENCH_<LABEL>.json`` (DIR is made before the first run
+if it does not exist) with the keys ``what``, ``claim``,
 ``provenance``, ``summary``, ``traced_summary``, ``runs`` and ``traced``.
 ``summary[workload][metric]`` holds q1, median and q3 of each side,
 ``change_lower_in_pairs`` (the pairs in which the change reads lower) and
@@ -170,6 +171,8 @@ def main(argv=None) -> int:
     args = ap.parse_args(argv)
     if args.pairs < 2:   # quartiles need two runs per side
         ap.error("--pairs must be at least 2")
+    # made now, so that no run is lost to a missing directory at the end
+    os.makedirs(args.out, exist_ok=True)
     trees = {"parent": args.parent_tree, "change": args.change_tree}
     workloads = [w.strip() for w in args.workloads.split(",") if w.strip()]
 

@@ -9,8 +9,7 @@ from .constitutive import (GasModel, check_admissible, conductivity,
 from .diagnostics import (DiagnosticsSeries, Trajectory, alt_criteria,
                           blowup_indicator, blowup_indicator_series,
                           entropy_dissipation, kinetic_energy, mass,
-                          sup_theta_time_integral, total_energy,
-                          weighted_supnorm_check)
+                          sup_theta_time_integral, total_energy)
 from .errors import ConfigError, DtUnderflow, PicardDivergence, SolverFailure
 from .grid import (Grid, make_grid, radial_to_ambient_norm, weighted_integral,
                    weighted_lp_norm)

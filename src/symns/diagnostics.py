@@ -17,7 +17,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .constitutive import GasModel, internal_energy, pressure
-from .grid import Grid, _sum, radial_to_ambient_norm, weighted_integral
+from .grid import Grid, radial_to_ambient_norm, weighted_integral
 from .operators import ddx
 from .state import FIELDS, RHO_VAC_TOL, State
 
@@ -35,8 +35,6 @@ __all__ = [
     "blowup_indicator_series",
     "alt_criteria",
     "AltCriteria",
-    "weighted_supnorm_check",
-    "SupnormCheck",
 ]
 
 _THETA_FLOOR = 1e-30  # regularizes the entropy integrand where theta = 0
@@ -284,47 +282,3 @@ def alt_criteria(traj: Trajectory) -> AltCriteria:
         sun_wang_zhang=sup_theta + sup_rho + inv_rho,
         sup_theta=sup_theta, sup_rho=sup_rho, grad_u_l1t=grad_l1t,
         inv_rho_sup=inv_rho)
-
-
-@dataclass
-class SupnormCheck:
-    lhs: float
-    rhs: float
-    passed: bool
-    mass: float
-
-
-def weighted_supnorm_check(g: Grid, rho, v) -> SupnormCheck:
-    """Discrete mass-weighted sup-norm inequality on the plain interval
-    measure: ||v||_inf <= (K/M) ||v_x||_L1 + (1/M) |int rho v| with
-    M = K = int rho dx > 0.
-
-    ||v_x||_L1 is the total variation of the cell values (the integral of
-    |v'| of the piecewise-linear interpolant); the discrete inequality is
-    exact, so the pass flag allows only rounding slack.  Where the right
-    side passes the float range (``rhs`` is then inf), the flag compares
-    both sides divided by max|v|.
-    """
-    rho = g.require_field(rho)
-    v = g.require_field(v)
-    if np.any(rho < 0.0):
-        raise ValueError("density must be nonnegative")
-    with np.errstate(over="ignore"):   # an overflow is the check below
-        M = _sum(rho * g.dx)
-    if not 0.0 < M < math.inf:
-        raise ValueError("density must carry positive, finite total mass")
-    lhs = float(np.max(np.abs(v)))
-    with np.errstate(over="ignore"):   # an overflow is scaled away below
-        tv = float(np.sum(np.abs(np.diff(v))))
-    # normalize the density weights before touching v: rho*v can underflow
-    # at extreme magnitudes even though the average of v cannot
-    weights = rho * (g.dx / M)
-    rhs = tv + abs(_sum(weights * v))
-    if rhs < math.inf or not lhs < math.inf:
-        passed = lhs <= rhs * (1.0 + 1e-8)
-    else:   # finite v whose variation overflows: compare both sides
-        # divided by max|v|, as weighted_lp_norm scales
-        w = v / lhs
-        scaled = float(np.sum(np.abs(np.diff(w)))) + abs(_sum(weights * w))
-        passed = 1.0 <= scaled * (1.0 + 1e-8)
-    return SupnormCheck(lhs=lhs, rhs=rhs, passed=passed, mass=M)

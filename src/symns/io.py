@@ -243,13 +243,18 @@ def _x_text(g: Grid) -> np.ndarray:
     return g.cached("csv_x", lambda g: _format(g.centers[None])[0])
 
 
-def _write_csv(path, header, columns):
+def _write_csv(path, header, columns, rows=None):
     """Write one column per header name, a block of rows at a time.  A
     float column is formatted by :func:`_format`, all float columns of a
     block in one call; a 2-D uint8 column is text as :func:`_format`
-    returns it."""
-    rows = len(columns[0])
+    returns it, so one row of text (a column of +0.0 alone) stands for
+    every row.  The float columns give the row count; ``rows`` gives it
+    where there is none."""
     floats = [j for j, col in enumerate(columns) if col.ndim == 1]
+    if floats:
+        rows = len(columns[floats[0]])
+    columns = [col if col.ndim == 1 else
+               np.broadcast_to(col, (rows, col.shape[1])) for col in columns]
     # a signalling NaN raises 'invalid' where it is compared; it is
     # written as nan all the same
     with np.errstate(invalid="ignore"), open(path, "wb") as fh:

@@ -1,19 +1,14 @@
 import math
-import warnings
 
 import numpy as np
 import pytest
-from hypothesis import given
-from hypothesis import strategies as st
-from hypothesis.extra import numpy as hnp
 
 from symns.constitutive import ideal_gas, internal_energy
 from symns.diagnostics import (DiagnosticsSeries, Trajectory, alt_criteria,
                                blowup_indicator, blowup_indicator_series,
                                entropy_dissipation, kinetic_energy, mass,
                                record_step, sup_theta_time_integral,
-                               total_energy, weighted_supnorm_check,
-                               SERIES_COLUMNS)
+                               total_energy, SERIES_COLUMNS)
 from symns.grid import make_grid, weighted_integral
 from symns.initdata import preset
 from symns.state import State
@@ -249,67 +244,6 @@ def test_alt_criteria_constant_fields_closed_form():
     crit = alt_criteria(traj)
     assert crit.fang_zi_zhang == pytest.approx(5.0)
     assert crit.sun_wang_zhang == pytest.approx(5.5)
-
-
-def test_supnorm_check_constant_v():
-    g = make_grid(1, 2, 32, 2)
-    rho = np.abs(np.sin(g.centers)) + 0.2
-    chk = weighted_supnorm_check(g, rho, np.full(32, -4.0))
-    assert chk.passed
-    assert chk.lhs == pytest.approx(4.0)
-    assert chk.rhs >= 4.0
-
-
-def test_supnorm_check_zero_mass_errors():
-    g = make_grid(1, 2, 32, 2)
-    with pytest.raises(ValueError):
-        weighted_supnorm_check(g, np.zeros(32), np.ones(32))
-    with pytest.raises(ValueError):
-        weighted_supnorm_check(g, -np.ones(32), np.ones(32))
-
-
-def test_supnorm_check_mass_overflow_errors():
-    # every value is finite, but the total mass passes the float range: in
-    # the sum (dx = 0.25) or already in each rho * dx (dx = 4); only the
-    # ValueError reports it, with no numpy overflow warning
-    for b in (3, 33):
-        g = make_grid(1, b, 8, 2)
-        with warnings.catch_warnings():
-            warnings.simplefilter("error")
-            with pytest.raises(ValueError, match="finite total mass"):
-                weighted_supnorm_check(g, np.full(8, 1e308), np.ones(8))
-
-
-def test_supnorm_check_scales_an_overflowing_variation():
-    # finite values of opposite sign near the float limit: the total
-    # variation passes the float range, and the check compares the sides
-    # scaled by max|v| with no numpy overflow warning
-    g = make_grid(1, 2, 8, 2)
-    rho = np.linspace(0.5, 2.0, 8)
-    for v in (np.array([1e308, -1e308] * 4), np.array([-1e308] + [1e308] * 7)):
-        with warnings.catch_warnings():
-            warnings.simplefilter("error")
-            chk = weighted_supnorm_check(g, rho, v)
-        assert chk.lhs == 1e308
-        assert chk.rhs == math.inf
-        assert chk.passed
-        assert weighted_supnorm_check(g, rho, v / 1e308).passed
-
-
-# magnitudes capped away from the denormal range: products like rho*v/M
-# must stay representable for the discrete inequality to be meaningful
-_rho_elems = st.one_of(st.just(0.0), st.floats(1e-120, 100))
-_v_elems = st.one_of(st.just(0.0), st.floats(1e-120, 1e6),
-                     st.floats(-1e6, -1e-120))
-
-
-@given(hnp.arrays(np.float64, 32, elements=_rho_elems),
-       hnp.arrays(np.float64, 32, elements=_v_elems))
-def test_supnorm_check_random(rho, v):
-    g = make_grid(1, 2, 32, 2)
-    if not np.sum(rho) > 0:
-        return
-    assert weighted_supnorm_check(g, rho, v).passed
 
 
 def test_record_step_m3_ambient_norm_is_nan():

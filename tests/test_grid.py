@@ -222,8 +222,6 @@ def _awkward_values(rng, n, top=80):
 
 @pytest.mark.parametrize("n", [8, 64, 1000])
 def test_pairwise_reductions_match_np_sum_and_fsum(n, rng):
-    from symns.diagnostics import weighted_supnorm_check
-
     def same(a, b):
         return np.float64(a).tobytes() == np.float64(b).tobytes()
 
@@ -239,16 +237,6 @@ def test_pairwise_reductions_match_np_sum_and_fsum(n, rng):
         got = weighted_integral(g, f)
         assert same(got, float(np.sum(g.weights * f)))
         near_fsum(got, g.weights * f)
-        rho = np.abs(_awkward_values(rng, n))
-        rho[0] = 1.0      # positive total mass
-        chk = weighted_supnorm_check(g, rho, f)
-        mass = float(np.sum(rho * g.dx))
-        avg_terms = rho * (g.dx / mass) * f
-        avg_v = float(np.sum(avg_terms))
-        assert same(chk.mass, mass)
-        assert same(chk.rhs, float(np.sum(np.abs(np.diff(f)))) + abs(avg_v))
-        near_fsum(chk.mass, rho * g.dx)
-        near_fsum(avg_v, avg_terms)
         # magnitudes up to 1e80 and up to 1e308: the norm keeps the plain
         # formula's bits where its sum is finite and normal; elsewhere it
         # is scaled and agrees with an exactly scaled oracle

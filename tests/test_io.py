@@ -118,17 +118,29 @@ def test_write_csv_matches_reference_on_drawn_tables(table, first_as_text):
     rows, columns = table
     header = [f"c{j}" for j in range(len(columns))]
     arrays = [np.array(col, dtype=float) for col in columns]
-    if first_as_text:   # a preformatted column, as the snapshot x column
-        text = symns.io._format(arrays[0][None])[0]
+    if first_as_text:   # a preformatted column, as the snapshot x column;
         # an all-+0 column is one row of text that stands for every row
-        arrays[0] = np.broadcast_to(text, (rows, text.shape[1]))
+        arrays[0] = symns.io._format(arrays[0][None])[0]
     with tempfile.TemporaryDirectory() as tmp:
         path = os.path.join(tmp, "table.csv")
-        symns.io._write_csv(path, header, arrays)
+        symns.io._write_csv(path, header, arrays, rows=rows)
         with open(path, "rb") as fh:
             written = fh.read()
     assert written == _reference_csv(header, zip(*columns))
     assert written.count(b"\n") == rows + 1
+
+
+def test_write_csv_counts_rows_past_an_all_zero_text_column(tmp_path):
+    # the first column's text is the one row "0" that _format returns for
+    # a column of +0.0; the float columns give the row count
+    zeros = np.zeros(3)
+    rest = [np.array([1.5, -2.0, 1e-300]), np.array([0.1, 0.0, -0.0])]
+    text = symns.io._format(zeros[None])[0]
+    assert text.shape[0] == 1
+    path = tmp_path / "table.csv"
+    symns.io._write_csv(path, ["a", "b", "c"], [text] + rest)
+    assert path.read_bytes() == _reference_csv(["a", "b", "c"],
+                                               zip(zeros, *rest))
 
 
 def test_write_snapshot_alone_matches_trajectory_file(tmp_path):

@@ -174,3 +174,20 @@ def test_bench_pairs_traces_pairs_and_keeps_provenance(tmp_path,
     assert [(r["pair"], r["seed"], r["side"]) for r in partial["runs"]] == [
         (0, 10, "parent"), (0, 10, "change")]
     assert partial["traced"] == []
+
+
+def test_bench_pairs_makes_its_out_directory_before_the_first_run(
+        tmp_path, monkeypatch, load_script):
+    bench_pairs = load_script("bench_pairs")
+    out = tmp_path / "not" / "there"
+    seen = []
+
+    def canned(tree, workload, seed, seconds, trace):
+        seen.append(out.is_dir())
+        return _bench_output(1.0, 40.0, sha=tree, seed=seed)
+
+    monkeypatch.setattr(bench_pairs, "run_bench", canned)
+    assert bench_pairs.main(["P", "C", "--label", "fresh", "--workloads",
+                             "w1", "--pairs", "2", "--out", str(out)]) == 0
+    assert seen and all(seen)
+    assert json.loads((out / "BENCH_fresh.json").read_text())["summary"]
