@@ -21,7 +21,12 @@ if it does not exist) with the keys ``what``, ``claim``,
 ``summary[workload][metric]`` holds q1, median and q3 of each side,
 ``change_lower_in_pairs`` (the pairs in which the change reads lower) and
 ``median_change_rel`` (change median over parent median, minus 1; null
-where the parent median is 0, as for a traced count that stays 0);
+where the parent median is 0, as for a traced count that stays 0).  Each
+end-to-end metric of ``BENCHMARK.json`` also gets ``parent_iqr`` (the
+parent's q3 - q1) and ``gain_shown``, the rule a claimed gain must meet:
+true when the change is better, in the metric's ``better`` direction, in
+at least 9 of every 10 pairs (ties count for neither side) and its median
+is better than the parent's by more than ``parent_iqr``.
 ``traced_summary`` is the same for the traced pairs.  Each run also keeps
 the scaled median ``write_s`` that bench/run.py prints on its
 ``# write_s:`` line (null where it printed none), and where every run of a
@@ -48,6 +53,8 @@ import subprocess
 import sys
 
 SIDES = ("parent", "change")
+BENCHMARK = os.path.join(os.path.dirname(os.path.dirname(
+    os.path.abspath(__file__))), "BENCHMARK.json")
 TRACE_PAIRS = 5
 TRACE_SECONDS = 10
 PROVENANCE = "# provenance "
@@ -106,9 +113,17 @@ def _quartiles(values) -> dict:
     return {"q1": q1, "median": median, "q3": q3}
 
 
-def _compare(values) -> dict:
+def load_better(path=BENCHMARK) -> dict:
+    """The ``better`` direction ("lower" or "higher") of each end-to-end
+    metric that the benchmark definition at path declares."""
+    with open(path, encoding="utf-8") as fh:
+        return {m["name"]: m["better"] for m in json.load(fh)["end_to_end"]}
+
+
+def _compare(values, better=None) -> dict:
     """The quartiles of each side's values and how the sides compare pair
-    by pair; values maps each side to its values in pair order."""
+    by pair; values maps each side to its values in pair order.  With the
+    metric's better direction, also ``parent_iqr`` and ``gain_shown``."""
     entry = {s: _quartiles(values[s]) for s in SIDES}
     entry["change_lower_in_pairs"] = sum(
         c < p for p, c in zip(values["parent"], values["change"]))
@@ -116,15 +131,27 @@ def _compare(values) -> dict:
     entry["median_change_rel"] = (
         entry["change"]["median"] / parent_median - 1.0
         if parent_median else None)
+    if better is not None:
+        sign = {"lower": 1.0, "higher": -1.0}[better]   # gain = sign * drop
+        wins = sum(sign * (p - c) > 0.0
+                   for p, c in zip(values["parent"], values["change"]))
+        iqr = entry["parent"]["q3"] - entry["parent"]["q1"]
+        gap = sign * (parent_median - entry["change"]["median"])
+        entry["parent_iqr"] = iqr
+        entry["gain_shown"] = (10 * wins >= 9 * len(values["parent"])
+                               and gap > iqr)
     return entry
 
 
-def summarize(runs) -> dict:
+def summarize(runs, better=None) -> dict:
     """Per workload and end-to-end metric, the quartiles of each side and
     how the sides compare pair by pair, and the same for ``write_s`` under
     ``informational`` where every run has it.  runs are entries with the
     keys workload, pair, seed, side and result (and write_s, if any), as
-    :func:`main` records them."""
+    :func:`main` records them.  better maps each end-to-end metric to its
+    better direction; by default it is read from ``BENCHMARK.json``."""
+    if better is None:
+        better = load_better()
     summary = {}
     for wl in dict.fromkeys(r["workload"] for r in runs):
         pairs = {}
@@ -141,7 +168,8 @@ def summarize(runs) -> dict:
                "failed": sum(res["failed"] for res in results)}
         for name in pairs[0]["parent"]["result"]["metrics"]:
             out[name] = _compare({s: [p[s]["result"]["metrics"][name]["value"]
-                                      for p in pairs] for s in SIDES})
+                                      for p in pairs] for s in SIDES},
+                                 better.get(name))
         if all(p[s].get("write_s") is not None for p in pairs for s in SIDES):
             out["informational"] = {"write_s": _compare(
                 {s: [p[s]["write_s"] for p in pairs] for s in SIDES})}

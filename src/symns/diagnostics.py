@@ -4,8 +4,11 @@ blow-up indicators, evaluated on trajectories of the symmetric solver.
 Quantities needing every time step (entropy-weighted dissipation, the
 ambient-norm integrand of the blow-up indicator, running extrema) are
 recorded per step by :func:`record_step` while the run advances, one row
-per step, computed a block of steps at a time; the functionals below
-reduce those series with trapezoid rules on the variable step grid.
+per step, computed a block of steps at a time.  The functionals below
+reduce those series on the variable step grid: the entropy-weighted
+dissipation by the right-endpoint rule of the implicit temperature step,
+the time integrals of the blow-up indicator, of sup theta and of
+||grad u||_inf by the trapezoid rule.
 """
 
 from __future__ import annotations
@@ -103,6 +106,12 @@ def mass(s: State) -> float:
 
 
 def _speed_sq(s: State) -> np.ndarray:
+    """|u|^2 of the symmetric velocity.  Only the cylinder (m = 1) carries
+    ``v`` and ``w``; a spherically symmetric velocity is radial, so for
+    m != 1 they are ignored (they are zero there, and adding +0.0 changes
+    no bit)."""
+    if s.grid.m != 1:
+        return s.u ** 2
     return s.u ** 2 + s.v ** 2 + s.w ** 2
 
 
@@ -141,8 +150,10 @@ def _check_alpha(model: GasModel, alpha: float):
                          f"min(1, q-r)) = (0, {hi}), got {alpha}")
 
 
-# k states' fields as (k, n) stacks, read by the helpers above as a State
-_Stack = namedtuple("_Stack", ("grid",) + FIELDS)
+# k states' fields as (k, n) stacks, read by the helpers above as a State;
+# v and w stay None off the cylinder, where nothing reads them
+_Stack = namedtuple("_Stack", ("grid",) + FIELDS,
+                    defaults=(None,) * len(FIELDS))
 
 
 def record_step(series: DiagnosticsSeries, s, model: GasModel, *,
@@ -162,8 +173,10 @@ def record_step(series: DiagnosticsSeries, s, model: GasModel, *,
     _check_alpha(model, alpha)
     # one state's own fields, or (k, n) stacks: each value below is then
     # one number, or a list (or array) of k numbers
-    b = s[0] if len(s) == 1 else _Stack(g, *(
-        np.stack([getattr(state, name) for state in s]) for name in FIELDS))
+    names = FIELDS if g.m == 1 else ("rho", "u", "theta")
+    b = s[0] if len(s) == 1 else _Stack(g, **{
+        name: np.stack([getattr(state, name) for state in s])
+        for name in names})
     ux = ddx(g, b.u, "dirichlet0")
     abs_u = np.abs(b.u)
     grad_u = np.maximum(np.abs(ux).max(axis=-1),
@@ -222,8 +235,16 @@ def entropy_dissipation(traj: Trajectory) -> float:
     """Time-cumulative entropy-weighted dissipation
     int_0^T int x^m (1+theta^q) theta_x^2 / theta^(1+alpha) dx dt at the
     trajectory's diag_alpha, the alpha its integrand was recorded with
-    (the full fields are not kept at every step)."""
-    return _trapz(traj.series.column("entropy_integrand"), traj.series.t)
+    (the full fields are not kept at every step).
+
+    The rule is the right endpoint, sum_k dt_k y_k over the steps k >= 1:
+    the temperature step is backward Euler, so its energy identity pairs
+    each step with the theta that step produced.  The t = 0 integrand does
+    not enter; on data whose theta jumps it grows like 1/dx, and a
+    trapezoid weight dt_1/2 on it would give the functional a wrong limit
+    under refinement."""
+    y = traj.series.column("entropy_integrand")
+    return float(np.sum(y[1:] * np.diff(traj.series.t)))
 
 
 def sup_theta_time_integral(traj: Trajectory, p: float) -> float:

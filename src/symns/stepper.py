@@ -59,12 +59,13 @@ __all__ = [
 _CLIP_WINDOW = 1e-10   # anything more negative is a scheme failure
 
 # run records the accepted states in blocks of at least this many cells
-# (states times n), one record_step call per block, because at small n its
-# numpy calls cost mostly a fixed overhead: at n = 64 a row took 69 us
-# recorded alone and 21 us in a block of 16 (best of interleaved runs,
-# shared 2-vCPU x86-64, Python 3.11, numpy 2.4).  From n = 1024 on every
-# block is one state.
-_RECORD_CELLS = 1024
+# (states times n), one record_step call per block, because its numpy calls
+# carry a fixed overhead: at n = 64 a row took 80 us recorded alone and
+# 9 us in a block of 64, at n = 1024 115 us alone and 63 us in a block of 4
+# (best of interleaved runs, shared 2-vCPU x86-64, Python 3.11, numpy 2.4).
+# Larger blocks were no faster, and pending m = 1 states keep their momentum
+# solve buffers alive, so peak memory grows with the block.
+_RECORD_CELLS = 4096
 
 
 @dataclass(frozen=True)

@@ -87,6 +87,54 @@ def test_bench_pairs_summary_from_canned_results(load_script):
         "src_symns_lines": 2478}
 
 
+def _run_s_entry(bench_pairs, parent, change, better=None):
+    """The run_s summary entry of canned pairs of one workload."""
+    runs = []
+    for i, (p, c) in enumerate(zip(parent, change)):
+        for side, value in (("parent", p), ("change", c)):
+            runs.append({"workload": "w", "pair": i, "seed": i, "side": side,
+                         "result": bench_pairs.parse_result(
+                             _bench_output(value, 40.0))})
+    return bench_pairs.summarize(runs, better)["w"]["run_s"]
+
+
+# ten parent runs whose quartiles are 1.0225 and 1.0675 (IQR 0.045)
+_PARENT_RUN_S = [1.00 + 0.01 * i for i in range(10)]
+
+
+def test_bench_pairs_gain_shown_in_nine_of_ten_pairs_with_a_clear_gap(
+        load_script):
+    bench_pairs = load_script("bench_pairs")
+    assert bench_pairs.load_better()["run_s"] == "lower"
+    change = [p - 0.2 for p in _PARENT_RUN_S]
+    change[3] = 1.5   # one pair the change loses
+    entry = _run_s_entry(bench_pairs, _PARENT_RUN_S, change)
+    assert entry["change_lower_in_pairs"] == 9
+    assert entry["parent_iqr"] == pytest.approx(0.045)
+    assert entry["gain_shown"] is True
+    # the same runs of a metric where higher is better show no gain
+    flipped = _run_s_entry(bench_pairs, _PARENT_RUN_S, change,
+                           {"run_s": "higher"})
+    assert flipped["gain_shown"] is False
+
+
+def test_bench_pairs_gain_not_shown_in_eight_of_ten_pairs(load_script):
+    bench_pairs = load_script("bench_pairs")
+    change = [p - 0.2 for p in _PARENT_RUN_S]
+    change[3] = change[6] = 1.5
+    entry = _run_s_entry(bench_pairs, _PARENT_RUN_S, change)
+    assert entry["change_lower_in_pairs"] == 8
+    assert entry["gain_shown"] is False
+
+
+def test_bench_pairs_gain_not_shown_inside_the_parent_iqr(load_script):
+    bench_pairs = load_script("bench_pairs")
+    change = [p - 0.01 for p in _PARENT_RUN_S]   # lower in every pair
+    entry = _run_s_entry(bench_pairs, _PARENT_RUN_S, change)
+    assert entry["change_lower_in_pairs"] == 10
+    assert entry["gain_shown"] is False
+
+
 def test_bench_pairs_keeps_write_s_as_an_informational_entry(load_script):
     bench_pairs = load_script("bench_pairs")
     out = _bench_output(1.0, 40.0, write_s=0.158276)

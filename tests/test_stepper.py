@@ -582,13 +582,31 @@ snapshot_every = 1
 """
 
 
-@pytest.mark.parametrize("n", [64, 45])
-def test_run_records_blocks_as_it_would_record_each_state(n):
+_BUMP_1024 = """
+[grid]
+n = 1024
+m = 2
+[init]
+preset = "vacuum_bump"
+[controls]
+t_end = 0.012
+[output]
+snapshot_every = 1
+"""
+
+
+@pytest.mark.parametrize("text", [
+    pytest.param(_swirl_text(64, "t_end = 1.0"), id="64"),
+    pytest.param(_swirl_text(45, "t_end = 2.0"), id="45"),
+    # m = 2, where the stacks leave out v and w; blocks of 4 states
+    pytest.param(_BUMP_1024, id="1024"),
+])
+def test_run_records_blocks_as_it_would_record_each_state(text):
     # run records the accepted steps in blocks of _RECORD_CELLS // n or so;
     # every row must be bitwise the row of its state recorded alone
-    cfg = parse_config(_swirl_text(n, "t_end = 0.5"))
+    cfg = parse_config(text)
     traj = run(cfg)
-    block = -(-_RECORD_CELLS // n)
+    block = -(-_RECORD_CELLS // cfg.grid.n)
     assert traj.steps > 2 * block and traj.steps % block
     rows = traj.series.rows
     alone = DiagnosticsSeries()
@@ -602,7 +620,7 @@ def test_run_records_blocks_as_it_would_record_each_state(n):
 
 
 def test_run_stopped_inside_a_block_records_every_step():
-    # n = 64 records blocks of 16; max_steps stops the run at step 20
+    # n = 64 records blocks of 64; max_steps stops the run at step 20
     traj = run(parse_config(_swirl_text(64, "t_end = 1.0\nmax_steps = 20")))
     assert traj.reason == "solver_failure" and traj.steps == 20
     assert traj.series.rows["step"] == list(range(21))
