@@ -2,6 +2,14 @@
 """Nonlinear-conduction refinement study: the implicit temperature step
 against an explicit fine-grid reference, across grids.
 
+Both discretize the same Kirchhoff flux: the implicit step solves
+L_F[Phi(theta)] by Newton sweeps, and the explicit reference steps
+``heat_flux_div`` with ``face_kappa``, whose face value is the integral
+mean of kappa, so that kappa_f*(theta_{i+1} - theta_i) =
+Phi(theta_{i+1}) - Phi(theta_i) with Phi(theta) =
+kappa0*(theta + theta^(q+1)/(q+1)).  The difference then measures the
+time and grid error of the implicit step alone.
+
 Usage: python scripts/conduction_convergence.py [n ...]   (default 32 64 128)
 
 The acceptance suite's criterion 12 imports this file and checks

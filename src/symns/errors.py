@@ -22,4 +22,4 @@ class DtUnderflow(SolverFailure):
 
 
 class PicardDivergence(SolverFailure):
-    """The temperature Picard iteration grew for two consecutive sweeps."""
+    """The temperature sweeps' update grew for two consecutive sweeps."""

@@ -110,15 +110,30 @@ def axial_laplacian(g: Grid, f) -> np.ndarray:
 
 
 def face_kappa(g: Grid, model: GasModel, theta) -> np.ndarray:
-    """Conductivity at cell faces: arithmetic mean of adjacent cell kappa.
+    """Conductivity at cell faces: the integral mean of kappa over the jump,
+    (Phi(theta_{i+1}) - Phi(theta_i)) / (theta_{i+1} - theta_i) with the
+    Kirchhoff potential Phi(theta) = kappa0*(theta + theta^(q+1)/(q+1)).
 
     Length n+1; the wall entries replicate the edge cells but carry no
-    flux (insulated walls).  Averaging kappa(theta) rather than evaluating
-    kappa at averaged theta keeps face conductivities trivially positive.
+    flux (insulated walls).  A face with equal neighbours gets
+    kappa(theta_i).  The mean makes kappa_f*(theta_{i+1} - theta_i) the
+    Kirchhoff flux that the temperature step solves for, and it lies
+    between the neighbours' kappa, so it is positive.  Theta must be
+    nonnegative.
     """
     kc = conductivity(model, theta)
+    lo = np.minimum(theta[:-1], theta[1:])
+    hi = np.maximum(theta[:-1], theta[1:])
+    p = model.q + 1.0
+    # hi^q * (1 - (lo/hi)^p) / (p*(1 - lo/hi)), with d = 1 - lo/hi formed
+    # from the exact difference so that tiny jumps lose no digits; d = 0
+    # (and hi = 0) take the cell value instead of 0/0
+    with np.errstate(invalid="ignore", divide="ignore"):
+        d = (hi - lo) / hi
+        mean = -np.expm1(p * np.log1p(-d)) / (p * d)
     kf = np.empty(g.n + 1)
-    kf[1:-1] = 0.5 * (kc[:-1] + kc[1:])
+    kf[1:-1] = np.where(d > 0.0, model.kappa0 * (1.0 + hi ** model.q * mean),
+                        kc[:-1])
     kf[0] = kc[0]
     kf[-1] = kc[-1]
     return kf
@@ -148,8 +163,10 @@ def heat_flux_coeffs(g: Grid, kappa_face) -> tuple[np.ndarray, np.ndarray]:
 def heat_flux_div(g: Grid, kappa_face, theta) -> np.ndarray:
     """x^{-m} d/dx(x^m kappa theta_x) in conservative form, insulated walls.
 
-    The weighted integral of the output telescopes to zero exactly: the
-    discrete statement that insulated walls conserve heat.
+    With the integral mean of :func:`face_kappa` this is the Kirchhoff
+    flux that the temperature step solves.  The weighted integral of the
+    output telescopes to zero exactly: the discrete statement that
+    insulated walls conserve heat.
     """
     cl, cr = heat_flux_coeffs(g, kappa_face)
     return apply_heat_flux(cl, cr, theta[1:] - theta[:-1])
@@ -172,6 +189,12 @@ def dissipation(g: Grid, u, v, w, model: GasModel) -> np.ndarray:
     evaluated only when m = 1: a spherically symmetric velocity is radial,
     so for m != 1 ``v`` and ``w`` are ignored.
     """
+    return _dissipation_and_div(g, u, v, w, model)[0]
+
+
+def _dissipation_and_div(g: Grid, u, v, w, model: GasModel):
+    """(:func:`dissipation`, div u) from one u_x; the divergence is the
+    pointwise :func:`radial_div`, bitwise."""
     x = g.centers
     m = g.m
     ux = ddx(g, u, "dirichlet0")
@@ -182,7 +205,7 @@ def dissipation(g: Grid, u, v, w, model: GasModel) -> np.ndarray:
         wx = ddx(g, w, "dirichlet0")
         shear = wx ** 2 + shear + (vx - v / x) ** 2
     shear = shear + 2.0 * m * (u / x) ** 2
-    return model.lam * div_u ** 2 + model.mu * shear
+    return model.lam * div_u ** 2 + model.mu * shear, div_u
 
 
 def upwind_derivative(g: Grid, f, wind, bc: str = "dirichlet0") -> np.ndarray:

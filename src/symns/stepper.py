@@ -5,9 +5,13 @@ Each step advances the density with an explicit conservative upwind flux
 advection/sources and an implicit tridiagonal viscous system per component
 (u, v and w when m = 1, stacked as one (3, n) array and solved in one call;
 u alone otherwise, since a spherically symmetric velocity is radial), then
-the temperature with a Picard-linearized implicit solve of the Q-form
-energy equation (frozen face conductivity and heat capacity per sweep,
-insulated walls).  ``run`` records the diagnostics rows of the accepted
+the temperature with an implicit solve of the Q-form energy equation
+(insulated walls).  Its heat flux is written in Kirchhoff form,
+F_f*(Phi(theta_{i+1}) - Phi(theta_i)) with Phi(theta) =
+kappa0*(theta + theta^(q+1)/(q+1)) and F_f the geometric face
+coefficients of kappa = 1, which is the exact integral mean of kappa over
+each face; each sweep is a Newton step on that flux with Q' frozen at the
+current iterate.  ``run`` records the diagnostics rows of the accepted
 steps in blocks, one ``record_step`` call per block.
 
 Vacuum cells (rho below ``RHO_VAC_TOL``) weigh as rho = 0 in all three
@@ -15,16 +19,16 @@ phases, so every row keeps its one formula: a vacuum donor carries no
 continuity flux, and the rho-weighted terms of the momentum and temperature
 rows vanish there.  Those rows then solve the rho -> 0 limit of their
 equations, beta*L[u] = P_x - f, mu*L[v] = 0, mu*L_axial[w] = 0 and
-0 = heat_flux_div + dissipation, the limit that eps-lifted data approach.
+0 = L_F[Phi(theta)] + dissipation, the limit that eps-lifted data approach.
 
-The temperature system is solved for the increment theta' - theta, with
-the right-hand side evaluated through the same difference operators that
-build the matrix; constant states are then exact fixed points bitwise.
-``run`` starts each step's Picard loop from theta extrapolated in time
-through the last three accepted steps (third-order Newton form; theta_old
-on the first step, linear on the second, quadratic on the third); the
-guess moves the result only within ``picard_tol`` and reproduces a
-constant state exactly.
+The temperature system is solved for kappa times the increment
+theta' - theta, with the right-hand side evaluated through the same
+difference operators that build the matrix; constant states are then
+exact fixed points bitwise.  ``run`` starts each step's sweeps from theta
+extrapolated in time through the last three accepted steps (a cubic in
+divided differences; theta_old on the first step, linear on the second,
+quadratic on the third); the guess moves the result only within
+``picard_tol`` and reproduces a constant state exactly.
 """
 
 from __future__ import annotations
@@ -35,13 +39,14 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .constitutive import GasModel, heat_capacity, pressure, sound_speed
+from .constitutive import (GasModel, conductivity, heat_capacity, pressure,
+                           sound_speed)
 from .diagnostics import DiagnosticsSeries, Trajectory, record_step
 from .errors import DtUnderflow, PicardDivergence, SolverFailure
 from .grid import Grid, _integer
-from .operators import (apply_heat_flux, axial_stencil, ddx, dissipation,
-                        face_kappa, heat_flux_coeffs, lame_stencil,
-                        radial_div, upwind_derivative)
+from .operators import (_dissipation_and_div, apply_heat_flux, axial_stencil,
+                        ddx, heat_flux_coeffs, lame_stencil,
+                        upwind_derivative)
 from .state import RHO_VAC_TOL, State
 from .tridiag import solve_tridiagonal
 
@@ -235,35 +240,52 @@ def _advection_rows(u):
     return sub, -(sub + sup), sup   # the derivative of a constant is 0
 
 
+def _unit_heat_flux(g: Grid):
+    """Face conduction coefficients (left, right) of kappa = 1 and their
+    sum: the geometric Laplacian L_F of the Kirchhoff flux, built once per
+    grid."""
+    def build(g):
+        fl, fr = heat_flux_coeffs(g, np.ones(g.n + 1))
+        return fl, fr, fl + fr
+    return g.cached("unit_heat_flux", build)
+
+
 def step_temperature(s: State, dt: float, model: GasModel,
                      c: StepControls, theta_guess=None
                      ) -> tuple[np.ndarray, float, int]:
-    """Implicit Picard-linearized temperature update (Q-form).
+    """Implicit temperature update (Q-form), Newton sweeps on conduction.
 
     ``s`` carries the updated density and velocities and the old
-    temperature.  Each sweep freezes kappa at faces and Q' from the
-    current iterate and solves the linear tridiagonal system for the
-    temperature increment; insulated walls.  The terms that Q' weights
-    (mass, advection, compression) are rebuilt only when Q' changed, and
-    a sweep then adds the conduction terms alone; the ideal family builds
-    them once per step.  Vacuum cells count as rho = 0 (``s.rho`` is
-    kept), so every row has one formula and theirs solve
-    0 = heat_flux_div + dissipation.  The first iterate is
-    ``theta_guess`` when it is given and finite (``run`` passes its
-    third-order extrapolation in time), the old temperature otherwise;
-    the guess changes only how many sweeps reach ``picard_tol``.
-    Returns (theta', clipped amount, sweeps used).
+    temperature.  The heat flux is the Kirchhoff flux L_F[Phi(theta')]:
+    L_F the conservative Laplacian of kappa = 1 (insulated walls) and
+    Phi(theta) = kappa0*(theta + theta^(q+1)/(q+1)), which is
+    ``heat_flux_div(face_kappa(theta'), theta')``.  Each sweep takes one
+    Newton step on it, Phi(theta') ~ Phi(theta_k) + kappa(theta_k) *
+    (theta' - theta_k) at the current iterate, with Q' frozen at theta_k
+    (no Q'' term), and solves for y = kappa(theta_k)*(theta' - theta_old):
+    the columns scaled by 1/kappa leave L_F itself as the conduction
+    block.  The terms that Q' weights (mass, advection, compression) are
+    rebuilt only when Q' changed (once per step for the ideal family).
+    Vacuum cells count as rho = 0 (``s.rho`` is kept), so every row has
+    one formula and theirs solve 0 = L_F[Phi(theta')] + dissipation.
+    The first iterate is ``theta_guess`` when it is given and finite
+    (``run`` passes its third-order extrapolation in time), the old
+    temperature otherwise; the guess changes only how many sweeps reach
+    ``picard_tol``.  Returns (theta', clipped amount, sweeps used).
     """
     g = s.grid
     rho, u = _vacuum_as_zero(s.rho), s.u
     theta_old = s.theta
-    divu = radial_div(g, u)
-    phi = dissipation(g, u, s.v, s.w, model)
+    phi, divu = _dissipation_and_div(g, u, s.v, s.w, model)
     # terms of theta_old and the wind, the same in every sweep
     rho_u = rho * u
     adv_sub, adv_diag, adv_sup = _advection_rows(u)
     adv_old = upwind_derivative(g, theta_old, u, "neumann0")
-    jump_old = theta_old[1:] - theta_old[:-1]
+    fl, fr, f_sum = _unit_heat_flux(g)
+    q_frac = model.q / (model.q + 1.0)
+    # 1/kappa of the iterate with one pad per wall, where sub0[0] and
+    # sup0[-1] are 0, so that each diagonal scales by one slice
+    inv_kappa = np.zeros(g.n + 2)
 
     theta_k = theta_old
     if theta_guess is not None and np.isfinite(theta_guess).all():
@@ -275,8 +297,8 @@ def step_temperature(s: State, dt: float, model: GasModel,
     for iters in range(1, c.picard_max + 1):
         theta_eval = np.maximum(theta_k, 0.0)
         qp = heat_capacity(model, theta_eval)
-        kf = face_kappa(g, model, theta_eval)
-        cl, cr = heat_flux_coeffs(g, kf)
+        kappa = conductivity(model, theta_eval)
+        np.divide(1.0, kappa, out=inv_kappa[1:-1])
 
         # the terms Q' weights (mass, advection, compression) are rebuilt
         # only when Q' moved; a sweep then adds the conduction terms
@@ -290,19 +312,21 @@ def step_temperature(s: State, dt: float, model: GasModel,
             sub0 = adv_w * adv_sub
             diag0 = mass + adv_w * adv_diag + comp
             sup0 = adv_w * adv_sup
-            # increment form: rhs = phi - (advection + compression -
-            # conduction) applied to theta_old, all in difference form so
-            # constants cancel
+            # increment form: rhs = phi - (advection + compression)
+            # applied to theta_old, in difference form so constants cancel
             rhs0 = phi - adv_coef * adv_old - comp * theta_old
 
-        sub = sub0 - cl
-        diag = diag0 + cl + cr
-        sup = sup0 - cr
-        rhs = rhs0 + apply_heat_flux(cl, cr, jump_old)
+        sub = sub0 * inv_kappa[:-2] - fl
+        diag = diag0 * inv_kappa[1:-1] + f_sum
+        sup = sup0 * inv_kappa[2:] - fr
+        # Phi(theta_eval) - kappa*(theta_eval - theta_old), whose L_F the
+        # Newton step keeps on the right; kappa - kappa0 = kappa0*theta^q
+        line = kappa * theta_old - q_frac * (kappa - model.kappa0) * theta_eval
+        rhs = rhs0 + apply_heat_flux(fl, fr, line[1:] - line[:-1])
 
-        delta = solve_tridiagonal(sub, diag, sup, rhs,
-                                  context="temperature solve")
-        theta_next = theta_old + delta
+        y = solve_tridiagonal(sub, diag, sup, rhs,
+                              context="temperature solve")
+        theta_next = theta_old + y / kappa
         change = float(np.abs(theta_next - theta_k).max())
         scale = max(float(np.abs(theta_next).max()), 1e-300)
         rel = change / scale

@@ -112,11 +112,11 @@ t_end = 0.05
 
 @pytest.mark.parametrize("make_config,expected", [
     (_bump_config,
-     "4795eebd2ecfcdf6d6fc051f84aaee209ee8912ed43acec2bc88d2591ceb59f7"),
+     "6552b2d7ca11039895afe190d778020bdaa68bbf05b1ad5e9a423058c6d70442"),
     (_swirl_config,
-     "80ede798db8af1ba86dc4bb5b8359aaa3b64776384beb3e2df9db6af162d5158"),
+     "86bb2db4b37757a98bdfacbb50bb3efbf7635f50e97ca4ac1a4969df5833473e"),
     (_restart_config,
-     "03e2c63119a04c318291cdc073b83a749e2758aeb97cecc8b5419303b7d6870d"),
+     "2c8116060f7468d209142ba2f4bc9f1d4dc4d143e920dc1696c6d8029dba5684"),
 ], ids=["vacuum_bump_m2_n256", "swirl_m1_n64", "csv_restart_eps"])
 def test_run_is_bitwise_pinned(make_config, expected, tmp_path):
     traj = run(parse_config(make_config(tmp_path)))

@@ -5,12 +5,13 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from symns.constitutive import ideal_gas, pressure
+from symns.constitutive import conductivity, ideal_gas, power_gas, pressure
 from symns.diagnostics import DiagnosticsSeries, record_step
 from symns.grid import make_grid, weighted_integral
-from symns.operators import (axial_laplacian, axial_stencil, ddx, dissipation,
-                             face_kappa, heat_flux_div, lame_operator,
-                             lame_stencil, radial_div, upwind_derivative)
+from symns.operators import (_dissipation_and_div, axial_laplacian,
+                             axial_stencil, ddx, dissipation, face_kappa,
+                             heat_flux_div, lame_operator, lame_stencil,
+                             radial_div, upwind_derivative)
 from symns.state import State
 from symns.tridiag import tridiagonal_matvec
 
@@ -261,15 +262,43 @@ def test_grid_only_arrays_built_once_and_read_only():
     assert np.array_equal(g.face_powers, g.faces ** 2)
 
 
-def test_face_kappa_positive_mean():
+@pytest.mark.parametrize("m", [1, 2, 3])
+@pytest.mark.parametrize("n", [64, 1024])
+def test_dissipation_shares_the_pointwise_divergence(m, n, rng):
+    g = make_grid(1, 2, n, m)
+    u, v, w = rng.standard_normal((3, n))
+    model = ideal_gas(mu=1.3, lam=-0.4)
+    phi, div_u = _dissipation_and_div(g, u, v, w, model)
+    assert np.array_equal(div_u, radial_div(g, u))
+    assert np.array_equal(phi, dissipation(g, u, v, w, model))
+
+
+@pytest.mark.parametrize("model", [ideal_gas(kappa0=1.0, q=2.0),
+                                   power_gas(1.0, 0.0, 0.5, 3.5, kappa0=0.7)],
+                         ids=["q2", "q3.5"])
+def test_face_kappa_is_the_kirchhoff_mean(model):
+    import mpmath as mp
     g = make_grid(1, 2, 16, 2)
-    model = ideal_gas(kappa0=1.0, q=2.0)
-    theta = np.linspace(0.0, 2.0, 16)
+    # a zero cell, equal neighbours, jumps of 1e-12*theta both ways, a jump
+    # from zero and ordinary jumps of every size
+    theta = np.array([0.0, 0.0, 0.3, 1.7, 1.7, 1.7 * (1 + 1e-12), 1.7,
+                      2.5, 2.5 * (1 - 1e-12), 2.5, 0.05, 4.0, 3.0, 3.0,
+                      1e-3, 1e-3 * (1 + 1e-12)])
     kf = face_kappa(g, model, theta)
+    kc = conductivity(model, theta)
     assert kf.shape == (17,)
     assert np.all(kf > 0)
-    kc = 1.0 + theta ** 2
-    assert np.allclose(kf[1:-1], 0.5 * (kc[:-1] + kc[1:]))
+    assert kf[0] == kc[0] and kf[-1] == kc[-1]
+    for i in range(15):
+        lo, hi = theta[i], theta[i + 1]
+        if lo == hi:
+            assert kf[i + 1] == kc[i]
+            continue
+        with mp.workdps(40):
+            kappa = lambda t: model.kappa0 * (1 + t ** mp.mpf(model.q))
+            mean = mp.quad(kappa, [mp.mpf(lo), mp.mpf(hi)]) / (
+                mp.mpf(hi) - mp.mpf(lo))
+        assert kf[i + 1] == pytest.approx(float(mean), rel=1e-12, abs=0.0)
 
 
 @pytest.mark.parametrize("m", [1, 2, 3])
