@@ -24,7 +24,9 @@ equations, beta*L[u] = P_x - f, mu*L[v] = 0, mu*L_axial[w] = 0 and
 The temperature system is solved for kappa times the increment
 theta' - theta, with the right-hand side evaluated through the same
 difference operators that build the matrix; constant states are then
-exact fixed points bitwise.  ``run`` starts each step's sweeps from theta
+exact fixed points bitwise.  A row whose upwind coupling, scaled by the
+upwind cell's 1/kappa, would outweigh its diagonal takes that coupling at
+the current iterate instead, so every row stays diagonally dominant.  ``run`` starts each step's sweeps from theta
 extrapolated in time through the last three accepted steps (a cubic in
 divided differences; theta_old on the first step, linear on the second,
 quadratic on the third); the guess moves the result only within
@@ -264,7 +266,11 @@ def step_temperature(s: State, dt: float, model: GasModel,
     (theta' - theta_k) at the current iterate, with Q' frozen at theta_k
     (no Q'' term), and solves for y = kappa(theta_k)*(theta' - theta_old):
     the columns scaled by 1/kappa leave L_F itself as the conduction
-    block.  The terms that Q' weights (mass, advection, compression) are
+    block.  Where wind blows from a cell of much smaller kappa, the
+    scaled upwind entry can outweigh its row's diagonal (once
+    kappa_i/kappa_up > 1 + (1/dt + div u)*dx/|u|); that row takes the
+    coupling at the iterate, on the right-hand side, which keeps every
+    row dominant and leaves the converged theta' as it is.  The terms that Q' weights (mass, advection, compression) are
     rebuilt only when Q' changed (once per step for the ideal family).
     Vacuum cells count as rho = 0 (``s.rho`` is kept), so every row has
     one formula and theirs solve 0 = L_F[Phi(theta')] + dissipation.
@@ -316,13 +322,29 @@ def step_temperature(s: State, dt: float, model: GasModel,
             # applied to theta_old, in difference form so constants cancel
             rhs0 = phi - adv_coef * adv_old - comp * theta_old
 
-        sub = sub0 * inv_kappa[:-2] - fl
-        diag = diag0 * inv_kappa[1:-1] + f_sum
-        sup = sup0 * inv_kappa[2:] - fr
+        sub = sub0 * inv_kappa[:-2]
+        diag = diag0 * inv_kappa[1:-1]
+        sup = sup0 * inv_kappa[2:]
         # Phi(theta_eval) - kappa*(theta_eval - theta_old), whose L_F the
         # Newton step keeps on the right; kappa - kappa0 = kappa0*theta^q
         line = kappa * theta_old - q_frac * (kappa - model.kappa0) * theta_eval
         rhs = rhs0 + apply_heat_flux(fl, fr, line[1:] - line[:-1])
+        # the advection entries (<= 0) are scaled by their own column's
+        # 1/kappa, so wind from a cell of much smaller kappa can outweigh
+        # the diagonal; such a row moves that coupling, applied to the
+        # iterate's increment, to the right and keeps diag0/kappa_i >= 0
+        # next to the conduction block, which is weakly dominant itself
+        margin = diag + sub
+        margin += sup
+        if margin.min() < 0.0:
+            lag = margin < 0.0
+            rise = np.zeros(g.n + 2)
+            rise[1:-1] = theta_k - theta_old
+            rhs -= np.where(lag, sub0 * rise[:-2] + sup0 * rise[2:], 0.0)
+            sub[lag] = sup[lag] = 0.0
+        sub -= fl
+        diag += f_sum
+        sup -= fr
 
         y = solve_tridiagonal(sub, diag, sup, rhs,
                               context="temperature solve")

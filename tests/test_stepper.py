@@ -12,8 +12,10 @@ from symns.diagnostics import (SERIES_COLUMNS, DiagnosticsSeries,
 from symns.errors import ConfigError, DtUnderflow, SolverFailure
 from symns.grid import Grid, make_grid, weighted_integral
 from symns.initdata import preset
+from symns.io import write_snapshot
 from symns.operators import (axial_laplacian, ddx, dissipation, face_kappa,
-                             heat_flux_coeffs, heat_flux_div, lame_operator)
+                             heat_flux_coeffs, heat_flux_div, lame_operator,
+                             radial_div, upwind_derivative)
 from symns.state import RHO_VAC_TOL, State
 from symns.stepper import (_RECORD_CELLS, StepControls, _ThetaPredictor,
                            cfl_dt, run, step_continuity, step_detailed,
@@ -275,6 +277,78 @@ def test_temperature_sweeps_converge_quadratically():
     assert e[0] > 0.1    # the step moves theta, so the rate is visible
     for prev, nxt in zip(e, e[1:]):
         assert nxt <= 10.0 * prev ** 2 or nxt < 1e-13
+
+
+def _cold_wind_state(n):
+    """Wind u = 10 from cold cells (theta = 0) into hot ones (theta = 3,
+    kappa ten times larger) across x = 1.5; rho = 1, m = 2, ideal gas."""
+    g = make_grid(1, 2, n, 2)
+    z = np.zeros(n)
+    return State(g, 0.0, np.ones(n), np.full(n, 10.0), z, z,
+                 np.where(g.centers < 1.5, 0.0, 3.0))
+
+
+def test_temperature_wind_into_a_larger_kappa_keeps_the_implicit_solution():
+    # the first hot cell's upwind coupling, scaled by the cold column's
+    # 1/kappa, outweighs its diagonal: kappa_i/kappa_up exceeds
+    # 1 + (1/dt + div u)*dx/u; the step still converges to the solution
+    # of its implicit equation, Q' = 1:
+    # rho*(theta' - theta)/dt + rho*u*D_up[theta'] + rho*div(u)*theta'
+    #   = heat_flux_div(face_kappa(theta'), theta') + phi
+    # kappa0 = 0.01 keeps the jump through the step, so that row takes
+    # its upwind coupling at the iterate up to the last sweep
+    model = ideal_gas(kappa0=0.01)
+    s = _cold_wind_state(32)
+    g = s.grid
+    c = StepControls()
+    dt = cfl_dt(s, c, model)
+    rho, _ = step_continuity(s, dt)
+    mid = State(grid=g, t=s.t + dt, rho=rho, u=s.u, v=s.v, w=s.w,
+                theta=s.theta)
+    mid.u, mid.v, mid.w = step_momentum(mid, dt, model)
+    u, divu = mid.u, radial_div(g, mid.u)
+    kappa = conductivity(model, mid.theta)
+    outweighed = (u[1:] > 0.0) & (kappa[1:] / kappa[:-1]
+                                  > 1.0 + (1.0 / dt + divu[1:]) * g.dx / u[1:])
+    assert outweighed.any()
+    theta, _, iters = step_temperature(mid, dt, model, c)
+    assert iters < c.picard_max
+    assert (conductivity(model, theta)[1:] / conductivity(model, theta)[:-1]
+            > 1.0 + (1.0 / dt + divu[1:]) * g.dx / u[1:])[outweighed].all()
+    kappa_face = face_kappa(g, model, theta)
+    residual = (rho * (theta - mid.theta) / dt
+                + rho * u * upwind_derivative(g, theta, u, "neumann0")
+                + rho * divu * theta - heat_flux_div(g, kappa_face, theta)
+                - dissipation(g, u, mid.v, mid.w, model))
+    fl, fr = heat_flux_coeffs(g, kappa_face)
+    scale = float(((fl + fr) * theta).max())
+    assert np.abs(residual).max() <= c.picard_tol * scale
+
+
+def test_run_completes_with_wind_into_a_larger_kappa(tmp_path):
+    # kappa rises tenfold downwind of the jump, more than 1 + 1/cfl = 3.5
+    path = tmp_path / "cold_wind.csv"
+    write_snapshot(path, _cold_wind_state(32))
+    cfg = parse_config(f"""
+[grid]
+a = 1.0
+b = 2.0
+n = 32
+m = 2
+[model]
+family = "ideal"
+q = 2.0
+[init]
+file = "{path}"
+[controls]
+t_end = 0.02
+""")
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        traj = run(cfg)
+    assert traj.reason == "completed"
+    assert traj.steps == 22
+    assert not [w for w in caught if "picard_max" in str(w.message)]
 
 
 def test_spherical_momentum_solves_radial_only(monkeypatch):
