@@ -347,7 +347,6 @@ t_end = 0.02
         warnings.simplefilter("always")
         traj = run(cfg)
     assert traj.reason == "completed"
-    assert traj.steps == 22
     assert not [w for w in caught if "picard_max" in str(w.message)]
 
 
