@@ -32,7 +32,9 @@ the scaled median ``write_s`` that bench/run.py prints on its
 ``# write_s:`` line (null where it printed none), and where every run of a
 workload has one, its summary holds the same comparison of it under
 ``informational``: the time spent writing the output, which bench/run.py
-leaves out of its metrics and nothing gates on.  ``provenance`` holds
+leaves out of its metrics and nothing gates on.  Every name in
+``--workloads`` must be a workload of ``BENCHMARK.json``, and none may
+repeat; the script checks this before the first run.  ``provenance`` holds
 the ``# provenance`` line that bench/run.py prints in each tree, less its
 seed; the script stops if a tree's ``src_sha256`` changes between runs.
 
@@ -120,6 +122,20 @@ def load_better(path=BENCHMARK) -> dict:
         return {m["name"]: m["better"] for m in json.load(fh)["end_to_end"]}
 
 
+def check_workloads(names, path=BENCHMARK):
+    """Raise ValueError unless every name is a workload of the benchmark
+    definition at path and none repeats."""
+    with open(path, encoding="utf-8") as fh:
+        known = [w["name"] for w in json.load(fh)["workloads"]]
+    unknown = [n for n in names if n not in known]
+    if unknown:
+        raise ValueError(f"unknown workloads {', '.join(unknown)}; "
+                         f"{os.path.basename(path)} has {', '.join(known)}")
+    repeated = [n for n in dict.fromkeys(names) if names.count(n) > 1]
+    if repeated:
+        raise ValueError(f"workloads named twice: {', '.join(repeated)}")
+
+
 def _compare(values, better=None) -> dict:
     """The quartiles of each side's values and how the sides compare pair
     by pair; values maps each side to its values in pair order.  With the
@@ -199,10 +215,14 @@ def main(argv=None) -> int:
     args = ap.parse_args(argv)
     if args.pairs < 2:   # quartiles need two runs per side
         ap.error("--pairs must be at least 2")
+    workloads = [w.strip() for w in args.workloads.split(",") if w.strip()]
+    try:   # before the first run, not when the bad name's turn comes
+        check_workloads(workloads)
+    except ValueError as exc:
+        ap.error(f"--workloads: {exc}")
     # made now, so that no run is lost to a missing directory at the end
     os.makedirs(args.out, exist_ok=True)
     trees = {"parent": args.parent_tree, "change": args.change_tree}
-    workloads = [w.strip() for w in args.workloads.split(",") if w.strip()]
 
     provenance = {}
 

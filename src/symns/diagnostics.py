@@ -85,7 +85,9 @@ class DiagnosticsSeries:
 
 @dataclass
 class Trajectory:
-    """Snapshots plus the per-step diagnostics of one run."""
+    """Snapshots plus the per-step diagnostics of one run.  A spherical
+    run's (m != 1) snapshots share one read-only ``v`` and one read-only
+    ``w``; an m = 1 run's snapshots are independent copies."""
 
     states: list
     snapshot_steps: list

@@ -427,17 +427,32 @@ class _ThetaPredictor:
 
 def run(cfg):
     """Run a parsed config from its initial state to t_end; every failure
-    becomes a termination reason on the returned trajectory."""
+    becomes a termination reason on the returned trajectory.  Snapshots of
+    m = 1 are independent copies; a spherical run's radial velocity keeps
+    v = w = 0, so all its states and snapshots share one read-only copy of
+    the initial v and one of w (``cfg.initial``'s own stay writeable)."""
     model = cfg.model
     state = cfg.initial
     c = cfg.controls
     alpha = cfg.output.diag_alpha
     t_end = c.t_end
+    spherical = state.grid.m != 1
+    if spherical:   # copies, not zeros, so that a -0 in them is kept
+        v, w = state.v.copy(), state.w.copy()
+        v.flags.writeable = w.flags.writeable = False
+        state = State(state.grid, state.t, state.rho, state.u, v, w,
+                      state.theta)
+
+    def snapshot(s):
+        if not spherical:
+            return s.copy()
+        return State(s.grid, s.t, s.rho.copy(), s.u.copy(), s.v, s.w,
+                     s.theta.copy())
 
     series = DiagnosticsSeries()
     record_step(series, state, model, step=0, dt=0.0, alpha=alpha,
                 clip_cum=0.0)
-    states = [state.copy()]
+    states = [snapshot(state)]
     snapshot_steps = [0]
     mass0 = series.rows["mass"][0]
     # (state, step, dt, cumulative clip) of the accepted steps not yet
@@ -495,13 +510,13 @@ def run(cfg):
             record_pending()
         if (cfg.output.snapshot_every > 0
                 and nstep % cfg.output.snapshot_every == 0):
-            states.append(state.copy())
+            states.append(snapshot(state))
             snapshot_steps.append(nstep)
 
     if pending:
         record_pending()
     if snapshot_steps[-1] != nstep:
-        states.append(state.copy())
+        states.append(snapshot(state))
         snapshot_steps.append(nstep)
     return Trajectory(states=states, snapshot_steps=snapshot_steps,
                       series=series, reason=reason, steps=nstep,

@@ -177,7 +177,8 @@ def test_bench_pairs_traces_pairs_and_keeps_provenance(tmp_path,
                              maxed=0 if trace else None)
 
     monkeypatch.setattr(bench_pairs, "run_bench", canned)
-    argv = ["P", "C", "--label", "canned", "--workloads", "w1,w2",
+    argv = ["P", "C", "--label", "canned", "--workloads",
+            "bump_restart,swirl_long",
             "--pairs", "6", "--seed0", "10", "--out", str(tmp_path)]
     assert bench_pairs.main(argv) == 0
     doc = json.loads((tmp_path / "BENCH_canned.json").read_text())
@@ -192,16 +193,17 @@ def test_bench_pairs_traces_pairs_and_keeps_provenance(tmp_path,
     assert {c[3] for c in traced} == {bench_pairs.TRACE_SECONDS}
     # the first five seeds of each workload's pairs, the first side
     # alternating as in the untraced pairs
-    assert [c[:3] for c in traced[:4]] == [("P", "w1", 10), ("C", "w1", 10),
-                                          ("C", "w1", 11), ("P", "w1", 11)]
+    assert [c[:3] for c in traced[:4]] == [
+        ("P", "bump_restart", 10), ("C", "bump_restart", 10),
+        ("C", "bump_restart", 11), ("P", "bump_restart", 11)]
     assert [r["seed"] for r in doc["traced"] if r["side"] == "parent"] == [
         10, 11, 12, 13, 14, 16, 17, 18, 19, 20]
     assert [r["pair"] for r in doc["traced"][:4]] == [0, 0, 1, 1]
-    summary = doc["traced_summary"]["w2"]
+    summary = doc["traced_summary"]["swirl_long"]
     assert summary["pairs"] == 5 and summary["seeds"] == [16, 17, 18, 19, 20]
     assert summary["run_s"]["change_lower_in_pairs"] == 5
     assert summary["stepper.picard_maxed"]["median_change_rel"] is None
-    assert doc["summary"]["w1"]["pairs"] == 6
+    assert doc["summary"]["bump_restart"]["pairs"] == 6
 
     def drifting(tree, workload, seed, seconds, trace):
         # the change tree's source is edited after its first run
@@ -236,6 +238,24 @@ def test_bench_pairs_makes_its_out_directory_before_the_first_run(
 
     monkeypatch.setattr(bench_pairs, "run_bench", canned)
     assert bench_pairs.main(["P", "C", "--label", "fresh", "--workloads",
-                             "w1", "--pairs", "2", "--out", str(out)]) == 0
+                             "bump_restart", "--pairs", "2",
+                             "--out", str(out)]) == 0
     assert seen and all(seen)
     assert json.loads((out / "BENCH_fresh.json").read_text())["summary"]
+
+
+@pytest.mark.parametrize("names, message", [
+    ("bump_fine,bump_fien", "unknown workloads bump_fien"),
+    ("bump_fine,swirl_long,bump_fine", "workloads named twice: bump_fine"),
+])
+def test_bench_pairs_checks_workloads_before_the_first_run(
+        names, message, tmp_path, monkeypatch, capsys, load_script):
+    bench_pairs = load_script("bench_pairs")
+    calls = []
+    monkeypatch.setattr(bench_pairs, "run_bench",
+                        lambda *args: calls.append(args))
+    with pytest.raises(SystemExit) as exc:
+        bench_pairs.main(["P", "C", "--label", "bad", "--workloads", names,
+                          "--out", str(tmp_path / "out")])
+    assert exc.value.code == 2 and message in capsys.readouterr().err
+    assert calls == [] and not (tmp_path / "out").exists()

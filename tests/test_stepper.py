@@ -12,11 +12,12 @@ from symns.diagnostics import (SERIES_COLUMNS, DiagnosticsSeries,
 from symns.errors import ConfigError, DtUnderflow, SolverFailure
 from symns.grid import Grid, make_grid, weighted_integral
 from symns.initdata import preset
-from symns.io import write_snapshot
+from symns.io import (SNAPSHOT_COLUMNS, snapshot_filename, write_snapshot,
+                      write_trajectory)
 from symns.operators import (axial_laplacian, ddx, dissipation, face_kappa,
                              heat_flux_coeffs, heat_flux_div, lame_operator,
                              radial_div, upwind_derivative)
-from symns.state import RHO_VAC_TOL, State
+from symns.state import FIELDS, RHO_VAC_TOL, State
 from symns.stepper import (_RECORD_CELLS, StepControls, _ThetaPredictor,
                            cfl_dt, run, step_continuity, step_detailed,
                            step_momentum, step_temperature)
@@ -776,3 +777,78 @@ def test_run_ending_nan_detected_inside_a_block_records_every_finite_step(
     # the non-finite state of step 20 gets no row, every step before it one
     assert traj.series.rows["step"] == list(range(20))
     assert traj.series.rows["t"][1:] == made[:19]
+
+
+_BUMP_64 = """
+[grid]
+n = 64
+m = 2
+[init]
+preset = "vacuum_bump"
+[controls]
+t_end = 0.01
+[output]
+snapshot_every = 1
+"""
+
+
+def test_spherical_snapshots_share_one_read_only_v_and_w():
+    cfg = parse_config(_BUMP_64)
+    traj = run(cfg)
+    assert traj.reason == "completed"
+    assert len(traj.states) == traj.steps + 1 > 2
+    for name in ("v", "w"):
+        shared = getattr(traj.states[0], name)
+        assert all(getattr(s, name) is shared for s in traj.states), name
+        assert not shared.flags.writeable
+        with pytest.raises(ValueError):
+            shared[0] = 1.0
+        initial = getattr(cfg.initial, name)
+        assert shared is not initial and initial.flags.writeable
+        assert shared.tobytes() == initial.tobytes()
+    # rho, u and theta are still copied into every snapshot
+    for name in ("rho", "u", "theta"):
+        arrays = [getattr(s, name) for s in traj.states]
+        arrays.append(getattr(cfg.initial, name))
+        assert len({id(f) for f in arrays}) == len(arrays), name
+    again = run(cfg)
+    assert again.snapshot_steps == traj.snapshot_steps
+    for a, b in zip(traj.states, again.states, strict=True):
+        assert a.t == b.t
+        for name in FIELDS:
+            assert getattr(a, name).tobytes() == getattr(b, name).tobytes()
+    for name in SERIES_COLUMNS:
+        assert (again.series.column(name).tobytes()
+                == traj.series.column(name).tobytes()), name
+
+
+def test_spherical_restart_keeps_a_negative_zero_v_in_every_snapshot(
+        tmp_path):
+    g = make_grid(1, 2, 64, 2)
+    s = preset("vacuum_bump", g)
+    s.v = np.full(g.n, -0.0)
+    path = tmp_path / "restart.csv"
+    write_snapshot(path, s)
+    cfg = parse_config(_BUMP_64.replace('preset = "vacuum_bump"',
+                                        f'file = "{path}"'))
+    traj = run(cfg)
+    assert traj.reason == "completed" and len(traj.states) == traj.steps + 1
+    assert traj.steps >= 2
+    write_trajectory(tmp_path / "out", traj)
+    column = SNAPSHOT_COLUMNS.index("v")
+    for step in traj.snapshot_steps:
+        lines = (tmp_path / "out" / snapshot_filename(step)).read_text()
+        rows = lines.splitlines()[1:]
+        assert len(rows) == g.n
+        assert {row.split(",")[column] for row in rows} == {"-0"}, step
+
+
+def test_cylindrical_snapshots_keep_their_own_v_and_w():
+    cfg = parse_config(_swirl_text(64, "t_end = 0.03"))
+    traj = run(cfg)
+    assert traj.reason == "completed" and len(traj.states) > 3
+    for name in ("v", "w"):
+        arrays = [getattr(s, name) for s in traj.states]
+        arrays.append(getattr(cfg.initial, name))
+        assert len({id(f) for f in arrays}) == len(arrays), name
+        assert all(f.flags.writeable for f in arrays), name
