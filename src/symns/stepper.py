@@ -26,11 +26,14 @@ theta' - theta, with the right-hand side evaluated through the same
 difference operators that build the matrix; constant states are then
 exact fixed points bitwise.  A row whose upwind coupling, scaled by the
 upwind cell's 1/kappa, would outweigh its diagonal takes that coupling at
-the current iterate instead, so every row stays diagonally dominant.  ``run`` starts each step's sweeps from theta
-extrapolated in time through the last three accepted steps (a cubic in
-divided differences; theta_old on the first step, linear on the second,
-quadratic on the third); the guess moves the result only within
-``picard_tol`` and reproduces a constant state exactly.
+the current iterate instead, so every row stays diagonally dominant.
+``run`` starts each step's sweeps from theta extrapolated in time by a
+polynomial through the last p + 1 accepted steps (theta_old on the first
+step), whose order p (1 to 6) moves by at most one after each step that
+took more than one sweep, to the order that would have missed that step
+least; a step whose guess lands within ``picard_tol`` takes one sweep.
+The guess moves the result only within ``picard_tol`` and reproduces a
+constant state exactly.
 """
 
 from __future__ import annotations
@@ -38,6 +41,7 @@ from __future__ import annotations
 import math
 import warnings
 from dataclasses import dataclass, field
+from itertools import accumulate
 
 import numpy as np
 
@@ -275,7 +279,7 @@ def step_temperature(s: State, dt: float, model: GasModel,
     Vacuum cells count as rho = 0 (``s.rho`` is kept), so every row has
     one formula and theirs solve 0 = L_F[Phi(theta')] + dissipation.
     The first iterate is ``theta_guess`` when it is given and finite
-    (``run`` passes its third-order extrapolation in time), the old
+    (``run`` passes its extrapolation in time), the old
     temperature otherwise; the guess changes only how many sweeps reach
     ``picard_tol``.  Returns (theta', clipped amount, sweeps used).
     """
@@ -391,38 +395,66 @@ def step_detailed(s: State, c: StepControls, model: GasModel, dt=None,
 
 
 class _ThetaPredictor:
-    """Extrapolates theta in time to seed each step's Picard loop: the
-    Newton form of the polynomial through the temperatures of the last
-    three accepted steps (through fewer on the first steps)."""
+    """The order-p polynomial through the last p + 1 temperatures, as
+    theta + sum_k c_k*D_k over the last p increments D_k (so a constant
+    history gives theta bitwise): c_k sums its Lagrange weights at dt,
+    from barycentric weights that a one-sweep step shifts in O(p).  After
+    a multi-sweep step, p moves to the best of p - 1, p, p + 1 on it (the
+    order selection of Shampine & Gordon 1975 and DASSL)."""
 
-    ORDER = 3
+    MAX_ORDER = 6
 
-    def __init__(self):
-        self.diffs = []   # divided differences, the newest slope first
-        self.steps = []   # the step sizes behind them, the newest first
+    def __init__(self, n):
+        self.incs = np.zeros((self.MAX_ORDER, n))   # ring of increments
+        self.head = -1       # its newest row
+        self.order = 1
+        self.nodes = [0.0]   # times of the stored states, newest (0) first
+        self.bary = []       # barycentric weights of nodes[:order + 1]
+
+    @staticmethod
+    def _bary(nodes):
+        return [1.0 / math.prod([t_j - t_i for t_i in nodes if t_i != t_j])
+                for t_j in nodes]
+
+    def _row(self, dt, bary):
+        """Weights on the ring's rows of the extrapolation to dt through
+        the first len(bary) nodes."""
+        nodes = self.nodes[:len(bary)]
+        ell = math.prod([dt - t_j for t_j in nodes])
+        neg_lag = [ell * w / (t_j - dt) for w, t_j in zip(bary, nodes)]
+        # c_k = -(L_k + ... + L_p), oldest first, then turned to the ring
+        row = ([0.0] * (self.MAX_ORDER + 1 - len(bary))
+               + list(accumulate(neg_lag[:0:-1])))
+        cut = self.MAX_ORDER - 1 - self.head
+        return row[cut:] + row[:cut]
 
     def guess(self, theta, dt):
         """theta extrapolated by dt, or None before the first step."""
-        if not self.diffs:
+        if not self.bary:
             return None
-        spans = [dt]
-        for h in self.steps[:len(self.diffs) - 1]:
-            spans.append(spans[-1] + h)
-        # Horner form: d1 + (dt + h1)*(d2 + (dt + h1 + h2)*d3)
-        slope = self.diffs[-1]
-        for d, span in zip(self.diffs[-2::-1], spans[-1:0:-1]):
-            slope = d + span * slope
-        return theta + dt * slope
+        return theta + np.dot(self._row(dt, self.bary), self.incs)
 
-    def accept(self, theta_old, theta_new, dt):
-        """Take in a step of size dt from theta_old to theta_new."""
-        new = [(theta_new - theta_old) / dt]
-        span = dt
-        for d, h in zip(self.diffs[:self.ORDER - 1], self.steps):
-            span += h
-            new.append((new[-1] - d) / span)
-        self.diffs = new
-        self.steps = [dt] + self.steps[:self.ORDER - 2]
+    def accept(self, theta_old, theta_new, dt, sweeps):
+        """Take in a step of size dt from theta_old to theta_new that took
+        ``sweeps`` sweeps."""
+        inc = theta_new - theta_old
+        t, p = self.nodes, self.order
+        stored = len(t) - 1
+        shift = sweeps == 1 and stored >= p
+        if shift:   # drop node p, put the new one in front
+            w = [w_j * (t_j - t[p]) / (t_j - dt)
+                 for w_j, t_j in zip(self.bary[:p], t)]
+            self.bary = [1.0 / math.prod([dt - t_j for t_j in t[:p]])] + w
+        elif sweeps > 1 and stored:
+            orders = range(max(p - 1, 1), min(p + 1, stored) + 1)
+            rows = [self._row(dt, self._bary(t[:k + 1])) for k in orders]
+            miss = np.abs(np.dot(rows, self.incs) - inc).max(axis=1)
+            self.order = orders[int(np.argmin(miss))]
+        self.nodes = [0.0] + [t_j - dt for t_j in t[:self.MAX_ORDER]]
+        if not shift:
+            self.bary = self._bary(self.nodes[:self.order + 1])
+        self.head = (self.head + 1) % self.MAX_ORDER
+        self.incs[self.head] = inc
 
 
 def run(cfg):
@@ -469,7 +501,7 @@ def run(cfg):
     error_msg = None
     clip_cum = 0.0
     nstep = 0
-    predictor = _ThetaPredictor()
+    predictor = _ThetaPredictor(state.grid.n)
 
     # parsing validated the initial state; every later one is checked
     # right after the step that made it (before it reaches record_step);
@@ -504,7 +536,7 @@ def run(cfg):
         if not state.is_finite():
             reason = "nan_detected"
             break
-        predictor.accept(theta_prev, state.theta, dt)
+        predictor.accept(theta_prev, state.theta, dt, info.picard_iters)
         pending.append((state, nstep, info.dt, clip_cum))
         if len(pending) * state.grid.n >= _RECORD_CELLS:
             record_pending()

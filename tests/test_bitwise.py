@@ -112,11 +112,11 @@ t_end = 0.05
 
 @pytest.mark.parametrize("make_config,expected", [
     (_bump_config,
-     "6552b2d7ca11039895afe190d778020bdaa68bbf05b1ad5e9a423058c6d70442"),
+     "2f613bb5f2f7f56aa58156243d84ff65fd4d29c965aa5a17a36204efb2dba7ae"),
     (_swirl_config,
-     "86bb2db4b37757a98bdfacbb50bb3efbf7635f50e97ca4ac1a4969df5833473e"),
+     "729fbff37a46cfcd0d5f3dac39ddadbfeee5787a87e7f17e79df371c3bc3cbb5"),
     (_restart_config,
-     "2c8116060f7468d209142ba2f4bc9f1d4dc4d143e920dc1696c6d8029dba5684"),
+     "d7ad0921ad63584994b4762782d130f48ec923c6306861271509d3c4e5796b59"),
 ], ids=["vacuum_bump_m2_n256", "swirl_m1_n64", "csv_restart_eps"])
 def test_run_is_bitwise_pinned(make_config, expected, tmp_path):
     traj = run(parse_config(make_config(tmp_path)))

@@ -457,8 +457,8 @@ def test_step_checks_each_field_once(monkeypatch, name, m):
 
 def test_run_constant_state_is_bitwise_fixed_through_the_predictor(
         monkeypatch):
-    # from the fourth step on, run seeds the temperature solve with the
-    # cubic extrapolation, which must reproduce a constant exactly
+    # from the second step on, run seeds the temperature solve with its
+    # extrapolation in time, which must reproduce a constant exactly
     guesses = []
 
     def recording(*args, theta_guess=None, **kwargs):
@@ -484,29 +484,88 @@ t_end = 0.05
         assert np.array_equal(guess, s0.theta)
 
 
-def test_theta_predictor_is_exact_on_a_cubic_in_time(rng):
-    # theta(t) cubic in t with its own coefficients in every cell, seen at
-    # four unevenly spaced times: the next time is predicted exactly
-    coef = rng.uniform(-1.0, 1.0, (4, 32))
+# uneven step sizes for the predictor's histories
+_STEPS = (0.1, 0.05, 0.12, 0.08, 0.15, 0.06, 0.11, 0.09, 0.13, 0.07)
+
+
+def _polynomial_in_time(rng, degree, n=32):
+    # theta(t) a polynomial of the given degree in t, its own coefficients
+    # in every cell
+    coef = rng.uniform(-1.0, 1.0, (degree + 1, n))
 
     def theta(t):
-        return coef[0] + t * (coef[1] + t * (coef[2] + t * coef[3]))
+        out = coef[-1]
+        for c in coef[-2::-1]:
+            out = c + t * out
+        return out
+    return theta
 
-    times = [0.0, 0.3, 0.45, 0.9]
-    predictor = _ThetaPredictor()
-    assert predictor.guess(theta(0.0), 0.3) is None
-    for t0, t1 in zip(times, times[1:]):
-        predictor.accept(theta(t0), theta(t1), t1 - t0)
-    want = theta(1.2)
-    got = predictor.guess(theta(0.9), 0.3)
+
+def _feed(predictor, theta, t, steps, sweeps):
+    # guess and accept as run calls them; returns the time reached and the
+    # last guess with the value it aimed at
+    for dt in steps:
+        got, want = predictor.guess(theta(t), dt), theta(t + dt)
+        predictor.accept(theta(t), want, dt, sweeps)
+        t += dt
+    return t, got, want
+
+
+def test_theta_predictor_guesses_nothing_before_the_first_step():
+    assert _ThetaPredictor(32).guess(np.ones(32), 0.1) is None
+
+
+def test_theta_predictor_is_exact_on_a_polynomial_of_its_max_order(rng):
+    # multi-sweep steps let the order climb one step at a time; once it
+    # reaches MAX_ORDER, the next value is predicted exactly
+    top = _ThetaPredictor.MAX_ORDER
+    theta = _polynomial_in_time(rng, top)
+    predictor = _ThetaPredictor(32)
+    t, _, _ = _feed(predictor, theta, 0.0, _STEPS[:top + 1], sweeps=2)
+    assert predictor.order == top
+    _, got, want = _feed(predictor, theta, t, _STEPS[top + 1:], sweeps=2)
     assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max()
+    assert predictor.order == top
+
+
+def _climbed(rng):
+    # a predictor that climbed to MAX_ORDER on a smooth history, and the
+    # time it reached
+    theta = _polynomial_in_time(rng, _ThetaPredictor.MAX_ORDER)
+    predictor = _ThetaPredictor(32)
+    t, _, _ = _feed(predictor, theta, 0.0, _STEPS, sweeps=2)
+    assert predictor.order == _ThetaPredictor.MAX_ORDER
+    return predictor, theta(t), t
+
+
+def _slope_jump(start, t0):
+    # theta continues from start along a line much steeper than before
+    return lambda t: start + 5.0 * (t - t0)
+
+
+def test_theta_predictor_keeps_its_order_after_one_sweep_steps(rng):
+    predictor, start, t0 = _climbed(rng)
+    _feed(predictor, _slope_jump(start, t0), t0, _STEPS[:4], sweeps=1)
+    assert predictor.order == _ThetaPredictor.MAX_ORDER
+
+
+def test_theta_predictor_lowers_its_order_when_the_slope_jumps(rng):
+    predictor, start, t = _climbed(rng)
+    line = _slope_jump(start, t)
+    orders = []
+    for dt in _STEPS[:4]:
+        t, _, _ = _feed(predictor, line, t, [dt], sweeps=2)
+        orders.append(predictor.order)
+    assert orders[-1] < _ThetaPredictor.MAX_ORDER
+    assert all(b <= a for a, b in zip(orders, orders[1:]))
 
 
 def test_theta_predictor_keeps_a_constant_history_bitwise(rng):
     theta = rng.uniform(0.5, 2.0, 32)
-    predictor = _ThetaPredictor()
-    for dt in (0.1, 0.03, 0.2, 0.07, 0.15):
-        predictor.accept(theta, theta.copy(), dt)
+    predictor = _ThetaPredictor(32)
+    for dt, sweeps in zip((0.1, 0.03, 0.2, 0.07, 0.15, 0.05, 0.12, 0.09),
+                          (2, 1, 3, 2, 1, 2, 2, 1)):
+        predictor.accept(theta, theta.copy(), dt, sweeps)
         assert np.array_equal(predictor.guess(theta, 0.05), theta)
 
 
@@ -541,9 +600,23 @@ def test_temperature_nonfinite_guess_is_ignored(bad):
     assert got[1:] == want[1:]
 
 
+_BUMP_128 = """
+[grid]
+n = 128
+m = 2
+[model]
+%s
+[init]
+preset = "vacuum_bump"
+[controls]
+t_end = 0.1
+"""
+
+
 def test_run_agrees_with_unseeded_steps():
-    # the swirl pin config of test_bitwise, stepped without any guess
-    cfg = parse_config("""
+    # each run, stepped again without any guess: the swirl pin config of
+    # test_bitwise and a spherical bump of each gas family
+    for text in ("""
 [grid]
 n = 64
 m = 1
@@ -552,20 +625,53 @@ preset = "swirl_cylinder"
 swirl = 0.2
 [controls]
 t_end = 1.0
-""")
-    traj = run(cfg)
-    c, model = cfg.controls, cfg.model
-    s = traj.states[0]
-    steps = 0
-    while s.t < c.t_end - 1e-14 * max(1.0, c.t_end):
-        dt = min(cfl_dt(s, c, model), c.t_end - s.t)
-        s, _ = step_detailed(s, c, model, dt=dt)
-        steps += 1
-    assert steps == traj.steps
-    for name in ("rho", "u", "v", "w", "theta"):
-        want = getattr(s, name)
-        diff = np.abs(getattr(traj.final_state, name) - want).max()
-        assert diff <= 1e-10 * np.abs(want).max(), name
+""", _BUMP_128 % 'family = "ideal"',
+                 _BUMP_128 % 'family = "power"\nr = 0.5\nq = 3.5'):
+        cfg = parse_config(text)
+        traj = run(cfg)
+        c, model = cfg.controls, cfg.model
+        s = traj.states[0]
+        steps = 0
+        while s.t < c.t_end - 1e-14 * max(1.0, c.t_end):
+            dt = min(cfl_dt(s, c, model), c.t_end - s.t)
+            s, _ = step_detailed(s, c, model, dt=dt)
+            steps += 1
+        assert steps == traj.steps
+        for name in ("rho", "u", "v", "w", "theta"):
+            want = getattr(s, name)
+            diff = np.abs(getattr(traj.final_state, name) - want).max()
+            assert diff <= 1e-10 * np.abs(want).max(), (text, name)
+
+
+def test_predictor_saves_sweeps_on_the_shipped_vacuum_bump(monkeypatch):
+    # configs/vacuum_bump.toml's settings: the cubic predictor took 2.373
+    # sweeps per step and no step took one; the order-selecting one takes
+    # 1.898, and 25 of the 59 steps take one
+    sweeps = []
+
+    def counting(*args, **kwargs):
+        out = step_temperature(*args, **kwargs)
+        sweeps.append(out[2])
+        return out
+
+    monkeypatch.setattr(symns.stepper, "step_temperature", counting)
+    traj = run(parse_config("""
+[grid]
+n = 256
+m = 2
+[model]
+family = "ideal"
+mu = 1.0
+lam = 0.0
+q = 2.0
+[init]
+preset = "vacuum_bump"
+[controls]
+t_end = 0.1
+"""))
+    assert traj.reason == "completed" and len(sweeps) == traj.steps
+    assert sum(sweeps) / traj.steps <= 2.1
+    assert sweeps.count(1) >= 20
 
 
 def test_run_zero_time():
@@ -605,8 +711,8 @@ def test_large_vacuum_bump_converges_at_default_picard_max(monkeypatch):
     # the first temperature step of this run needs 13 sweeps (22 with the
     # frozen-kappa Picard sweeps); at picard_max = 10 it still completes,
     # with a relative update of 1.1e-8 left against picard_tol = 1e-10.
-    # Seeded by the cubic predictor it takes 2.27 sweeps per step (3.61
-    # with Picard sweeps)
+    # Seeded by the order-selecting predictor it takes 2.18 sweeps per step
+    # (2.27 with the cubic one, 3.61 with Picard sweeps)
     sweeps = []
 
     def counting(*args, **kwargs):
