@@ -398,8 +398,8 @@ class _ThetaPredictor:
     """The order-p polynomial through the last p + 1 temperatures, as
     theta + sum_k c_k*D_k over the last p increments D_k (so a constant
     history gives theta bitwise): c_k sums its Lagrange weights at dt,
-    from barycentric weights that a one-sweep step shifts in O(p).  After
-    a multi-sweep step, p moves to the best of p - 1, p, p + 1 on it (the
+    from barycentric weights that each step updates in O(p).  After a
+    multi-sweep step, p moves to the best of p - 1, p, p + 1 on it (the
     order selection of Shampine & Gordon 1975 and DASSL)."""
 
     MAX_ORDER = 6
@@ -410,11 +410,6 @@ class _ThetaPredictor:
         self.order = 1
         self.nodes = [0.0]   # times of the stored states, newest (0) first
         self.bary = []       # barycentric weights of nodes[:order + 1]
-
-    @staticmethod
-    def _bary(nodes):
-        return [1.0 / math.prod([t_j - t_i for t_i in nodes if t_i != t_j])
-                for t_j in nodes]
 
     def _row(self, dt, bary):
         """Weights on the ring's rows of the extrapolation to dt through
@@ -438,21 +433,28 @@ class _ThetaPredictor:
         """Take in a step of size dt from theta_old to theta_new that took
         ``sweeps`` sweeps."""
         inc = theta_new - theta_old
-        t, p = self.nodes, self.order
+        t, p, w = self.nodes, self.order, self.bary
         stored = len(t) - 1
-        shift = sweeps == 1 and stored >= p
-        if shift:   # drop node p, put the new one in front
-            w = [w_j * (t_j - t[p]) / (t_j - dt)
-                 for w_j, t_j in zip(self.bary[:p], t)]
-            self.bary = [1.0 / math.prod([dt - t_j for t_j in t[:p]])] + w
-        elif sweeps > 1 and stored:
-            orders = range(max(p - 1, 1), min(p + 1, stored) + 1)
-            rows = [self._row(dt, self._bary(t[:k + 1])) for k in orders]
+        if sweeps > 1 and stored:   # weights of orders p - 1 and p + 1
+            bary = {p: w}
+            if p > 1:
+                bary[p - 1] = [w_j * (t_j - t[p])
+                              for w_j, t_j in zip(w[:p], t)]
+            if p < stored:
+                bary[p + 1] = [w_j / (t_j - t[p + 1]) for w_j, t_j in
+                               zip(w, t)] + [1.0 / math.prod(
+                                   [t[p + 1] - t_i for t_i in t[:p + 1]])]
+            orders = sorted(bary)
+            rows = [self._row(dt, bary[k]) for k in orders]
             miss = np.abs(np.dot(rows, self.incs) - inc).max(axis=1)
-            self.order = orders[int(np.argmin(miss))]
+            p = self.order = orders[int(np.argmin(miss))]
+            w = bary[p]
+        if stored:   # drop node p, put the new one in front
+            self.bary = [1.0 / math.prod([dt - t_j for t_j in t[:p]])] + [
+                w_j * (t_j - t[p]) / (t_j - dt) for w_j, t_j in zip(w, t[:p])]
+        else:
+            self.bary = [1.0 / dt, -1.0 / dt]
         self.nodes = [0.0] + [t_j - dt for t_j in t[:self.MAX_ORDER]]
-        if not shift:
-            self.bary = self._bary(self.nodes[:self.order + 1])
         self.head = (self.head + 1) % self.MAX_ORDER
         self.incs[self.head] = inc
 

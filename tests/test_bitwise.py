@@ -112,9 +112,9 @@ t_end = 0.05
 
 @pytest.mark.parametrize("make_config,expected", [
     (_bump_config,
-     "2f613bb5f2f7f56aa58156243d84ff65fd4d29c965aa5a17a36204efb2dba7ae"),
+     "8d9524b9d63e0ca64a05b59a4e018f26e61f92d7f85af2dfb3c1fdf12baa3ae3"),
     (_swirl_config,
-     "729fbff37a46cfcd0d5f3dac39ddadbfeee5787a87e7f17e79df371c3bc3cbb5"),
+     "21fca08f4bccfd2eddda251a5f4a094ff3b8140c9685be468674f7599324571d"),
     (_restart_config,
      "d7ad0921ad63584994b4762782d130f48ec923c6306861271509d3c4e5796b59"),
 ], ids=["vacuum_bump_m2_n256", "swirl_m1_n64", "csv_restart_eps"])
