@@ -27,13 +27,11 @@ difference operators that build the matrix; constant states are then
 exact fixed points bitwise.  A row whose upwind coupling, scaled by the
 upwind cell's 1/kappa, would outweigh its diagonal takes that coupling at
 the current iterate instead, so every row stays diagonally dominant.
-``run`` starts each step's sweeps from theta extrapolated in time by a
-polynomial through the last p + 1 accepted steps (theta_old on the first
-step), whose order p (1 to 6) moves by at most one after each step that
-took more than one sweep, to the order that would have missed that step
-least; a step whose guess lands within ``picard_tol`` takes one sweep.
-The guess moves the result only within ``picard_tol`` and reproduces a
-constant state exactly.
+``run`` starts each step's sweeps from theta extrapolated in time through
+the last p + 1 accepted steps (theta_old on the first), the order p (1 to
+6) moving after each multi-sweep step to whichever of p - 1, p, p + 1
+missed it least; the guess moves the result only within ``picard_tol``
+and reproduces a constant state exactly.
 """
 
 from __future__ import annotations
@@ -395,44 +393,45 @@ def step_detailed(s: State, c: StepControls, model: GasModel, dt=None,
 
 
 class _ThetaPredictor:
-    """The order-p polynomial through the last p + 1 temperatures, as
-    theta + sum_k c_k*D_k over the last p increments D_k (so a constant
-    history gives theta bitwise): c_k sums its Lagrange weights at dt,
-    from barycentric weights that each step updates in O(p).  After a
-    multi-sweep step, p moves to the best of p - 1, p, p + 1 on it (the
-    order selection of Shampine & Gordon 1975 and DASSL)."""
+    """theta + sum_k c_k*D_k over the last p increments D_k (a constant
+    history gives theta bitwise), c_k the Lagrange weights at dt of the
+    last p + 1 temperatures summed onto the increments; order selection
+    after Shampine & Gordon (1975) and DASSL."""
 
     MAX_ORDER = 6
 
     def __init__(self, n):
-        self.incs = np.zeros((self.MAX_ORDER, n))   # ring of increments
+        # ring of increments with one row more than an order reads, which
+        # takes in the next one
+        self.incs = np.zeros((self.MAX_ORDER + 1, n))
         self.head = -1       # its newest row
         self.order = 1
         self.nodes = [0.0]   # times of the stored states, newest (0) first
-        self.bary = []       # barycentric weights of nodes[:order + 1]
+        self.bary = []       # weights of nodes[:order + 1], O(p) a step
 
     def _row(self, dt, bary):
-        """Weights on the ring's rows of the extrapolation to dt through
-        the first len(bary) nodes."""
+        """Ring-row weights of the extrapolation through len(bary) nodes."""
         nodes = self.nodes[:len(bary)]
         ell = math.prod([dt - t_j for t_j in nodes])
         neg_lag = [ell * w / (t_j - dt) for w, t_j in zip(bary, nodes)]
         # c_k = -(L_k + ... + L_p), oldest first, then turned to the ring
-        row = ([0.0] * (self.MAX_ORDER + 1 - len(bary))
+        row = ([0.0] * (self.MAX_ORDER + 2 - len(bary))
                + list(accumulate(neg_lag[:0:-1])))
-        cut = self.MAX_ORDER - 1 - self.head
+        cut = self.MAX_ORDER - self.head
         return row[cut:] + row[:cut]
 
     def guess(self, theta, dt):
         """theta extrapolated by dt, or None before the first step."""
         if not self.bary:
             return None
-        return theta + np.dot(self._row(dt, self.bary), self.incs)
+        step = np.dot(self._row(dt, self.bary), self.incs)
+        return np.add(step, theta, out=step)
 
     def accept(self, theta_old, theta_new, dt, sweeps):
         """Take in a step of size dt from theta_old to theta_new that took
         ``sweeps`` sweeps."""
-        inc = theta_new - theta_old
+        new = (self.head + 1) % len(self.incs)
+        np.subtract(theta_new, theta_old, out=self.incs[new])
         t, p, w = self.nodes, self.order, self.bary
         stored = len(t) - 1
         if sweeps > 1 and stored:   # weights of orders p - 1 and p + 1
@@ -444,10 +443,14 @@ class _ThetaPredictor:
                 bary[p + 1] = [w_j / (t_j - t[p + 1]) for w_j, t_j in
                                zip(w, t)] + [1.0 / math.prod(
                                    [t[p + 1] - t_i for t_i in t[:p + 1]])]
-            orders = sorted(bary)
-            rows = [self._row(dt, bary[k]) for k in orders]
-            miss = np.abs(np.dot(rows, self.incs) - inc).max(axis=1)
-            p = self.order = orders[int(np.argmin(miss))]
+            # one gemv per order: a (3, n) block product would be a gemm,
+            # whose work buffer adds ~0.3 MB to the peak memory
+            orders, miss = sorted(bary), []
+            for k in orders:
+                row = self._row(dt, bary[k])
+                row[new] = -1.0   # minus the step's own increment
+                miss.append(np.abs(np.dot(row, self.incs)).max())
+            p = self.order = orders[miss.index(min(miss))]
             w = bary[p]
         if stored:   # drop node p, put the new one in front
             self.bary = [1.0 / math.prod([dt - t_j for t_j in t[:p]])] + [
@@ -455,8 +458,7 @@ class _ThetaPredictor:
         else:
             self.bary = [1.0 / dt, -1.0 / dt]
         self.nodes = [0.0] + [t_j - dt for t_j in t[:self.MAX_ORDER]]
-        self.head = (self.head + 1) % self.MAX_ORDER
-        self.incs[self.head] = inc
+        self.head = new
 
 
 def run(cfg):

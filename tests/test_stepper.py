@@ -644,9 +644,10 @@ t_end = 1.0
 
 
 def test_predictor_saves_sweeps_on_the_shipped_vacuum_bump(monkeypatch):
-    # configs/vacuum_bump.toml's settings: the cubic predictor took 2.373
-    # sweeps per step and no step took one; the order-selecting one takes
-    # 1.898, and 25 of the 59 steps take one
+    # configs/vacuum_bump.toml's settings.  A step takes one sweep only
+    # when its guess lies within picard_tol of the result: the predictor
+    # reaches that on 25 of the 59 steps (1.898 sweeps per step), a fixed
+    # cubic on none (2.373)
     sweeps = []
 
     def counting(*args, **kwargs):
@@ -711,8 +712,7 @@ def test_large_vacuum_bump_converges_at_default_picard_max(monkeypatch):
     # the first temperature step of this run needs 13 sweeps (22 with the
     # frozen-kappa Picard sweeps); at picard_max = 10 it still completes,
     # with a relative update of 1.1e-8 left against picard_tol = 1e-10.
-    # Seeded by the order-selecting predictor it takes 2.18 sweeps per step
-    # (2.27 with the cubic one, 3.61 with Picard sweeps)
+    # Seeded by the predictor it takes 2.18 sweeps per step (4.06 unseeded)
     sweeps = []
 
     def counting(*args, **kwargs):
