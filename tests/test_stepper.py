@@ -643,11 +643,8 @@ t_end = 1.0
             assert diff <= 1e-10 * np.abs(want).max(), (text, name)
 
 
-def test_predictor_saves_sweeps_on_the_shipped_vacuum_bump(monkeypatch):
-    # configs/vacuum_bump.toml's settings.  A step takes one sweep only
-    # when its guess lies within picard_tol of the result: the predictor
-    # reaches that on 25 of the 59 steps (1.898 sweeps per step), a fixed
-    # cubic on none (2.373)
+def _counting_sweeps(monkeypatch):
+    # the sweep count of every step_temperature call that run makes
     sweeps = []
 
     def counting(*args, **kwargs):
@@ -656,6 +653,15 @@ def test_predictor_saves_sweeps_on_the_shipped_vacuum_bump(monkeypatch):
         return out
 
     monkeypatch.setattr(symns.stepper, "step_temperature", counting)
+    return sweeps
+
+
+def test_predictor_saves_sweeps_on_the_shipped_vacuum_bump(monkeypatch):
+    # configs/vacuum_bump.toml's settings.  A step takes one sweep only
+    # when its guess lies within picard_tol of the result: the predictor
+    # reaches that on 25 of the 59 steps (1.898 sweeps per step), a fixed
+    # cubic on none (2.373)
+    sweeps = _counting_sweeps(monkeypatch)
     traj = run(parse_config("""
 [grid]
 n = 256
@@ -713,14 +719,7 @@ def test_large_vacuum_bump_converges_at_default_picard_max(monkeypatch):
     # frozen-kappa Picard sweeps); at picard_max = 10 it still completes,
     # with a relative update of 1.1e-8 left against picard_tol = 1e-10.
     # Seeded by the predictor it takes 2.18 sweeps per step (4.06 unseeded)
-    sweeps = []
-
-    def counting(*args, **kwargs):
-        out = step_temperature(*args, **kwargs)
-        sweeps.append(out[2])
-        return out
-
-    monkeypatch.setattr(symns.stepper, "step_temperature", counting)
+    sweeps = _counting_sweeps(monkeypatch)
     cfg = parse_config("""
 [grid]
 n = 128
