@@ -24,7 +24,7 @@ import numpy as np
 sys.path.insert(0, os.path.join(os.path.dirname(os.path.abspath(__file__)),
                                 "..", "src"))
 
-from symns.constitutive import heat_capacity, ideal_gas
+from symns.constitutive import GasModel, heat_capacity
 from symns.grid import make_grid, weighted_lp_norm
 from symns.operators import face_kappa, heat_flux_div
 from symns.state import State
@@ -57,7 +57,7 @@ def explicit_theta(g, model, theta0, t_end):
 
 
 T_END = 0.01
-MODEL = ideal_gas(q=2.0)  # kappa = 1 + theta^2
+MODEL = GasModel(q=2.0)  # kappa = 1 + theta^2
 
 
 def _theta0(g):

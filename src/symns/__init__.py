@@ -4,8 +4,7 @@ temperature-dependent heat conductivity, regularized initial-data
 construction, and blow-up/a-priori diagnostics."""
 
 from .constitutive import (GasModel, check_admissible, conductivity,
-                           heat_capacity, ideal_gas, internal_energy,
-                           power_gas, pressure, thermo_consistency_residual)
+                           heat_capacity, internal_energy, pressure)
 from .diagnostics import (DiagnosticsSeries, Trajectory, alt_criteria,
                           blowup_indicator, blowup_indicator_series,
                           entropy_dissipation, kinetic_energy, mass,

@@ -4,8 +4,8 @@ Exit codes: 0 success/completed, 2 solver failure (any of dt_underflow,
 solver_failure, nan_detected, or a failed initial-velocity solve while the
 config is parsed), 3 configuration error, which includes an inadmissible
 model, a missing or bad initial-data file and an output directory that
-cannot be made (all found before any run starts).  Human-readable diagnostics
-go to stderr; results to stdout.
+cannot be made (all found before any run starts), and a usage error of the
+command line.  Human-readable diagnostics go to stderr; results to stdout.
 SYMNS_OUT_DIR, when set, replaces output.out_dir as where files are written.
 """
 
@@ -16,7 +16,6 @@ import math
 import os
 import sys
 import time
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -72,27 +71,11 @@ def _cmd_verify(args) -> int:
     return 0
 
 
-def _sweep_worker(task):
-    cfg, key, value, out_dir = task
-    t0 = time.perf_counter()
-    traj = run(cfg)
-    write_trajectory(out_dir, traj)
-    m = traj.series.column("mass")
-    drift = abs(m[-1] - m[0]) / abs(m[0]) if m[0] != 0.0 else 0.0
-    return {"key": key, "value": value, "reason": traj.reason,
-            "steps": traj.steps, "t_final": traj.final_state.t,
-            "mass_drift_rel": drift,
-            "max_theta": float(traj.series.column("max_theta").max()),
-            "seconds": time.perf_counter() - t0}
-
-
 _SWEEP_COLS = ("value", "reason", "steps", "t_final", "mass_drift_rel",
                "max_theta", "seconds")
 
 
 def _cmd_sweep(args) -> int:
-    if args.workers < 0:
-        raise ConfigError(f"--workers must be >= 0, got {args.workers}")
     if "=" not in args.vary:
         raise ConfigError("--vary expects key=v1,v2,...")
     key, _, raw_values = args.vary.partition("=")
@@ -111,29 +94,35 @@ def _cmd_sweep(args) -> int:
     base_out = _out_dir(cfg)
     os.makedirs(base_out, exist_ok=True)
     # every value's config and initial state are built before any run
-    tasks = [(override_config(cfg, key, v), key, v,
-              os.path.join(base_out, f"{key.replace('.', '_')}_{v}"))
-             for v in values]
-    workers = args.workers or min(len(tasks), os.cpu_count() or 1)
-    if workers > 1:
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            rows = list(pool.map(_sweep_worker, tasks))
-    else:
-        rows = [_sweep_worker(t) for t in tasks]
+    runs = [(v, override_config(cfg, key, v),
+             os.path.join(base_out, f"{key.replace('.', '_')}_{v}"))
+            for v in values]
+    rows = []
+    for value, cfg_v, out_dir in runs:
+        t0 = time.perf_counter()
+        traj = run(cfg_v)
+        write_trajectory(out_dir, traj)
+        m = traj.series.column("mass")
+        drift = abs(m[-1] - m[0]) / abs(m[0]) if m[0] != 0.0 else 0.0
+        rows.append({"key": key, "value": value, "reason": traj.reason,
+                     "steps": traj.steps, "t_final": traj.final_state.t,
+                     "mass_drift_rel": drift,
+                     "max_theta": float(traj.series.column("max_theta").max()),
+                     "seconds": time.perf_counter() - t0})
 
     print(f"sweep over {key}:")
     print("  " + "  ".join(f"{c:>14s}" for c in _SWEEP_COLS))
     for row in rows:
         cells = []
         for c in _SWEEP_COLS:
-            v = row.get(c, "")
+            v = row[c]
             cells.append(f"{v:>14.6g}" if isinstance(v, float) else f"{v!s:>14s}")
         print("  " + "  ".join(cells))
     with open(os.path.join(base_out, "sweep_summary.csv"), "w",
               encoding="utf-8") as fh:
         fh.write(",".join(("key",) + _SWEEP_COLS) + "\n")
         for row in rows:
-            fh.write(",".join(str(row.get(c, "")) for c in
+            fh.write(",".join(str(row[c]) for c in
                               (("key",) + _SWEEP_COLS)) + "\n")
     return 0 if all(r["reason"] == "completed" for r in rows) else 2
 
@@ -235,10 +224,9 @@ def cli(argv=None) -> int:
     p_ver.add_argument("config")
     p_ver.set_defaults(func=_cmd_verify)
 
-    p_sw = sub.add_parser("sweep", help="independent runs over one varied key")
+    p_sw = sub.add_parser("sweep", help="runs over one varied key, in sequence")
     p_sw.add_argument("config")
     p_sw.add_argument("--vary", required=True, metavar="key=v1,v2,...")
-    p_sw.add_argument("--workers", type=int, default=0)
     p_sw.set_defaults(func=_cmd_sweep)
 
     p_cv = sub.add_parser("convergence", help="self-convergence table with "
@@ -247,7 +235,11 @@ def cli(argv=None) -> int:
     p_cv.add_argument("--levels", type=int, default=3)
     p_cv.set_defaults(func=_cmd_convergence)
 
-    args = parser.parse_args(argv)
+    try:
+        args = parser.parse_args(argv)
+    except SystemExit as exc:
+        # argparse exits 2 on a usage error, and 2 here means solver failure
+        return 3 if exc.code == 2 else exc.code
     try:
         return args.func(args)
     except (ConfigError, OSError) as exc:

@@ -16,14 +16,11 @@ import numpy as np
 
 __all__ = [
     "GasModel",
-    "ideal_gas",
-    "power_gas",
     "pressure",
     "internal_energy",
     "sound_speed",
     "conductivity",
     "heat_capacity",
-    "thermo_consistency_residual",
     "check_admissible",
     "AdmissibilityReport",
 ]
@@ -91,17 +88,6 @@ class GasModel:
     def beta(self) -> float:
         """Viscous coefficient 2*mu + lam of the radial momentum equation."""
         return 2.0 * self.mu + self.lam
-
-
-def ideal_gas(mu=1.0, lam=0.0, kappa0=1.0, q=2.0) -> GasModel:
-    """Ideal polytropic gas: P = rho*theta, e = theta, kappa = kappa0(1+theta^q)."""
-    return GasModel(mu=mu, lam=lam, kappa0=kappa0, q=q)
-
-
-def power_gas(mu, lam, r, q, kappa0=1.0, A=0.0, gamma=2.0) -> GasModel:
-    """Power Q family, with an optional barotropic cold pressure when A > 0."""
-    return GasModel(family="power", mu=mu, lam=lam, r=r, q=q, kappa0=kappa0,
-                    A=A, gamma=gamma)
 
 
 def _check_nonneg(name, value):
@@ -176,30 +162,6 @@ def heat_capacity(model: GasModel, theta):
     return out if out.ndim else float(out)
 
 
-def thermo_consistency_residual(model: GasModel, rho: float, theta: float) -> float:
-    """Residual of P = rho^2 * de/drho + theta * dP/dtheta at one state.
-
-    Partials are centered finite differences with relative step 1e-6.
-    The residual reduces analytically to rho*(Q(theta) - theta*Q'(theta)):
-    identically zero for the ideal family (and for "power" with r = 0),
-    but -rho * r * theta^(1+r) / (1+r) for the power family with r > 0.
-    That nonzero value is a property of the family, not an error; callers
-    comparing against zero must restrict to the ideal family.
-    """
-    rho = float(rho)
-    theta = float(theta)
-    if rho <= 0.0 or theta <= 0.0:
-        raise ValueError("consistency residual needs an interior point "
-                         "(rho > 0 and theta > 0)")
-    hr = 1e-6 * rho
-    ht = 1e-6 * theta
-    de_drho = (internal_energy(model, rho + hr, theta)
-               - internal_energy(model, rho - hr, theta)) / (2.0 * hr)
-    dP_dtheta = (pressure(model, rho, theta + ht)
-                 - pressure(model, rho, theta - ht)) / (2.0 * ht)
-    return pressure(model, rho, theta) - rho * rho * de_drho - theta * dP_dtheta
-
-
 @dataclass
 class AdmissibilityReport:
     """Outcome of :func:`check_admissible` for a model and symmetry exponent
@@ -235,9 +197,6 @@ class AdmissibilityReport:
              f"mu = {model.mu}, q = {model.q} > r = {model.r}, {c1}, "
              f"C4 = C5 = {c45}"),
         ]
-
-    def failures(self):
-        return [(name, detail) for name, passed, detail in self.checks if not passed]
 
     def __str__(self):
         lines = []

@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 
 from symns.config import parse_config
-from symns.constitutive import ideal_gas, pressure
+from symns.constitutive import GasModel, pressure
 from symns.diagnostics import (DiagnosticsSeries, Trajectory,
                                blowup_indicator, blowup_indicator_series,
                                record_step)
@@ -23,7 +23,7 @@ from symns.operators import (dissipation, lame_operator, lame_stencil,
 from symns.state import State
 from symns.stepper import StepControls, run, step_detailed, step_momentum
 
-MODEL = ideal_gas()           # mu=1, lam=0, kappa = 1 + theta^2
+MODEL = GasModel()           # mu=1, lam=0, kappa = 1 + theta^2
 
 _REPORTER = None
 
@@ -151,7 +151,7 @@ def test_criterion_06_dissipation_positivity():
         m = int(rng.integers(1, 4))
         mu = float(rng.uniform(0.1, 10.0))
         lam = -float(rng.uniform(0.01, 0.99)) * 2.0 * mu / (m + 1)
-        model = ideal_gas(mu=mu, lam=lam)
+        model = GasModel(mu=mu, lam=lam)
         g = make_grid(1, 2, 16, m)
         u, v, w = rng.standard_normal((3, 16))
         worst = min(worst, float(dissipation(g, u, v, w, model).min()))

@@ -25,7 +25,7 @@ import numpy as np
 import pytest
 
 from symns.config import parse_config
-from symns.constitutive import power_gas
+from symns.constitutive import GasModel
 from symns.diagnostics import SERIES_COLUMNS
 from symns.grid import make_grid
 from symns.initdata import preset
@@ -156,7 +156,8 @@ def test_step_momentum_is_bitwise_pinned(m, n, expected):
         v = w = np.zeros(n)
     s = State(g, 0.0, d.rho, u, v, w, d.theta)
     assert (s.rho < RHO_VAC_TOL).any()
-    model = power_gas(mu=1.0, lam=0.5, r=0.5, q=2.0, A=0.5, gamma=1.4)
+    model = GasModel(family="power", mu=1.0, lam=0.5, r=0.5, q=2.0, A=0.5,
+                     gamma=1.4)
     force_u = 0.7 * d.rho * np.cos(3.0 * phase)
     h = hashlib.sha256()
     for f in step_momentum(s, 2e-3, model, force_u=force_u):

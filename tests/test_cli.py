@@ -157,8 +157,7 @@ t_end = 0.002
 out_dir = "{out}"
 """
     cfgp = _write(tmp_path, text)
-    assert cli(["sweep", cfgp, "--vary", "model.q=2.0,3.0",
-                "--workers", "1"]) == 0
+    assert cli(["sweep", cfgp, "--vary", "model.q=2.0,3.0"]) == 0
     printed = capsys.readouterr().out
     assert "completed" in printed
     assert (out / "sweep_summary.csv").exists()
@@ -167,25 +166,21 @@ out_dir = "{out}"
     assert len(lines) == 3  # header + one row per value
 
 
-def test_sweep_process_pool_matches_serial(tmp_path):
-    rows = {}
-    for workers in ("1", "2"):
-        out = tmp_path / f"w{workers}"
-        text = ("[grid]\nn = 16\n[init]\npreset = \"manufactured\"\n"
-                f"[controls]\nt_end = 0.002\n[output]\nout_dir = \"{out}\"\n")
-        cfgp = _write(tmp_path, text, f"w{workers}.toml")
-        assert cli(["sweep", cfgp, "--vary", "model.q=2.0,3.0",
-                    "--workers", workers]) == 0
-        lines = (out / "sweep_summary.csv").read_text().splitlines()
-        assert lines[0].endswith(",seconds")
-        rows[workers] = [ln.rsplit(",", 1)[0] for ln in lines]
-    assert len(rows["2"]) == 3  # header + one row per value
-    assert rows["2"] == rows["1"]
+def test_sweep_runs_values_in_vary_order_past_a_failed_run(tmp_path):
+    # the first value stops at its step cap; the second still runs
+    out = tmp_path / "o"
+    text = ("[grid]\nn = 16\n[init]\npreset = \"manufactured\"\n"
+            "[controls]\nt_end = 0.002\ndt_max = 1e-4\n"
+            f"[output]\nout_dir = \"{out}\"\n")
+    cfgp = _write(tmp_path, text)
+    assert cli(["sweep", cfgp, "--vary", "controls.max_steps=5,100000"]) == 2
+    lines = (out / "sweep_summary.csv").read_text().splitlines()
+    assert [ln.split(",")[1:4] for ln in lines[1:]] == [
+        ["5", "solver_failure", "5"], ["100000", "completed", "20"]]
 
 
 @pytest.mark.parametrize("command", [["run"],
-                                     ["sweep", "--vary", "model.q=2.0,3.0",
-                                      "--workers", "1"]])
+                                     ["sweep", "--vary", "model.q=2.0,3.0"]])
 def test_unwritable_out_dir_exits_3_before_running(tmp_path, monkeypatch,
                                                    capsys, command):
     def no_run(*args, **kwargs):
@@ -234,8 +229,7 @@ def test_sweep_solver_failure_exits_2_before_running(tmp_path, monkeypatch,
     out = tmp_path / "sw"
     text = BUMP_EPS_CONFIG.format(out=out).replace("eps = 0.001", "eps = 0.0")
     cfgp = _write(tmp_path, text)
-    assert cli(["sweep", cfgp, "--vary", "init.eps=0.0,0.001",
-                "--workers", "1"]) == 2
+    assert cli(["sweep", cfgp, "--vary", "init.eps=0.0,0.001"]) == 2
     assert "solver failure: initial velocity solve residual" in \
         capsys.readouterr().err
     assert os.listdir(out) == []
@@ -249,25 +243,8 @@ def test_sweep_repeated_value_exits_3_without_running(tmp_path, monkeypatch,
     monkeypatch.setattr(symns.cli, "run", no_run)
     out = tmp_path / "o"
     cfgp = _write(tmp_path, EQ_CONFIG.format(out=out))
-    assert cli(["sweep", cfgp, "--vary", "model.q=2.0,3.0,2.0",
-                "--workers", "1"]) == 3
+    assert cli(["sweep", cfgp, "--vary", "model.q=2.0,3.0,2.0"]) == 3
     assert "config error: --vary repeats 2.0" in capsys.readouterr().err
-    assert not out.exists()
-
-
-def test_sweep_negative_workers_exits_3_without_running(tmp_path, monkeypatch,
-                                                       capsys):
-    def no_build(*args, **kwargs):
-        raise AssertionError("config built")
-
-    monkeypatch.setattr(symns.cli, "parse_config_file", no_build)
-    monkeypatch.setattr(symns.cli, "run", no_build)
-    out = tmp_path / "o"
-    cfgp = _write(tmp_path, EQ_CONFIG.format(out=out))
-    assert cli(["sweep", cfgp, "--vary", "model.q=2.0,3.0",
-                "--workers", "-1"]) == 3
-    assert "config error: --workers must be >= 0, got -1" in \
-        capsys.readouterr().err
     assert not out.exists()
 
 
@@ -282,8 +259,7 @@ def test_sweep_of_out_dir_exits_3_without_running(tmp_path, monkeypatch,
     monkeypatch.setattr(symns.cli, "run", no_build)
     out = tmp_path / "o"
     cfgp = _write(tmp_path, EQ_CONFIG.format(out=out))
-    assert cli(["sweep", cfgp, "--vary", "output.out_dir=a,b",
-                "--workers", "1"]) == 3
+    assert cli(["sweep", cfgp, "--vary", "output.out_dir=a,b"]) == 3
     assert "config error: --vary output.out_dir" in capsys.readouterr().err
     assert not out.exists()
     assert not list(tmp_path.rglob("output_out_dir_*"))
@@ -293,8 +269,7 @@ def test_sweep_of_untaken_preset_key_exits_3_without_running(tmp_path,
                                                            capsys):
     out = tmp_path / "o"
     cfgp = _write(tmp_path, EQ_CONFIG.format(out=out))
-    assert cli(["sweep", cfgp, "--vary", "init.swirl=0.1,0.2",
-                "--workers", "1"]) == 3
+    assert cli(["sweep", cfgp, "--vary", "init.swirl=0.1,0.2"]) == 3
     assert "config error: init.swirl has no effect" in capsys.readouterr().err
     assert os.listdir(out) == []
 
@@ -342,6 +317,20 @@ def test_exit_code_mapping_total():
     from symns.cli import _REASON_EXIT
     assert set(_REASON_EXIT) == {"completed", "dt_underflow",
                                  "solver_failure", "nan_detected"}
+
+
+@pytest.mark.parametrize("argv", [
+    ["sweep", "c.toml", "--vary", "model.q=2.0,3.0", "--workers", "1"], []],
+    ids=["removed-option", "no-subcommand"])
+def test_usage_error_exits_3(argv, capsys):
+    # argparse's own exit status 2 would read as a solver failure
+    assert cli(argv) == 3
+    assert "error: " in capsys.readouterr().err
+
+
+def test_help_exits_0(capsys):
+    assert cli(["-h"]) == 0
+    assert "runs over one varied key, in sequence" in capsys.readouterr().out
 
 
 def test_run_missing_init_file_exits_3(tmp_path):

@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from symns.constitutive import ideal_gas, internal_energy
+from symns.constitutive import GasModel, internal_energy
 from symns.diagnostics import (DiagnosticsSeries, Trajectory, alt_criteria,
                                blowup_indicator, blowup_indicator_series,
                                entropy_dissipation, kinetic_energy, mass,
@@ -13,7 +13,7 @@ from symns.grid import make_grid, weighted_integral
 from symns.initdata import preset
 from symns.state import State
 
-MODEL = ideal_gas()
+MODEL = GasModel()
 
 
 def _frozen_trajectory(g, rho, theta, times, model=MODEL, alpha=0.5):
@@ -97,7 +97,7 @@ def test_entropy_dissipation_alpha_interval():
     with pytest.raises(ValueError):
         record(MODEL, 0.0)
     with pytest.raises(ValueError):
-        record(ideal_gas(q=0.5), 0.5)  # alpha = q - r excluded
+        record(GasModel(q=0.5), 0.5)  # alpha = q - r excluded
 
 
 def test_record_block_rejects_unequal_columns():
@@ -194,7 +194,7 @@ t_end = 0.02
 def test_entropy_dissipation_refinement_stable():
     # pure-conduction runs at n and 2n agree within 5%
     from symns.stepper import StepControls, step_temperature
-    model = ideal_gas(q=2.0)
+    model = GasModel(q=2.0)
     alpha = 0.5
 
     def conduction_value(n, dt, nsteps):

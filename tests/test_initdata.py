@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 import symns.initdata
-from symns.constitutive import ideal_gas, pressure
+from symns.constitutive import GasModel, pressure
 from symns.errors import SolverFailure
 from symns.grid import make_grid, weighted_integral
 from symns.initdata import (compatibility_residuals, load_initial_csv,
@@ -13,7 +13,7 @@ from symns.initdata import (compatibility_residuals, load_initial_csv,
 from symns.operators import ddx, lame_stencil
 from symns.state import RHO_VAC_TOL
 
-MODEL = ideal_gas()
+MODEL = GasModel()
 
 
 def test_equilibrium_preset():
@@ -182,7 +182,7 @@ def test_compatibility_vacuum_report_matches_threshold():
 def test_radial_residual_is_compatibility_g1():
     g = make_grid(1, 2, 128, 2)
     s = replace(preset("vacuum_bump", g), u=0.1 * np.sin(g.centers))
-    model = ideal_gas(lam=0.5)
+    model = GasModel(lam=0.5)
     # a positive density below the threshold is vacuum too
     s.rho[np.flatnonzero(s.rho == 0.0)[::4]] = 0.5 * RHO_VAC_TOL
     res = compatibility_residuals(s, model)

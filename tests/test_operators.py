@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from symns.constitutive import conductivity, ideal_gas, power_gas, pressure
+from symns.constitutive import GasModel, conductivity, pressure
 from symns.diagnostics import DiagnosticsSeries, record_step
 from symns.grid import make_grid, weighted_integral
 from symns.operators import (_dissipation_and_div, axial_laplacian,
@@ -175,7 +175,7 @@ def test_heat_flux_div_closed_form():
 def test_dissipation_zero_velocities():
     g = make_grid(1, 2, 16, 2)
     z = np.zeros(16)
-    assert not dissipation(g, z, z, z, ideal_gas()).any()
+    assert not dissipation(g, z, z, z, GasModel()).any()
 
 
 def test_dissipation_pointwise_value():
@@ -184,7 +184,7 @@ def test_dissipation_pointwise_value():
     j = 8
     u = g.centers - g.centers[j]
     z = np.zeros(16)
-    model = ideal_gas(mu=1.0, lam=-0.5)
+    model = GasModel(mu=1.0, lam=-0.5)
     p = dissipation(g, u, z, z, model)
     assert p[j] == pytest.approx(model.lam + 2 * model.mu, rel=1e-12)
 
@@ -194,7 +194,7 @@ def test_dissipation_pointwise_value():
 def test_dissipation_nonnegative_admissible(m, mu, frac, seed):
     # lam < 0 scanned up to the admissibility edge 2*mu + (m+1)*lam > 0
     lam = -frac * 2.0 * mu / (m + 1)
-    model = ideal_gas(mu=mu, lam=lam)
+    model = GasModel(mu=mu, lam=lam)
     g = make_grid(1, 2, 16, m)
     rs = np.random.default_rng(seed)
     u, v, w = rs.standard_normal((3, 16))
@@ -205,7 +205,7 @@ def test_dissipation_nonnegative_admissible(m, mu, frac, seed):
 def test_recorded_g_max_is_beta_div_u_minus_pressure():
     # record_step computes G = beta*div(u) - P on the u_x it already holds
     g = make_grid(1, 2, 16, 2)
-    model = ideal_gas(mu=1.0, lam=0.5)
+    model = GasModel(mu=1.0, lam=0.5)
     rs = np.random.default_rng(7)
     rho, theta = rs.uniform(0.1, 2.0, (2, 16))
     u = rs.standard_normal(16)
@@ -267,14 +267,15 @@ def test_grid_only_arrays_built_once_and_read_only():
 def test_dissipation_shares_the_pointwise_divergence(m, n, rng):
     g = make_grid(1, 2, n, m)
     u, v, w = rng.standard_normal((3, n))
-    model = ideal_gas(mu=1.3, lam=-0.4)
+    model = GasModel(mu=1.3, lam=-0.4)
     phi, div_u = _dissipation_and_div(g, u, v, w, model)
     assert np.array_equal(div_u, radial_div(g, u))
     assert np.array_equal(phi, dissipation(g, u, v, w, model))
 
 
-@pytest.mark.parametrize("model", [ideal_gas(kappa0=1.0, q=2.0),
-                                   power_gas(1.0, 0.0, 0.5, 3.5, kappa0=0.7)],
+@pytest.mark.parametrize("model", [GasModel(kappa0=1.0, q=2.0),
+                                   GasModel(family="power", mu=1.0, lam=0.0,
+                                            r=0.5, q=3.5, kappa0=0.7)],
                          ids=["q2", "q3.5"])
 def test_face_kappa_is_the_kirchhoff_mean(model):
     import mpmath as mp

@@ -6,7 +6,7 @@ import pytest
 
 import symns.stepper
 from symns.config import parse_config
-from symns.constitutive import GasModel, conductivity, ideal_gas, pressure
+from symns.constitutive import GasModel, conductivity, pressure
 from symns.diagnostics import (SERIES_COLUMNS, DiagnosticsSeries,
                                blowup_indicator, record_step)
 from symns.errors import ConfigError, DtUnderflow, SolverFailure
@@ -23,7 +23,7 @@ from symns.stepper import (_RECORD_CELLS, StepControls, _ThetaPredictor,
                            step_momentum, step_temperature)
 from symns.tridiag import solve_tridiagonal
 
-MODEL = ideal_gas()
+MODEL = GasModel()
 
 
 def test_controls_validation():
@@ -298,7 +298,7 @@ def test_temperature_wind_into_a_larger_kappa_keeps_the_implicit_solution():
     #   = heat_flux_div(face_kappa(theta'), theta') + phi
     # kappa0 = 0.01 keeps the jump through the step, so that row takes
     # its upwind coupling at the iterate up to the last sweep
-    model = ideal_gas(kappa0=0.01)
+    model = GasModel(kappa0=0.01)
     s = _cold_wind_state(32)
     g = s.grid
     c = StepControls()
