@@ -102,6 +102,8 @@ def _cmd_sweep(args) -> int:
         t0 = time.perf_counter()
         traj = run(cfg_v)
         write_trajectory(out_dir, traj)
+        if traj.error:
+            print(f"terminated: {value}: {traj.error}", file=sys.stderr)
         m = traj.series.column("mass")
         drift = abs(m[-1] - m[0]) / abs(m[0]) if m[0] != 0.0 else 0.0
         rows.append({"key": key, "value": value, "reason": traj.reason,

@@ -109,6 +109,10 @@ def _Qprime(model: GasModel, theta):
     return 1.0 + theta ** model.r
 
 
+def _kappa(model: GasModel, theta):
+    return model.kappa0 * (1.0 + theta ** model.q)
+
+
 def _Pc(model: GasModel, rho):
     if model.pc_family == "zero":
         return np.zeros_like(rho)
@@ -151,7 +155,7 @@ def sound_speed(model: GasModel, rho, theta):
 def conductivity(model: GasModel, theta):
     """kappa(theta) = kappa0 * (1 + theta^q) > 0."""
     theta = _check_nonneg("temperature", theta)
-    out = model.kappa0 * (1.0 + theta ** model.q)
+    out = _kappa(model, theta)
     return out if out.ndim else float(out)
 
 

@@ -177,7 +177,7 @@ def record_step(series: DiagnosticsSeries, s, model: GasModel, *,
     # one number, or a list (or array) of k numbers
     names = FIELDS if g.m == 1 else ("rho", "u", "theta")
     b = s[0] if len(s) == 1 else _Stack(g, **{
-        name: np.stack([getattr(state, name) for state in s])
+        name: np.array([getattr(state, name) for state in s])
         for name in names})
     ux = ddx(g, b.u, "dirichlet0")
     abs_u = np.abs(b.u)

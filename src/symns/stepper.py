@@ -12,7 +12,9 @@ kappa0*(theta + theta^(q+1)/(q+1)) and F_f the geometric face
 coefficients of kappa = 1, which is the exact integral mean of kappa over
 each face; each sweep is a Newton step on that flux with Q' frozen at the
 current iterate.  ``run`` records the diagnostics rows of the accepted
-steps in blocks, one ``record_step`` call per block.
+steps in blocks, one ``record_step`` call per block, and checks each
+state's finiteness once, in the ``cfl_dt`` call that sizes the step from
+it.
 
 Vacuum cells (rho below ``RHO_VAC_TOL``) weigh as rho = 0 in all three
 phases, so every row keeps its one formula: a vacuum donor carries no
@@ -30,8 +32,8 @@ the current iterate instead, so every row stays diagonally dominant.
 ``run`` starts each step's sweeps from theta extrapolated in time through
 the last p + 1 accepted steps (theta_old on the first), the order p (1 to
 6) moving after each multi-sweep step to whichever of p - 1, p, p + 1
-missed it least; the guess moves the result only within ``picard_tol``
-and reproduces a constant state exactly.
+missed it least (p scored by the step's own guess); the guess moves the
+result only within ``picard_tol`` and reproduces a constant state exactly.
 """
 
 from __future__ import annotations
@@ -39,12 +41,10 @@ from __future__ import annotations
 import math
 import warnings
 from dataclasses import dataclass, field
-from itertools import accumulate
 
 import numpy as np
 
-from .constitutive import (GasModel, conductivity, heat_capacity, pressure,
-                           sound_speed)
+from .constitutive import GasModel, _kappa, _Qprime, pressure, sound_speed
 from .diagnostics import DiagnosticsSeries, Trajectory, record_step
 from .errors import DtUnderflow, PicardDivergence, SolverFailure
 from .grid import Grid, _integer
@@ -112,10 +112,15 @@ class StepInfo:
     picard_iters: int = 0
 
 
+class _NonFiniteState(ValueError):
+    """cfl_dt's error for a state with a non-finite value."""
+
+
 def cfl_dt(s: State, c: StepControls, model: GasModel) -> float:
-    """Advective-acoustic CFL step, capped by dt_max, erroring below dt_min."""
+    """Advective-acoustic CFL step, capped by dt_max, erroring below dt_min;
+    a ValueError for a state with a non-finite value."""
     if not s.is_finite():
-        raise ValueError("cfl_dt: state contains non-finite values")
+        raise _NonFiniteState("cfl_dt: state contains non-finite values")
     wave = float((np.abs(s.u) + sound_speed(model, s.rho, s.theta)).max())
     if wave < 1e-30:
         if math.isinf(c.dt_max):
@@ -205,7 +210,7 @@ def step_momentum(s: State, dt: float, model: GasModel,
     sub_l, diag_l, sup_l = _momentum_stencils(g)
     cylindrical = g.m == 1
     if cylindrical:   # one row and one viscosity per component
-        f = np.stack((u, s.v, s.w))
+        f = np.array((u, s.v, s.w))
         coeff = np.array([[model.beta], [model.mu], [model.mu]])
     else:
         f, coeff = u, model.beta
@@ -303,9 +308,10 @@ def step_temperature(s: State, dt: float, model: GasModel,
     iters = 0
     qp_built = None
     for iters in range(1, c.picard_max + 1):
+        # heat_capacity and conductivity unchecked: no value is negative
         theta_eval = np.maximum(theta_k, 0.0)
-        qp = heat_capacity(model, theta_eval)
-        kappa = conductivity(model, theta_eval)
+        qp = _Qprime(model, theta_eval)
+        kappa = _kappa(model, theta_eval)
         np.divide(1.0, kappa, out=inv_kappa[1:-1])
 
         # the terms Q' weights (mass, advection, compression) are rebuilt
@@ -411,14 +417,17 @@ class _ThetaPredictor:
 
     def _row(self, dt, bary):
         """Ring-row weights of the extrapolation through len(bary) nodes."""
-        nodes = self.nodes[:len(bary)]
-        ell = math.prod([dt - t_j for t_j in nodes])
-        neg_lag = [ell * w / (t_j - dt) for w, t_j in zip(bary, nodes)]
-        # c_k = -(L_k + ... + L_p), oldest first, then turned to the ring
-        row = ([0.0] * (self.MAX_ORDER + 2 - len(bary))
-               + list(accumulate(neg_lag[:0:-1])))
-        cut = self.MAX_ORDER - self.head
-        return row[cut:] + row[:cut]
+        nodes, head = self.nodes, self.head
+        ell = math.prod([dt - t_j for t_j in nodes[:len(bary)]])
+        row = [0.0] * len(self.incs)
+        # c_k = -(L_k + ... + L_p), summed oldest first, weighs the
+        # increment from node k to node k - 1, which sits k - 1 rows behind
+        # the head (a negative index wraps the ring); -0.0 + x is x bitwise
+        c_k = -0.0
+        for k in range(len(bary) - 1, 0, -1):
+            c_k += ell * bary[k] / (nodes[k] - dt)
+            row[head + 1 - k] = c_k
+        return row
 
     def guess(self, theta, dt):
         """theta extrapolated by dt, or None before the first step."""
@@ -427,9 +436,9 @@ class _ThetaPredictor:
         step = np.dot(self._row(dt, self.bary), self.incs)
         return np.add(step, theta, out=step)
 
-    def accept(self, theta_old, theta_new, dt, sweeps):
+    def accept(self, theta_old, theta_new, dt, sweeps, guess):
         """Take in a step of size dt from theta_old to theta_new that took
-        ``sweeps`` sweeps."""
+        ``sweeps`` sweeps from ``guess``, this predictor's guess for it."""
         new = (self.head + 1) % len(self.incs)
         np.subtract(theta_new, theta_old, out=self.incs[new])
         t, p, w = self.nodes, self.order, self.bary
@@ -443,10 +452,14 @@ class _ThetaPredictor:
                 bary[p + 1] = [w_j / (t_j - t[p + 1]) for w_j, t_j in
                                zip(w, t)] + [1.0 / math.prod(
                                    [t[p + 1] - t_i for t_i in t[:p + 1]])]
-            # one gemv per order: a (3, n) block product would be a gemm,
-            # whose work buffer adds ~0.3 MB to the peak memory
+            # order p is scored by the step's own guess, each other order
+            # by one gemv: a (2, n) block product would be a gemm, whose
+            # work buffer adds ~0.3 MB to the peak memory
             orders, miss = sorted(bary), []
             for k in orders:
+                if k == p:
+                    miss.append(np.abs(theta_new - guess).max())
+                    continue
                 row = self._row(dt, bary[k])
                 row[new] = -1.0   # minus the step's own increment
                 miss.append(np.abs(np.dot(row, self.incs)).max())
@@ -501,27 +514,40 @@ def run(cfg):
                     clip_cum=clips)
         pending.clear()
 
+    def next_dt(s):
+        """cfl_dt of s, or the _NonFiniteState or SolverFailure it raised."""
+        try:
+            return cfl_dt(s, c, model)
+        except (_NonFiniteState, SolverFailure) as exc:
+            return exc
+
     reason = "completed"
     error_msg = None
     clip_cum = 0.0
     nstep = 0
     predictor = _ThetaPredictor(state.grid.n)
 
-    # parsing validated the initial state; every later one is checked
-    # right after the step that made it (before it reaches record_step);
-    # cfl_dt keeps its own check for its other callers
-    while state.t < t_end - 1e-14 * max(1.0, t_end):
+    # Each state's finiteness is checked once, by the cfl_dt call that sizes
+    # the step from it: the initial state's here (cfg.initial may have been
+    # changed since parsing), every later one's right after the step that
+    # made it, before it reaches record_step or the predictor.  A
+    # DtUnderflow or SolverFailure of that call is raised by the next step,
+    # so a run never fails on its final state's dt and max_steps comes first.
+    dt_cfl = next_dt(state)
+    while (not isinstance(dt_cfl, _NonFiniteState)
+           and state.t < t_end - 1e-14 * max(1.0, t_end)):
         if nstep >= c.max_steps:
             reason = "solver_failure"
             error_msg = f"exceeded max_steps = {c.max_steps}"
             break
         try:
-            dt = cfl_dt(state, c, model)
-            dt = min(dt, t_end - state.t)
+            if isinstance(dt_cfl, SolverFailure):
+                raise dt_cfl
+            dt = min(dt_cfl, t_end - state.t)
             theta_prev = state.theta
-            state, info = step_detailed(
-                state, c, model, dt=dt,
-                theta_guess=predictor.guess(state.theta, dt))
+            guess = predictor.guess(state.theta, dt)
+            state, info = step_detailed(state, c, model, dt=dt,
+                                        theta_guess=guess)
         except DtUnderflow as exc:
             reason = "dt_underflow"
             error_msg = str(exc)
@@ -537,10 +563,11 @@ def run(cfg):
             error_msg = (f"cumulative clip mass {clip_cum:.3e} exceeded "
                          f"1e-10 relative to initial mass {mass0:.6e}")
             break
-        if not state.is_finite():
-            reason = "nan_detected"
+        dt_cfl = next_dt(state)
+        if isinstance(dt_cfl, _NonFiniteState):
             break
-        predictor.accept(theta_prev, state.theta, dt, info.picard_iters)
+        predictor.accept(theta_prev, state.theta, dt, info.picard_iters,
+                         guess)
         pending.append((state, nstep, info.dt, clip_cum))
         if len(pending) * state.grid.n >= _RECORD_CELLS:
             record_pending()
@@ -549,6 +576,9 @@ def run(cfg):
             states.append(snapshot(state))
             snapshot_steps.append(nstep)
 
+    if isinstance(dt_cfl, _NonFiniteState):
+        reason = "nan_detected"
+        error_msg = f"step {nstep}: {dt_cfl}"
     if pending:
         record_pending()
     if snapshot_steps[-1] != nstep:

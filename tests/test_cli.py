@@ -166,8 +166,10 @@ out_dir = "{out}"
     assert len(lines) == 3  # header + one row per value
 
 
-def test_sweep_runs_values_in_vary_order_past_a_failed_run(tmp_path):
-    # the first value stops at its step cap; the second still runs
+def test_sweep_runs_values_in_vary_order_past_a_failed_run(tmp_path,
+                                                         capsys):
+    # the first value stops at its step cap, which it reports on stderr;
+    # the second still runs
     out = tmp_path / "o"
     text = ("[grid]\nn = 16\n[init]\npreset = \"manufactured\"\n"
             "[controls]\nt_end = 0.002\ndt_max = 1e-4\n"
@@ -177,6 +179,7 @@ def test_sweep_runs_values_in_vary_order_past_a_failed_run(tmp_path):
     lines = (out / "sweep_summary.csv").read_text().splitlines()
     assert [ln.split(",")[1:4] for ln in lines[1:]] == [
         ["5", "solver_failure", "5"], ["100000", "completed", "20"]]
+    assert capsys.readouterr().err == "terminated: 5: exceeded max_steps = 5\n"
 
 
 @pytest.mark.parametrize("command", [["run"],

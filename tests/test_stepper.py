@@ -1,5 +1,6 @@
 import math
 import warnings
+from itertools import accumulate
 
 import numpy as np
 import pytest
@@ -506,7 +507,7 @@ def _feed(predictor, theta, t, steps, sweeps):
     # last guess with the value it aimed at
     for dt in steps:
         got, want = predictor.guess(theta(t), dt), theta(t + dt)
-        predictor.accept(theta(t), want, dt, sweeps)
+        predictor.accept(theta(t), want, dt, sweeps, got)
         t += dt
     return t, got, want
 
@@ -565,8 +566,94 @@ def test_theta_predictor_keeps_a_constant_history_bitwise(rng):
     predictor = _ThetaPredictor(32)
     for dt, sweeps in zip((0.1, 0.03, 0.2, 0.07, 0.15, 0.05, 0.12, 0.09),
                           (2, 1, 3, 2, 1, 2, 2, 1)):
-        predictor.accept(theta, theta.copy(), dt, sweeps)
+        predictor.accept(theta, theta.copy(), dt, sweeps,
+                         predictor.guess(theta, dt))
         assert np.array_equal(predictor.guess(theta, 0.05), theta)
+
+
+def _accumulated_ring_row(predictor, dt, bary):
+    # the ring row as the sums of itertools.accumulate, turned to the ring
+    # by a rotation copy: the reference for _row's one loop
+    top = _ThetaPredictor.MAX_ORDER
+    nodes = predictor.nodes[:len(bary)]
+    ell = math.prod([dt - t_j for t_j in nodes])
+    neg_lag = [ell * w / (t_j - dt) for w, t_j in zip(bary, nodes)]
+    row = [0.0] * (top + 2 - len(bary)) + list(accumulate(neg_lag[:0:-1]))
+    cut = top - predictor.head
+    return row[cut:] + row[:cut]
+
+
+def test_theta_predictor_row_is_the_accumulated_ring_row(rng):
+    # every order the ring holds, at every head position, bit for bit
+    theta = _polynomial_in_time(rng, 3)
+    predictor = _ThetaPredictor(32)
+    t = 0.0
+    for dt in _STEPS + _STEPS:
+        t, _, _ = _feed(predictor, theta, t, [dt], sweeps=2)
+        for p in range(1, len(predictor.nodes)):
+            bary = predictor.bary if p == predictor.order else [
+                rng.uniform(-2.0, 2.0) for _ in range(p + 1)]
+            got = predictor._row(0.07, bary)
+            want = _accumulated_ring_row(predictor, 0.07, bary)
+            assert np.array(got).tobytes() == np.array(want).tobytes()
+
+
+def _gemv_scored_order(predictor, theta_old, theta_new, dt):
+    # the order accept would pick if it scored every candidate, the one the
+    # step used included, by its weight row and one gemv
+    t, p, w = predictor.nodes, predictor.order, predictor.bary
+    bary = {p: w}
+    if p > 1:
+        bary[p - 1] = [w_j * (t_j - t[p]) for w_j, t_j in zip(w[:p], t)]
+    if p < len(t) - 1:
+        bary[p + 1] = [w_j / (t_j - t[p + 1]) for w_j, t_j in zip(w, t)] + [
+            1.0 / math.prod([t[p + 1] - t_i for t_i in t[:p + 1]])]
+    incs = predictor.incs.copy()
+    new = (predictor.head + 1) % len(incs)
+    np.subtract(theta_new, theta_old, out=incs[new])
+    orders, miss = sorted(bary), []
+    for k in orders:
+        row = predictor._row(dt, bary[k])
+        row[new] = -1.0
+        miss.append(np.abs(np.dot(row, incs)).max())
+    return orders[miss.index(min(miss))]
+
+
+def test_theta_predictor_guess_scoring_picks_the_gemv_orders(monkeypatch):
+    # accept scores the order a step used by that step's own guess; on the
+    # history of a bump_fine-sized run (the bench's m = 2, n = 2048 bump)
+    # it must pick the orders that scoring by a gemv picks
+    history = []
+    accept = _ThetaPredictor.accept
+
+    def recording(self, theta_old, theta_new, dt, sweeps, guess):
+        history.append((theta_old, theta_new, dt, sweeps))
+        accept(self, theta_old, theta_new, dt, sweeps, guess)
+
+    monkeypatch.setattr(_ThetaPredictor, "accept", recording)
+    traj = run(parse_config("""
+[grid]
+n = 2048
+m = 2
+[init]
+preset = "vacuum_bump"
+[controls]
+t_end = 0.02
+"""))
+    assert traj.reason == "completed" and len(history) == traj.steps
+    predictor = _ThetaPredictor(2048)
+    got, want = [], []
+    for theta_old, theta_new, dt, sweeps in history:
+        guess = predictor.guess(theta_old, dt)
+        scored = sweeps > 1 and len(predictor.nodes) > 1
+        if scored:
+            want.append(_gemv_scored_order(predictor, theta_old, theta_new,
+                                           dt))
+        accept(predictor, theta_old, theta_new, dt, sweeps, guess)
+        if scored:
+            got.append(predictor.order)
+    assert got == want
+    assert len(got) >= 40 and len(set(got)) >= 3
 
 
 def _heated_state():
@@ -882,6 +969,78 @@ def test_run_ending_nan_detected_inside_a_block_records_every_finite_step(
     # the non-finite state of step 20 gets no row, every step before it one
     assert traj.series.rows["step"] == list(range(20))
     assert traj.series.rows["t"][1:] == made[:19]
+
+
+@pytest.mark.parametrize("text", [
+    pytest.param(_swirl_text(64, "t_end = 0.5"), id="swirl"),
+    pytest.param(_BUMP_128 % 'family = "ideal"', id="bump"),
+])
+def test_run_checks_each_state_once(monkeypatch, text):
+    # the cfl_dt call that sizes the step from a state is its one check:
+    # the initial state's and one after each step
+    calls = []
+    is_finite = State.is_finite
+
+    def counting(self):
+        calls.append(self.t)
+        return is_finite(self)
+
+    monkeypatch.setattr(State, "is_finite", counting)
+    traj = run(parse_config(text))
+    assert traj.reason == "completed"
+    assert len(calls) == traj.steps + 1
+    assert calls == sorted(set(calls))
+
+
+@pytest.mark.parametrize("field", ["rho", "u", "theta"])
+def test_run_of_a_nonfinite_initial_state_is_nan_detected(field):
+    # cfg.initial changed after parsing: run still raises nothing
+    cfg = parse_config("[grid]\nn = 16\n[init]\npreset = \"manufactured\"\n"
+                       "[controls]\nt_end = 0.01\n")
+    getattr(cfg.initial, field)[3] = math.nan
+    traj = run(cfg)
+    assert traj.reason == "nan_detected" and traj.steps == 0
+    assert "non-finite" in traj.error
+    assert traj.series.rows["step"] == [0] and len(traj.states) == 1
+
+
+def _cfl_dt_failing(monkeypatch, fails):
+    # cfl_dt that raises DtUnderflow for the states fails(s, call) picks
+    calls = []
+
+    def failing(s, c, model):
+        calls.append(s.t)
+        if fails(s, c, len(calls)):
+            raise DtUnderflow("cfl_dt: forced underflow")
+        return cfl_dt(s, c, model)
+
+    monkeypatch.setattr(symns.stepper, "cfl_dt", failing)
+    return calls
+
+
+def test_run_completes_when_its_final_state_has_no_cfl_step(monkeypatch):
+    text = _swirl_text(64, "t_end = 0.5")
+    want = run(parse_config(text))
+    calls = _cfl_dt_failing(
+        monkeypatch, lambda s, c, call: s.t >= c.t_end - 1e-14)
+    traj = run(parse_config(text))
+    assert traj.reason == "completed" and traj.error is None
+    assert traj.steps == want.steps and len(calls) == traj.steps + 1
+    for name in FIELDS:
+        assert np.array_equal(getattr(traj.final_state, name),
+                              getattr(want.final_state, name))
+
+
+def test_run_dt_underflow_mid_run_ends_where_it_did(monkeypatch):
+    # the state after step 10 has no CFL step: the run stops there, with
+    # a row for each of steps 0 to 10, as when cfl_dt ran first in a step
+    _cfl_dt_failing(monkeypatch, lambda s, c, call: call == 11)
+    traj = run(parse_config(_swirl_text(64, "t_end = 0.5")))
+    assert traj.reason == "dt_underflow"
+    assert traj.error == "cfl_dt: forced underflow"
+    assert traj.steps == 10
+    assert traj.series.rows["step"] == list(range(11))
+    assert traj.snapshot_steps == list(range(11))
 
 
 _BUMP_64 = """
