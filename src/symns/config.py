@@ -13,7 +13,8 @@ the one model condition that depends on the grid, 2*mu + (m+1)*lam > 0.
 A validated config then builds its t = 0 State (``SimConfig.initial``)
 once, so every ``ConfigError`` a config can cause is raised by
 :func:`parse_config` or :func:`override_config`, and a parsed config runs.
-Configs and their sections are frozen, so that State cannot go stale.
+Configs and their sections are frozen and that State's fields are
+read-only, so it cannot go stale.
 """
 
 from __future__ import annotations
@@ -29,7 +30,7 @@ from .errors import ConfigError
 from .grid import Grid, _integer
 from .initdata import (load_initial_csv, preset, radial_residual, regularize,
                        solve_initial_velocity, validate_initial, PRESET_PARAMS)
-from .state import State
+from .state import FIELDS, State
 from .stepper import StepControls
 
 __all__ = [
@@ -72,10 +73,11 @@ class OutputConfig:
 
 @dataclass(frozen=True)
 class SimConfig:
-    """A validated run config.  It is immutable, so its t = 0 State cannot
-    go stale: derive a changed config with :func:`override_config` or
-    ``dataclasses.replace``.  Every constructed config, derived or not,
-    validates itself and builds its own State once, on its own grid."""
+    """A validated run config.  It is immutable and its t = 0 State's
+    fields are read-only, so that State cannot go stale: derive a changed
+    config with :func:`override_config` or ``dataclasses.replace``.  Every
+    constructed config, derived or not, validates itself and builds its
+    own State once, on its own grid."""
 
     grid: Grid = field(default_factory=Grid)
     model: GasModel = field(default_factory=GasModel)
@@ -235,7 +237,8 @@ def build_initial(cfg: SimConfig, g, model: GasModel) -> State:
 def _initial_state(cfg: SimConfig) -> State:
     """The initial State from the config: preset or CSV file, then the
     optional epsilon-regularization with its re-solved radial velocity.
-    It reads the [grid], [model] and [init] sections only."""
+    It reads the [grid], [model] and [init] sections only; its fields are
+    read-only, so that runs and their snapshots can share them."""
     ic, g, model = cfg.init, cfg.grid, cfg.model
     try:
         if ic.file:
@@ -251,6 +254,8 @@ def _initial_state(cfg: SimConfig) -> State:
             validate_initial(s)
     except (OSError, ValueError) as exc:
         raise ConfigError(f"init: {exc}") from exc
+    for name in FIELDS:
+        getattr(s, name).flags.writeable = False
     return s
 
 

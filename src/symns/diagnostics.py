@@ -57,10 +57,6 @@ class DiagnosticsSeries:
 
     rows: dict = field(default_factory=lambda: {k: [] for k in SERIES_COLUMNS})
 
-    def append(self, **kw):
-        """Append one row: one value per column."""
-        self.extend(**{k: [v] for k, v in kw.items()})
-
     def extend(self, **kw):
         """Append a block of rows: one equally long list per column."""
         if kw.keys() != _COLUMN_SET:
@@ -85,9 +81,10 @@ class DiagnosticsSeries:
 
 @dataclass
 class Trajectory:
-    """Snapshots plus the per-step diagnostics of one run.  A spherical
-    run's (m != 1) snapshots share one read-only ``v`` and one read-only
-    ``w``; an m = 1 run's snapshots are independent copies."""
+    """Snapshots plus the per-step diagnostics of one run.  The snapshots
+    are the run's own states, the first being the config's read-only
+    initial state; a spherical run's (m != 1) states all hold its ``v`` and
+    ``w``."""
 
     states: list
     snapshot_steps: list

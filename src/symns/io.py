@@ -243,16 +243,15 @@ def _x_text(g: Grid) -> np.ndarray:
     return g.cached("csv_x", lambda g: _format(g.centers[None])[0])
 
 
-def _write_csv(path, header, columns, rows=None):
+def _write_csv(path, header, columns):
     """Write one column per header name, a block of rows at a time.  A
     float column is formatted by :func:`_format`, all float columns of a
     block in one call; a 2-D uint8 column is text as :func:`_format`
     returns it, so one row of text (a column of +0.0 alone) stands for
-    every row.  The float columns give the row count; ``rows`` gives it
-    where there is none."""
+    every row.  The float columns, of which there is at least one, give
+    the row count."""
     floats = [j for j, col in enumerate(columns) if col.ndim == 1]
-    if floats:
-        rows = len(columns[floats[0]])
+    rows = len(columns[floats[0]])
     columns = [col if col.ndim == 1 else
                np.broadcast_to(col, (rows, col.shape[1])) for col in columns]
     # a signalling NaN raises 'invalid' where it is compared; it is
@@ -265,10 +264,9 @@ def _write_csv(path, header, columns, rows=None):
         step = max(1, _BLOCK // max(busy, 1))
         for start in range(0, rows, step):
             texts = [col[start:start + step] for col in columns]
-            if floats:
-                formatted = _format(np.stack([texts[j] for j in floats]))
-                for j, t in zip(floats, formatted):
-                    texts[j] = t
+            formatted = _format(np.stack([texts[j] for j in floats]))
+            for j, t in zip(floats, formatted):
+                texts[j] = t
             table = np.empty((min(step, rows - start),
                               sum(t.shape[1] + 1 for t in texts)), np.uint8)
             end = 0

@@ -72,8 +72,8 @@ _CLIP_WINDOW = 1e-10   # anything more negative is a scheme failure
 # carry a fixed overhead: at n = 64 a row took 80 us recorded alone and
 # 9 us in a block of 64, at n = 1024 115 us alone and 63 us in a block of 4
 # (best of interleaved runs, shared 2-vCPU x86-64, Python 3.11, numpy 2.4).
-# Larger blocks were no faster, and pending m = 1 states keep their momentum
-# solve buffers alive, so peak memory grows with the block.
+# Larger blocks were no faster, and a pending state stays alive until its
+# block is recorded, so peak memory grows with the block.
 _RECORD_CELLS = 4096
 
 
@@ -476,32 +476,20 @@ class _ThetaPredictor:
 
 def run(cfg):
     """Run a parsed config from its initial state to t_end; every failure
-    becomes a termination reason on the returned trajectory.  Snapshots of
-    m = 1 are independent copies; a spherical run's radial velocity keeps
-    v = w = 0, so all its states and snapshots share one read-only copy of
-    the initial v and one of w (``cfg.initial``'s own stay writeable)."""
+    becomes a termination reason on the returned trajectory.  The snapshots
+    are the run's own states, from ``cfg.initial`` on, and no array is
+    written after the State that holds it is built: a spherical run's
+    radial velocity keeps ``cfg.initial``'s v and w in every state."""
     model = cfg.model
     state = cfg.initial
     c = cfg.controls
     alpha = cfg.output.diag_alpha
     t_end = c.t_end
-    spherical = state.grid.m != 1
-    if spherical:   # copies, not zeros, so that a -0 in them is kept
-        v, w = state.v.copy(), state.w.copy()
-        v.flags.writeable = w.flags.writeable = False
-        state = State(state.grid, state.t, state.rho, state.u, v, w,
-                      state.theta)
-
-    def snapshot(s):
-        if not spherical:
-            return s.copy()
-        return State(s.grid, s.t, s.rho.copy(), s.u.copy(), s.v, s.w,
-                     s.theta.copy())
 
     series = DiagnosticsSeries()
     record_step(series, state, model, step=0, dt=0.0, alpha=alpha,
                 clip_cum=0.0)
-    states = [snapshot(state)]
+    states = [state]
     snapshot_steps = [0]
     mass0 = series.rows["mass"][0]
     # (state, step, dt, cumulative clip) of the accepted steps not yet
@@ -528,11 +516,12 @@ def run(cfg):
     predictor = _ThetaPredictor(state.grid.n)
 
     # Each state's finiteness is checked once, by the cfl_dt call that sizes
-    # the step from it: the initial state's here (cfg.initial may have been
-    # changed since parsing), every later one's right after the step that
-    # made it, before it reaches record_step or the predictor.  A
-    # DtUnderflow or SolverFailure of that call is raised by the next step,
-    # so a run never fails on its final state's dt and max_steps comes first.
+    # the step from it: the initial state's here (a field of cfg.initial
+    # may have been replaced since parsing), every later one's right after
+    # the step that made it, before it reaches record_step or the
+    # predictor.  A DtUnderflow or SolverFailure of that call is raised by
+    # the next step, so a run never fails on its final state's dt and
+    # max_steps comes first.
     dt_cfl = next_dt(state)
     while (not isinstance(dt_cfl, _NonFiniteState)
            and state.t < t_end - 1e-14 * max(1.0, t_end)):
@@ -573,7 +562,7 @@ def run(cfg):
             record_pending()
         if (cfg.output.snapshot_every > 0
                 and nstep % cfg.output.snapshot_every == 0):
-            states.append(snapshot(state))
+            states.append(state)
             snapshot_steps.append(nstep)
 
     if isinstance(dt_cfl, _NonFiniteState):
@@ -582,7 +571,7 @@ def run(cfg):
     if pending:
         record_pending()
     if snapshot_steps[-1] != nstep:
-        states.append(snapshot(state))
+        states.append(state)
         snapshot_steps.append(nstep)
     return Trajectory(states=states, snapshot_steps=snapshot_steps,
                       series=series, reason=reason, steps=nstep,

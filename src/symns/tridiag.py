@@ -3,7 +3,9 @@ elimination with partial pivoting) from the OpenBLAS that numpy's wheel
 already loads, bound through ctypes.  One call solves one system, or a
 (k, n) block of k independent systems of n rows, packed as one k*n-row
 system whose couplings between systems are zero: ``dgtsv`` never swaps
-across a zero coupling, so each system is solved as if alone.
+across a zero coupling, so each system is solved as if alone.  The
+solution is copied out of the solve's (4, ...) work buffer, so that a
+state holding it keeps only its own rows alive.
 
 Every system assembled by this package is (weakly) diagonally dominant by
 construction.  The per-row check below is an assembly check: it turns a
@@ -56,10 +58,11 @@ def solve_tridiagonal(sub, diag, sup, rhs, context: str = "tridiagonal solve",
     where the pivoting elimination found the singularity, which may lie
     below the rows that cause it.  Inputs are coerced to float64.
 
-    (k, n) arrays hold k independent systems, row j being system j, and
-    give a (k, n) solution from one packed solve.  A failure names its
-    system by ``names[j]`` in front of ``context`` (by its index when
-    ``names`` is not given), and its ``cell`` is the row within that system.
+    The solution is a new array that owns its memory.  (k, n) arrays hold
+    k independent systems, row j being system j, and give a (k, n)
+    solution from one packed solve.  A failure names its system by
+    ``names[j]`` in front of ``context`` (by its index when ``names`` is
+    not given), and its ``cell`` is the row within that system.
     """
     shape = np.shape(diag)
     # rows sub, diag, sup, rhs of one buffer, which the solve overwrites
@@ -86,7 +89,8 @@ def solve_tridiagonal(sub, diag, sup, rhs, context: str = "tridiagonal solve",
         where, i = _system_row(context, names, shape, info - 1)
         raise SolverFailure(f"{where}: elimination breakdown at row {i}",
                             cell=i)
-    return x
+    # a copy owns its memory, where x would keep all of work alive
+    return x.copy()
 
 
 def _system_row(context, names, shape, row):

@@ -15,6 +15,8 @@ from symns.constitutive import GasModel, check_admissible
 from symns.errors import ConfigError
 from symns.grid import Grid, make_grid
 from symns.initdata import PRESET_PARAMS, preset
+from symns.io import write_snapshot
+from symns.state import FIELDS
 from symns.stepper import StepControls, run
 
 
@@ -400,6 +402,36 @@ n = 64
 preset = "vacuum_bump"
 eps = 1e-4
 """
+
+
+_MANUFACTURED_16 = """
+[grid]
+n = 16
+[init]
+preset = "manufactured"
+[controls]
+t_end = 0.01
+"""
+
+
+@pytest.mark.parametrize("source", ["preset", "restart", "eps"])
+def test_a_write_into_the_initial_state_raises_at_the_write(tmp_path,
+                                                            source):
+    # a negative theta[3] written after parsing used to reach run's first
+    # diagnostics row, which raised; the write itself raises now
+    text = _MANUFACTURED_16
+    if source == "restart":
+        path = tmp_path / "restart.csv"
+        write_snapshot(path, parse_config(text).initial)
+        text = text.replace('preset = "manufactured"', f'file = "{path}"')
+    elif source == "eps":
+        text = text.replace("[controls]", "eps = 1e-3\n[controls]")
+    cfg = parse_config(text)
+    for name in FIELDS:
+        with pytest.raises(ValueError, match="read-only"):
+            getattr(cfg.initial, name)[3] = -1.0
+    traj = run(cfg)
+    assert traj.reason == "completed" and traj.states[0] is cfg.initial
 
 
 def test_a_parsed_config_cannot_go_stale():

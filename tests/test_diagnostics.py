@@ -144,10 +144,9 @@ def _series_trajectory(t, **columns):
     """Trajectory whose series has the given columns (others zero) at the
     times t; its one state is never read."""
     ser = DiagnosticsSeries()
-    for i, ti in enumerate(t):
-        row = dict.fromkeys(SERIES_COLUMNS, 0.0)
-        row.update(t=ti, **{k: v[i] for k, v in columns.items()})
-        ser.append(**row)
+    rows = {k: [0.0] * len(t) for k in SERIES_COLUMNS}
+    rows.update(t=list(t), **{k: list(v) for k, v in columns.items()})
+    ser.extend(**rows)
     return Trajectory(states=[None], snapshot_steps=[0], series=ser,
                       reason="completed", steps=len(t) - 1, diag_alpha=0.5)
 

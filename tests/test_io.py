@@ -82,7 +82,7 @@ def test_diagnostics_one_int_step_row_and_empty_series(tmp_path):
     write_diagnostics_csv(path, series)
     assert path.read_bytes() == _reference_csv(SERIES_COLUMNS, [])
     row = dict(zip(SERIES_COLUMNS, [7] + EDGE_VALUES * 2))
-    series.append(**row)
+    series.extend(**{k: [v] for k, v in row.items()})
     write_diagnostics_csv(path, series)
     assert path.read_bytes() == _reference_csv(SERIES_COLUMNS,
                                                [list(row.values())])
@@ -116,14 +116,16 @@ def _tables(draw):
 @given(_tables(), st.booleans())
 def test_write_csv_matches_reference_on_drawn_tables(table, first_as_text):
     rows, columns = table
-    header = [f"c{j}" for j in range(len(columns))]
     arrays = [np.array(col, dtype=float) for col in columns]
-    if first_as_text:   # a preformatted column, as the snapshot x column;
-        # an all-+0 column is one row of text that stands for every row
-        arrays[0] = symns.io._format(arrays[0][None])[0]
+    if first_as_text:   # a preformatted column, as the snapshot x column,
+        # beside the float columns that give the row count; an all-+0
+        # column is one row of text that stands for every row
+        columns = [columns[0]] + columns
+        arrays = [symns.io._format(arrays[0][None])[0]] + arrays
+    header = [f"c{j}" for j in range(len(columns))]
     with tempfile.TemporaryDirectory() as tmp:
         path = os.path.join(tmp, "table.csv")
-        symns.io._write_csv(path, header, arrays, rows=rows)
+        symns.io._write_csv(path, header, arrays)
         with open(path, "rb") as fh:
             written = fh.read()
     assert written == _reference_csv(header, zip(*columns))

@@ -994,10 +994,13 @@ def test_run_checks_each_state_once(monkeypatch, text):
 
 @pytest.mark.parametrize("field", ["rho", "u", "theta"])
 def test_run_of_a_nonfinite_initial_state_is_nan_detected(field):
-    # cfg.initial changed after parsing: run still raises nothing
+    # a field of cfg.initial replaced after parsing (its arrays are
+    # read-only): run still raises nothing
     cfg = parse_config("[grid]\nn = 16\n[init]\npreset = \"manufactured\"\n"
                        "[controls]\nt_end = 0.01\n")
-    getattr(cfg.initial, field)[3] = math.nan
+    bad = getattr(cfg.initial, field).copy()
+    bad[3] = math.nan
+    setattr(cfg.initial, field, bad)
     traj = run(cfg)
     assert traj.reason == "nan_detected" and traj.steps == 0
     assert "non-finite" in traj.error
@@ -1056,25 +1059,31 @@ snapshot_every = 1
 """
 
 
+def _assert_snapshots_are_the_run_states(cfg, traj, shared):
+    # snapshot 0 is cfg.initial; no two snapshots share a field array but
+    # the ``shared`` fields, which are cfg.initial's read-only ones; every
+    # other field after step 0 is the run's own, writeable array
+    assert traj.states[0] is cfg.initial
+    own = []
+    for name in FIELDS:
+        arrays = [getattr(s, name) for s in traj.states]
+        if name in shared:
+            initial = getattr(cfg.initial, name)
+            assert all(f is initial for f in arrays), name
+            with pytest.raises(ValueError):
+                initial[0] = 1.0
+        else:
+            own += arrays
+            assert all(f.flags.writeable for f in arrays[1:]), name
+    assert len({id(f) for f in own}) == len(own)
+
+
 def test_spherical_snapshots_share_one_read_only_v_and_w():
     cfg = parse_config(_BUMP_64)
     traj = run(cfg)
     assert traj.reason == "completed"
     assert len(traj.states) == traj.steps + 1 > 2
-    for name in ("v", "w"):
-        shared = getattr(traj.states[0], name)
-        assert all(getattr(s, name) is shared for s in traj.states), name
-        assert not shared.flags.writeable
-        with pytest.raises(ValueError):
-            shared[0] = 1.0
-        initial = getattr(cfg.initial, name)
-        assert shared is not initial and initial.flags.writeable
-        assert shared.tobytes() == initial.tobytes()
-    # rho, u and theta are still copied into every snapshot
-    for name in ("rho", "u", "theta"):
-        arrays = [getattr(s, name) for s in traj.states]
-        arrays.append(getattr(cfg.initial, name))
-        assert len({id(f) for f in arrays}) == len(arrays), name
+    _assert_snapshots_are_the_run_states(cfg, traj, shared=("v", "w"))
     again = run(cfg)
     assert again.snapshot_steps == traj.snapshot_steps
     for a, b in zip(traj.states, again.states, strict=True):
@@ -1111,8 +1120,21 @@ def test_cylindrical_snapshots_keep_their_own_v_and_w():
     cfg = parse_config(_swirl_text(64, "t_end = 0.03"))
     traj = run(cfg)
     assert traj.reason == "completed" and len(traj.states) > 3
-    for name in ("v", "w"):
-        arrays = [getattr(s, name) for s in traj.states]
-        arrays.append(getattr(cfg.initial, name))
-        assert len({id(f) for f in arrays}) == len(arrays), name
-        assert all(f.flags.writeable for f in arrays), name
+    _assert_snapshots_are_the_run_states(cfg, traj, shared=())
+
+
+@pytest.mark.parametrize("text", [_BUMP_64, _swirl_text(64, "t_end = 0.03")],
+                         ids=["spherical", "swirl"])
+def test_snapshots_keep_no_memory_beyond_their_fields(text):
+    # a field that is a view of a larger buffer (a solve's work rows) would
+    # keep that whole buffer alive in the trajectory
+    traj = run(parse_config(text))
+    assert len(traj.states) == traj.steps + 1 > 2
+    arrays = {id(f): f for f in (getattr(s, name) for s in traj.states
+                                 for name in FIELDS)}
+    buffers = {}
+    for f in arrays.values():
+        base = f if f.base is None else f.base
+        buffers[id(base)] = base
+    assert (sum(b.nbytes for b in buffers.values())
+            == sum(f.nbytes for f in arrays.values()))

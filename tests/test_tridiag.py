@@ -266,6 +266,19 @@ def test_block_with_zero_rhs_system_gives_exact_zeros(rng):
     assert not x[2].any()
 
 
+@pytest.mark.parametrize("k", [None, 3])
+def test_solution_owns_its_memory(rng, monkeypatch, k):
+    # a view of the solve's work buffer would keep all four of its rows
+    # alive for as long as the solution is kept
+    if k is None:
+        system = *_random_dominant(rng, 64), rng.standard_normal(64)
+    else:
+        system = *_random_block(rng, k, 64), rng.standard_normal((k, 64))
+    for x in _solve_both(monkeypatch, *system):
+        assert x.base is None and x.shape == system[-1].shape
+        assert x.flags.owndata and x.flags.writeable
+
+
 @pytest.mark.parametrize("n", [64, 1000])
 def test_thomas_fallback_solves_blocks(rng, monkeypatch, n):
     sub, diag, sup = _random_block(rng, 3, n)
