@@ -30,10 +30,9 @@ exact fixed points bitwise.  A row whose upwind coupling, scaled by the
 upwind cell's 1/kappa, would outweigh its diagonal takes that coupling at
 the current iterate instead, so every row stays diagonally dominant.
 ``run`` starts each step's sweeps from theta extrapolated in time through
-the last p + 1 accepted steps (theta_old on the first), the order p (1 to
-6) moving after each multi-sweep step to whichever of p - 1, p, p + 1
-missed it least (p scored by the step's own guess); the guess moves the
-result only within ``picard_tol`` and reproduces a constant state exactly.
+the last p + 1 accepted steps (theta_old on the first), the order p
+climbing by one per accepted step to 6; the guess moves the result only
+within ``picard_tol`` and reproduces a constant state exactly.
 """
 
 from __future__ import annotations
@@ -401,8 +400,8 @@ def step_detailed(s: State, c: StepControls, model: GasModel, dt=None,
 class _ThetaPredictor:
     """theta + sum_k c_k*D_k over the last p increments D_k (a constant
     history gives theta bitwise), c_k the Lagrange weights at dt of the
-    last p + 1 temperatures summed onto the increments; order selection
-    after Shampine & Gordon (1975) and DASSL."""
+    last p + 1 temperatures summed onto the increments; the order p climbs
+    by one per accepted step to MAX_ORDER and stays there."""
 
     MAX_ORDER = 6
 
@@ -411,13 +410,12 @@ class _ThetaPredictor:
         # takes in the next one
         self.incs = np.zeros((self.MAX_ORDER + 1, n))
         self.head = -1       # its newest row
-        self.order = 1
         self.nodes = [0.0]   # times of the stored states, newest (0) first
-        self.bary = []       # weights of nodes[:order + 1], O(p) a step
+        self.bary = []       # weights of nodes[:p + 1], O(p) a step
 
-    def _row(self, dt, bary):
-        """Ring-row weights of the extrapolation through len(bary) nodes."""
-        nodes, head = self.nodes, self.head
+    def _row(self, dt):
+        """Ring-row weights of the extrapolation by dt."""
+        nodes, bary, head = self.nodes, self.bary, self.head
         ell = math.prod([dt - t_j for t_j in nodes[:len(bary)]])
         row = [0.0] * len(self.incs)
         # c_k = -(L_k + ... + L_p), summed oldest first, weighs the
@@ -433,43 +431,25 @@ class _ThetaPredictor:
         """theta extrapolated by dt, or None before the first step."""
         if not self.bary:
             return None
-        step = np.dot(self._row(dt, self.bary), self.incs)
+        step = np.dot(self._row(dt), self.incs)
         return np.add(step, theta, out=step)
 
-    def accept(self, theta_old, theta_new, dt, sweeps, guess):
-        """Take in a step of size dt from theta_old to theta_new that took
-        ``sweeps`` sweeps from ``guess``, this predictor's guess for it."""
+    def accept(self, theta_old, theta_new, dt):
+        """Take in a step of size dt from theta_old to theta_new."""
         new = (self.head + 1) % len(self.incs)
         np.subtract(theta_new, theta_old, out=self.incs[new])
-        t, p, w = self.nodes, self.order, self.bary
-        stored = len(t) - 1
-        if sweeps > 1 and stored:   # weights of orders p - 1 and p + 1
-            bary = {p: w}
-            if p > 1:
-                bary[p - 1] = [w_j * (t_j - t[p])
-                              for w_j, t_j in zip(w[:p], t)]
-            if p < stored:
-                bary[p + 1] = [w_j / (t_j - t[p + 1]) for w_j, t_j in
-                               zip(w, t)] + [1.0 / math.prod(
-                                   [t[p + 1] - t_i for t_i in t[:p + 1]])]
-            # order p is scored by the step's own guess, each other order
-            # by one gemv: a (2, n) block product would be a gemm, whose
-            # work buffer adds ~0.3 MB to the peak memory
-            orders, miss = sorted(bary), []
-            for k in orders:
-                if k == p:
-                    miss.append(np.abs(theta_new - guess).max())
-                    continue
-                row = self._row(dt, bary[k])
-                row[new] = -1.0   # minus the step's own increment
-                miss.append(np.abs(np.dot(row, self.incs)).max())
-            p = self.order = orders[miss.index(min(miss))]
-            w = bary[p]
-        if stored:   # drop node p, put the new one in front
+        t, w = self.nodes, self.bary
+        p = len(w) - 1
+        if not w:   # the line through the first step's two states
+            self.bary = [1.0 / dt, -1.0 / dt]
+        else:
+            if p < len(t) - 1:   # one order up, to at most MAX_ORDER
+                w = [w_j / (t_j - t[p + 1]) for w_j, t_j in zip(w, t)] + [
+                    1.0 / math.prod([t[p + 1] - t_i for t_i in t[:p + 1]])]
+                p += 1
+            # drop node p, put the new one in front
             self.bary = [1.0 / math.prod([dt - t_j for t_j in t[:p]])] + [
                 w_j * (t_j - t[p]) / (t_j - dt) for w_j, t_j in zip(w, t[:p])]
-        else:
-            self.bary = [1.0 / dt, -1.0 / dt]
         self.nodes = [0.0] + [t_j - dt for t_j in t[:self.MAX_ORDER]]
         self.head = new
 
@@ -534,9 +514,9 @@ def run(cfg):
                 raise dt_cfl
             dt = min(dt_cfl, t_end - state.t)
             theta_prev = state.theta
-            guess = predictor.guess(state.theta, dt)
-            state, info = step_detailed(state, c, model, dt=dt,
-                                        theta_guess=guess)
+            state, info = step_detailed(
+                state, c, model, dt=dt,
+                theta_guess=predictor.guess(state.theta, dt))
         except DtUnderflow as exc:
             reason = "dt_underflow"
             error_msg = str(exc)
@@ -555,8 +535,7 @@ def run(cfg):
         dt_cfl = next_dt(state)
         if isinstance(dt_cfl, _NonFiniteState):
             break
-        predictor.accept(theta_prev, state.theta, dt, info.picard_iters,
-                         guess)
+        predictor.accept(theta_prev, state.theta, dt)
         pending.append((state, nstep, info.dt, clip_cum))
         if len(pending) * state.grid.n >= _RECORD_CELLS:
             record_pending()

@@ -112,11 +112,11 @@ t_end = 0.05
 
 @pytest.mark.parametrize("make_config,expected", [
     (_bump_config,
-     "8d9524b9d63e0ca64a05b59a4e018f26e61f92d7f85af2dfb3c1fdf12baa3ae3"),
+     "4bcc1e666f75958e34a9b37ccdec4b4432ddb55bfb2a57df3119d05cef4c2504"),
     (_swirl_config,
-     "21fca08f4bccfd2eddda251a5f4a094ff3b8140c9685be468674f7599324571d"),
+     "3a820b97c35f90abd377c47b4ada2aa9891ccf5dc27320b93057728191c9a135"),
     (_restart_config,
-     "d7ad0921ad63584994b4762782d130f48ec923c6306861271509d3c4e5796b59"),
+     "365dc5e02fa5a6384e3a9b5d8e4b102a3fa36e4f2a5e0f1e0d3d8041cad125b0"),
 ], ids=["vacuum_bump_m2_n256", "swirl_m1_n64", "csv_restart_eps"])
 def test_run_is_bitwise_pinned(make_config, expected, tmp_path):
     traj = run(parse_config(make_config(tmp_path)))

@@ -283,6 +283,17 @@ def test_sweep_rejects_bad_vary(tmp_path):
     assert cli(["sweep", cfgp, "--vary", "grid.zzz=1,2"]) == 3
 
 
+def test_sweep_names_the_key_of_a_bad_vary_value(tmp_path, capsys):
+    # a --vary value has no line of its own, so its message names the key
+    cfgp = _write(tmp_path, EQ_CONFIG.format(out=tmp_path / "o"))
+    assert cli(["sweep", cfgp, "--vary", "model.q=abc,2"]) == 3
+    assert capsys.readouterr().err == (
+        "config error: model.q expects a number, got 'abc'\n")
+    assert cli(["sweep", cfgp, "--vary", "init.preset='swirl"]) == 3
+    assert capsys.readouterr().err == (
+        "config error: unterminated string for init.preset\n")
+
+
 def test_convergence_command(tmp_path, capsys):
     text = f"""
 [grid]
