@@ -440,16 +440,15 @@ class _ThetaPredictor:
         np.subtract(theta_new, theta_old, out=self.incs[new])
         t, w = self.nodes, self.bary
         p = len(w) - 1
-        if not w:   # the line through the first step's two states
-            self.bary = [1.0 / dt, -1.0 / dt]
-        else:
-            if p < len(t) - 1:   # one order up, to at most MAX_ORDER
-                w = [w_j / (t_j - t[p + 1]) for w_j, t_j in zip(w, t)] + [
-                    1.0 / math.prod([t[p + 1] - t_i for t_i in t[:p + 1]])]
-                p += 1
-            # drop node p, put the new one in front
+        if w and p < len(t) - 1:   # one order up, to at most MAX_ORDER
+            w = [w_j / (t_j - t[p + 1]) for w_j, t_j in zip(w, t)] + [
+                1.0 / math.prod([t[p + 1] - t_i for t_i in t[:p + 1]])]
+            p += 1
+        if w:   # drop node p, put the new one in front
             self.bary = [1.0 / math.prod([dt - t_j for t_j in t[:p]])] + [
                 w_j * (t_j - t[p]) / (t_j - dt) for w_j, t_j in zip(w, t[:p])]
+        else:   # the line through the first step's two states
+            self.bary = [1.0 / dt, -1.0 / dt]
         self.nodes = [0.0] + [t_j - dt for t_j in t[:self.MAX_ORDER]]
         self.head = new
 
