@@ -104,35 +104,30 @@ _KEY_TYPES = {f"{sec}.{f.name}":
 _PRESET_FIELDS = tuple(f.name for f in fields(InitConfig) if f.default is None)
 
 
-def _parse_value(raw: str, key: str, where: str):
-    """The value of ``key`` in raw; ``where`` prefixes every error message
-    (a config file's line, or nothing for an override, which the message
-    names by its key)."""
+def _parse_value(raw: str, key: str):
+    """The value of ``key`` in raw; every error message names the key."""
     raw = raw.strip()
     if raw[:1] in ('"', "'"):   # basic or literal string, no escapes
         end = raw.find(raw[0], 1)
         if end < 0:
-            raise ConfigError(f"{where}unterminated string for {key}")
+            raise ConfigError(f"unterminated string for {key}")
         tail = raw[end + 1:].strip()
         if tail and not tail.startswith("#"):
-            raise ConfigError(f"{where}trailing junk after the string "
-                              f"for {key}")
+            raise ConfigError(f"trailing junk after the string for {key}")
         raw = raw[1:end]
     else:
         raw = raw.split("#", 1)[0].strip()
     if not raw:
-        raise ConfigError(f"{where}missing value for {key!r}")
+        raise ConfigError(f"missing value for {key!r}")
     if _KEY_TYPES[key] is str:
         return raw
     try:
         val = float(raw)
     except ValueError:
-        raise ConfigError(f"{where}{key} expects a number, "
-                          f"got {raw!r}") from None
+        raise ConfigError(f"{key} expects a number, got {raw!r}") from None
     if _KEY_TYPES[key] is int:
         if not float(val).is_integer():
-            raise ConfigError(f"{where}{key} expects an integer, "
-                              f"got {raw!r}")
+            raise ConfigError(f"{key} expects an integer, got {raw!r}")
         return int(val)
     return val
 
@@ -167,7 +162,10 @@ def parse_config(text: str) -> SimConfig:
                               f"(first set on line {seen[full]})")
         seen[full] = lineno
         sec_name, name = full.split(".")
-        values[sec_name][name] = _parse_value(raw, full, f"line {lineno}: ")
+        try:
+            values[sec_name][name] = _parse_value(raw, full)
+        except ConfigError as exc:
+            raise ConfigError(f"line {lineno}: {exc}") from None
     return _build(values)
 
 
@@ -273,5 +271,5 @@ def override_config(cfg: SimConfig, key: str, raw_value: str) -> SimConfig:
         sec, name = full.split(".")
         values[sec][name] = getattr(getattr(cfg, sec), name)
     sec_name, name = key.split(".")
-    values[sec_name][name] = _parse_value(raw_value, key, "")
+    values[sec_name][name] = _parse_value(raw_value, key)
     return _build(values)
