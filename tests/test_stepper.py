@@ -522,20 +522,31 @@ def test_theta_predictor_guesses_nothing_before_the_first_step():
 
 def test_theta_predictor_climbs_one_order_per_step_to_its_max(rng):
     # linear after the first step, then one order up per step from the
-    # third on until MAX_ORDER, where it stays whatever the history does
+    # third on until MAX_ORDER, where it stays
     theta = _polynomial_in_time(rng, 3)
     predictor = _ThetaPredictor(32)
     t, orders = 0.0, []
     for dt in _STEPS:
         t, _, _ = _feed(predictor, theta, t, [dt])
         orders.append(_order(predictor))
-    # then theta continues along a line much steeper than before
+    top = _ThetaPredictor.MAX_ORDER
+    assert orders == [1] + list(range(1, top + 1)) + [top] * 3
+
+
+def test_theta_predictor_keeps_its_order_after_one_sweep_steps(rng):
+    # accept sees no sweep count: once at MAX_ORDER the order stays there
+    # whatever the history does, here a jump to a much steeper line
+    theta = _polynomial_in_time(rng, 3)
+    predictor = _ThetaPredictor(32)
+    t, _, _ = _feed(predictor, theta, 0.0, _STEPS)
+    top = _ThetaPredictor.MAX_ORDER
+    assert _order(predictor) == top
     start, t0 = theta(t), t
+    orders = []
     for dt in _STEPS:
         t, _, _ = _feed(predictor, lambda s: start + 5.0 * (s - t0), t, [dt])
         orders.append(_order(predictor))
-    top = _ThetaPredictor.MAX_ORDER
-    assert orders == [1] + list(range(1, top + 1)) + [top] * 13
+    assert orders == [top] * len(_STEPS)
 
 
 def test_theta_predictor_is_exact_on_a_polynomial_of_its_max_order(rng):
