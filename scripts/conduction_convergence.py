@@ -38,7 +38,7 @@ def implicit_theta(g, model, theta0, dt, nsteps):
     th = theta0.copy()
     for j in range(nsteps):
         s = State(g, j * dt, rho, z, z, z, th)
-        th, _, _ = step_temperature(s, dt, model, c)
+        th, _, _, _ = step_temperature(s, dt, model, c)
     return th
 
 

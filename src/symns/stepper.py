@@ -32,7 +32,11 @@ the current iterate instead, so every row stays diagonally dominant.
 ``run`` starts each step's sweeps from theta extrapolated in time through
 the last p + 1 accepted steps (theta_old on the first), the order p
 climbing by one per accepted step to 6; the guess moves the result only
-within ``picard_tol`` and reproduces a constant state exactly.
+within ``picard_tol`` and reproduces a constant state exactly.  The sweeps
+stop once an update is below ``picard_tol``, or once Theta/(1 - Theta)
+times the update, Theta the sweeps' contraction rate (carried from step to
+step, so that a first sweep may stop too), puts the iterate's estimated
+error below a hundredth of ``picard_tol``.
 """
 
 from __future__ import annotations
@@ -66,6 +70,13 @@ __all__ = [
 
 _CLIP_WINDOW = 1e-10   # anything more negative is a scheme failure
 
+# the sweeps stop once the estimated error of the iterate, rate/(1 - rate)
+# times its update, is below this fraction of picard_tol (Hairer & Wanner,
+# Solving ODEs II, IV.8, the low end of their range); at 0.1 and at 1 the
+# power-gas bump of test_run_agrees_with_unseeded_steps ends with u more
+# than 1e-10 of its max away from the unseeded steps
+_NEWTON_KAPPA = 0.01
+
 # run records the accepted states in blocks of at least this many cells
 # (states times n), one record_step call per block, because its numpy calls
 # carry a fixed overhead: at n = 64 a row took 80 us recorded alone and
@@ -78,7 +89,10 @@ _RECORD_CELLS = 4096
 
 @dataclass(frozen=True)
 class StepControls:
-    """Time-stepping controls; the ``[controls]`` section of a run config."""
+    """Time-stepping controls; the ``[controls]`` section of a run config.
+    A step's temperature sweeps stop on a relative update below
+    ``picard_tol`` or on an estimated error below ``_NEWTON_KAPPA`` times
+    it, and warn after ``picard_max`` sweeps (see ``step_temperature``)."""
     cfl: float = 0.4
     picard_max: int = 30
     picard_tol: float = 1e-10
@@ -109,6 +123,7 @@ class StepInfo:
     clip_rho: float = 0.0      # weighted mass added by flooring rho at 0
     clip_theta: float = 0.0    # weighted amount added by flooring theta at 0
     picard_iters: int = 0
+    picard_rate: float | None = None   # contraction carried to the next step
 
 
 class _NonFiniteState(ValueError):
@@ -259,8 +274,8 @@ def _unit_heat_flux(g: Grid):
 
 
 def step_temperature(s: State, dt: float, model: GasModel,
-                     c: StepControls, theta_guess=None
-                     ) -> tuple[np.ndarray, float, int]:
+                     c: StepControls, theta_guess=None, rate=None
+                     ) -> tuple[np.ndarray, float, int, float | None]:
     """Implicit temperature update (Q-form), Newton sweeps on conduction.
 
     ``s`` carries the updated density and velocities and the old
@@ -283,7 +298,14 @@ def step_temperature(s: State, dt: float, model: GasModel,
     The first iterate is ``theta_guess`` when it is given and finite
     (``run`` passes its extrapolation in time), the old
     temperature otherwise; the guess changes only how many sweeps reach
-    ``picard_tol``.  Returns (theta', clipped amount, sweeps used).
+    ``picard_tol``.  The sweeps stop once the relative update is below
+    ``picard_tol``, or once the contraction rate Theta (the ratio of the
+    last two updates; on the first sweep ``rate``, the rate carried from
+    the last step) is below 1 and Theta/(1 - Theta) times the update, the
+    estimated error of the iterate, is at most ``_NEWTON_KAPPA*picard_tol``.
+    Returns (theta', clipped amount, sweeps used, rate to carry): the last
+    rate measured on a sweep whose update was at least ``picard_tol``,
+    ``rate`` itself when no sweep measured one.
     """
     g = s.grid
     rho, u = _vacuum_as_zero(s.rho), s.u
@@ -362,6 +384,11 @@ def step_temperature(s: State, dt: float, model: GasModel,
         theta_k = theta_next
         if rel < c.picard_tol:
             break
+        if iters > 1:
+            rate = rel / delta_prev
+        if (rate is not None and rate < 1.0
+                and rate / (1.0 - rate) * rel <= _NEWTON_KAPPA * c.picard_tol):
+            break
         if rel > delta_prev:
             grew += 1
             if grew >= 2:
@@ -376,25 +403,27 @@ def step_temperature(s: State, dt: float, model: GasModel,
                       f"with relative update {rel:.3e}", RuntimeWarning)
 
     theta_new, clipped = _floor_field(g, theta_k, "temperature")
-    return theta_new, clipped, iters
+    return theta_new, clipped, iters, rate
 
 
 def step_detailed(s: State, c: StepControls, model: GasModel, dt=None,
-                  theta_guess=None) -> tuple[State, StepInfo]:
+                  theta_guess=None, rate=None) -> tuple[State, StepInfo]:
     """One full split step; dt chosen by :func:`cfl_dt` unless given.
     The phases fill one ``State`` in turn: continuity builds it with the new
     density, then momentum sets its velocities and temperature its
-    temperature, seeded by ``theta_guess`` (see :func:`step_temperature`)."""
+    temperature, seeded by ``theta_guess`` and ``rate`` (see
+    :func:`step_temperature`), whose carried rate lands in
+    ``StepInfo.picard_rate``."""
     if dt is None:
         dt = cfl_dt(s, c, model)
     rho_new, clip_rho = step_continuity(s, dt)
     out = State(grid=s.grid, t=s.t + dt, rho=rho_new, u=s.u, v=s.v, w=s.w,
                 theta=s.theta)
     out.u, out.v, out.w = step_momentum(out, dt, model)
-    out.theta, clip_theta, iters = step_temperature(
-        out, dt, model, c, theta_guess=theta_guess)
+    out.theta, clip_theta, iters, rate = step_temperature(
+        out, dt, model, c, theta_guess=theta_guess, rate=rate)
     return out, StepInfo(dt=dt, clip_rho=clip_rho, clip_theta=clip_theta,
-                         picard_iters=iters)
+                         picard_iters=iters, picard_rate=rate)
 
 
 class _ThetaPredictor:
@@ -493,6 +522,7 @@ def run(cfg):
     clip_cum = 0.0
     nstep = 0
     predictor = _ThetaPredictor(state.grid.n)
+    rate = None   # the Newton contraction carried from step to step
 
     # Each state's finiteness is checked once, by the cfl_dt call that sizes
     # the step from it: the initial state's here (a field of cfg.initial
@@ -515,7 +545,7 @@ def run(cfg):
             theta_prev = state.theta
             state, info = step_detailed(
                 state, c, model, dt=dt,
-                theta_guess=predictor.guess(state.theta, dt))
+                theta_guess=predictor.guess(state.theta, dt), rate=rate)
         except DtUnderflow as exc:
             reason = "dt_underflow"
             error_msg = str(exc)
@@ -525,6 +555,7 @@ def run(cfg):
             error_msg = f"step {nstep}: {exc}"
             break
         nstep += 1
+        rate = info.picard_rate
         clip_cum += info.clip_rho + info.clip_theta
         if clip_cum > 1e-10 * mass0:
             reason = "solver_failure"

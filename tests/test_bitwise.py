@@ -112,11 +112,11 @@ t_end = 0.05
 
 @pytest.mark.parametrize("make_config,expected", [
     (_bump_config,
-     "4bcc1e666f75958e34a9b37ccdec4b4432ddb55bfb2a57df3119d05cef4c2504"),
+     "6baf3d90fbaf34ddb5b70999c5e7ca84e56b7d1c5ba50708d892ce434c00411d"),
     (_swirl_config,
-     "3a820b97c35f90abd377c47b4ada2aa9891ccf5dc27320b93057728191c9a135"),
+     "c408881e8c364b72dcaea378abf085f50268b9f97d81c4fa3743b463dd9d391b"),
     (_restart_config,
-     "365dc5e02fa5a6384e3a9b5d8e4b102a3fa36e4f2a5e0f1e0d3d8041cad125b0"),
+     "127f7694157b00c3a64e53a8f59db3d1648186c010bd51278807f38f9e858370"),
 ], ids=["vacuum_bump_m2_n256", "swirl_m1_n64", "csv_restart_eps"])
 def test_run_is_bitwise_pinned(make_config, expected, tmp_path):
     traj = run(parse_config(make_config(tmp_path)))

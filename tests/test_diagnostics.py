@@ -206,7 +206,7 @@ def test_entropy_dissipation_refinement_stable():
         s = State(g, 0.0, rho, z, z, z, th)
         record_step(ser, s, model, step=0, dt=0.0, alpha=alpha, clip_cum=0.0)
         for j in range(nsteps):
-            th, _, _ = step_temperature(s, dt, model, c)
+            th, _, _, _ = step_temperature(s, dt, model, c)
             s = State(g, (j + 1) * dt, rho, z, z, z, th)
             record_step(ser, s, model, step=j + 1, dt=dt, alpha=alpha,
                         clip_cum=0.0)
